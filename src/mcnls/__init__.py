@@ -6,7 +6,6 @@ from .grid import (
     GridSpec,
     SpectralField,
     boundary_mass_fraction,
-    gradient_norm_sq,
     lp_norm,
     make_grid,
     read_snapshot,
@@ -15,6 +14,7 @@ from .grid import (
     write_snapshot,
 )
 from .observables import energy, kinetic, mass, momentum, potential, variance
+from .observables import kinetic as gradient_norm_sq
 from .projections import (
     BUMP,
     BumpProfile,

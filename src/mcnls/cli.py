@@ -24,8 +24,8 @@ from .envelope import (
     smooth,
     write_envelope_csv,
 )
-from .evolution import EvolutionConfig, evolve
-from .grid import Field, make_grid, read_snapshot, write_snapshot
+from .evolution import EvolutionConfig, _trajectory, evolve
+from .grid import Field, make_grid, r2_mesh, read_snapshot, write_snapshot
 from .ground_state import closed_form_1d, gn_ratio, pohozaev_check, solve_petviashvili
 from .morawetz import (
     MORAWETZ_CSV_HEADER,
@@ -34,7 +34,7 @@ from .morawetz import (
     weight_conditions_check,
     weight_family_checks,
 )
-from .observables import energy, kinetic, mass
+from .observables import energy, kinetic, mass, momentum_density, quad_weight
 from .symmetries import galilean_boost, pseudoconformal_sample
 
 SCENARIOS = ("simulate", "ground-state", "morawetz", "smooth-envelope",
@@ -73,16 +73,37 @@ def _validate_keys(cfg: dict) -> None:
             f"unknown scenario {cfg['scenario']!r}; choose one of {', '.join(SCENARIOS)}")
 
 
-def _grid_from(cfg: dict):
-    g = cfg.get("grid")
-    if g is None:
-        raise ConfigError("scenario requires a grid section")
+def _integral(value, name: str) -> int:
+    """An integer-valued config number: 512 and 512.0 pass, 512.7 is rejected."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _section(cfg: dict, name: str, build):
+    """build(cfg[name]), reporting a missing section, key or invalid value as ConfigError."""
+    sec = cfg.get(name)
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{cfg['scenario']} requires a {name!r} section")
     try:
-        return make_grid(int(g["d"]), int(g["n"]), float(g["L"]))
+        return build(sec)
     except KeyError as exc:
-        raise ConfigError(f"grid section is missing {exc}") from exc
-    except ValueError as exc:
+        raise ConfigError(f"{name} section is missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _grid_from(cfg: dict):
+    return _section(cfg, "grid", lambda g: make_grid(
+        _integral(g["d"], "grid.d"), _integral(g["n"], "grid.n"), float(g["L"])))
+
+
+def _evolution_from(cfg: dict) -> EvolutionConfig:
+    return _section(cfg, "evolution", lambda ev: EvolutionConfig(
+        mu=_integral(ev["mu"], "evolution.mu"), dt=float(ev["dt"]), t_end=float(ev["t_end"]),
+        stride=_integral(ev.get("stride", 1), "evolution.stride"),
+        dealias=bool(ev.get("dealias", True))))
 
 
 def _initial_field(cfg: dict, grid) -> Field:
@@ -146,12 +167,7 @@ class Checks:
 def _scenario_simulate(cfg, outdir: Path, checks: Checks) -> dict:
     grid = _grid_from(cfg)
     f0 = _initial_field(cfg, grid)
-    ev = cfg.get("evolution")
-    if ev is None:
-        raise ConfigError("simulate requires an evolution section")
-    econf = EvolutionConfig(
-        mu=int(ev["mu"]), dt=float(ev["dt"]), t_end=float(ev["t_end"]),
-        stride=int(ev.get("stride", 1)), dealias=bool(ev.get("dealias", True)))
+    econf = _evolution_from(cfg)
     emit = bool(cfg.get("output", {}).get("emit_snapshots", False))
     if emit:
         write_snapshot(f0, outdir / "initial.mcnls")
@@ -202,10 +218,9 @@ def _scenario_gn_check(cfg, outdir: Path, checks: Checks) -> dict:
     checks.add("extremizer_ratio", abs(ratio - 1.0) <= 1e-4, ratio, 1e-4)
     rng = np.random.default_rng(20240 + grid.d)
     worst = 0.0
+    xm = grid.x_mesh()
+    env = np.exp(-r2_mesh(grid) / (2.0 * (grid.L / 6.0) ** 2))
     for _ in range(20):
-        xm = grid.x_mesh()
-        r2 = sum(x * x for x in xm)
-        env = np.exp(-r2 / (2.0 * (grid.L / 6.0) ** 2))
         vals = np.zeros(grid.shape, dtype=complex)
         for _k in range(4):
             k0 = rng.integers(-4, 5, size=grid.d) * grid.dk
@@ -222,40 +237,21 @@ def _scenario_gn_check(cfg, outdir: Path, checks: Checks) -> dict:
 def _scenario_morawetz(cfg, outdir: Path, checks: Checks) -> dict:
     grid = _grid_from(cfg)
     f0 = _initial_field(cfg, grid)
-    wcfg = cfg.get("weights")
-    if wcfg is None:
-        raise ConfigError("morawetz requires a weights section")
-    w = build_weights(grid.d, float(wcfg["M"]), float(wcfg["R"]))
-    ev = cfg.get("evolution")
-    if ev is None:
-        raise ConfigError("morawetz requires an evolution section")
-    econf = EvolutionConfig(
-        mu=int(ev["mu"]), dt=float(ev["dt"]), t_end=float(ev["t_end"]),
-        stride=int(ev.get("stride", 1)), dealias=bool(ev.get("dealias", True)))
-
-    from .evolution import step_strang
-    from .observables import momentum_density, quad_weight
-
+    w = _section(cfg, "weights", lambda s: build_weights(grid.d, float(s["M"]), float(s["R"])))
+    econf = _evolution_from(cfg)
     rows = []
     consistent = True
     bound_ok = True
-    u = f0
-    t = 0.0
-    nsteps = int(round(econf.t_end / econf.dt))
-    sample_every = max(1, econf.stride)
-    for step in range(nsteps + 1):
-        if step % sample_every == 0 or step == nsteps:
-            rep = interaction_flux(u, 1.0, 0.0, econf.mu, w)
-            rows.append(rep.csv_row(t))
-            total = rep.momentum + rep.dispersive + rep.nonlinear + \
-                rep.curvature + rep.envelope_drift
-            scale = max(abs(rep.flux), 1e-12)
-            consistent &= abs(total - rep.flux) <= 1e-8 * scale
-            p1 = sum(quad_weight(u) * np.sum(np.abs(p)) for p in momentum_density(u))
-            bound_ok &= abs(rep.action) <= 2.0 * w.M * w.R * p1 * mass(u) * (1 + 1e-9)
-        if step < nsteps:
-            u = step_strang(u, econf.dt, econf.mu, dealias=econf.dealias)
-            t += econf.dt
+    for step, vals, _ in _trajectory(f0, econf):
+        u = Field(grid, vals)
+        rep = interaction_flux(u, 1.0, 0.0, econf.mu, w)
+        rows.append(rep.csv_row(step * econf.dt))
+        total = rep.momentum + rep.dispersive + rep.nonlinear + \
+            rep.curvature + rep.envelope_drift
+        scale = max(abs(rep.flux), 1e-12)
+        consistent &= abs(total - rep.flux) <= 1e-8 * scale
+        p1 = sum(quad_weight(u) * np.sum(np.abs(p)) for p in momentum_density(u))
+        bound_ok &= abs(rep.action) <= 2.0 * w.M * w.R * p1 * mass(u) * (1 + 1e-9)
     (outdir / "morawetz.csv").write_text(
         MORAWETZ_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
     checks.add("decomposition_consistent", consistent)
@@ -299,11 +295,8 @@ def _scenario_smooth_envelope(cfg, outdir: Path, checks: Checks) -> dict:
 
 def _scenario_weight_check(cfg, outdir: Path, checks: Checks) -> dict:
     grid_cfg = cfg.get("grid")
-    d = int(grid_cfg["d"]) if grid_cfg else 1
-    wcfg = cfg.get("weights")
-    if wcfg is None:
-        raise ConfigError("weight-check requires a weights section")
-    w = build_weights(d, float(wcfg["M"]), float(wcfg["R"]))
+    d = _integral(grid_cfg["d"], "grid.d") if grid_cfg else 1
+    w = _section(cfg, "weights", lambda s: build_weights(d, float(s["M"]), float(s["R"])))
     fam = weight_family_checks(w)
     for name, (value, bound, ok) in fam.items():
         checks.add(f"family_{name}", ok, value, bound)

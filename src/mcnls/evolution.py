@@ -10,17 +10,22 @@ is conserved to roundoff.  Blowup is detected, never resolved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from .grid import (
     BOUNDARY_MASS_WARN,
     Field,
+    apply_multiplier,
     boundary_mass_fraction,
+    dealias_mask,
+    density_boundary_fraction,
+    k2_symbol,
     lp_norm,
 )
-from .observables import quad_weight
+from .observables import _energy, _kinetic, _mass, _momentum, _potential, _variance
+from .observables import energy, mass, variance, variance_rate
 
 # Blowup is detected, never resolved: the run aborts once the gradient
 # energy ||grad u||^2 has grown by GRADIENT_GROWTH_FACTOR (fixed-step
@@ -42,10 +47,10 @@ class EvolutionConfig:
     def __post_init__(self):
         if self.mu not in (-1, 1):
             raise ValueError("mu must be +1 or -1")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0 <= self.t_end < np.inf:
+            raise ValueError("t_end must be finite and nonnegative")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
 
@@ -97,14 +102,16 @@ class DiagnosticsSeries:
                 fh.write(",".join(f"{v:.17g}" for v in vals) + f",{flags}\n")
 
 
-def _dealias_mask(grid) -> np.ndarray:
-    kmax = np.pi * grid.n / (2.0 * grid.L)
-    cut = (2.0 / 3.0) * kmax
-    km = grid.k_mesh()
-    mask = np.ones(grid.shape)
-    for k in km:
-        mask *= (np.abs(k) <= cut).astype(float)
-    return mask
+def _strang_kernel(u, half, mask, mu, dt, d):
+    """One Strang step on raw samples, given the half kick exp(-i|k|^2 dt/2)
+    and the dealias mask (or None); returns (u, |u|^2 at the nonlinear stage)."""
+    u = np.fft.ifftn(half * np.fft.fftn(u))
+    amp2 = np.abs(u) ** 2
+    u = u * np.exp(-1j * mu * dt * amp2 ** (2.0 / d))
+    spec = np.fft.fftn(u)
+    if mask is not None:
+        spec = mask * spec
+    return np.fft.ifftn(half * spec), amp2
 
 
 def step_strang(f: Field, dt: float, mu: int, dealias: bool = False) -> Field:
@@ -112,13 +119,31 @@ def step_strang(f: Field, dt: float, mu: int, dealias: bool = False) -> Field:
     if not dt > 0:
         raise ValueError("dt must be positive")
     g = f.grid
-    half = np.exp(-0.5j * g.k2_mesh() * dt)
-    mask = _dealias_mask(g) if dealias else 1.0
-    u = np.fft.ifftn(half * np.fft.fftn(f.values))
-    amp2 = np.abs(u) ** 2
-    u = u * np.exp(-1j * mu * dt * amp2 ** (2.0 / g.d))
-    u = np.fft.ifftn(mask * half * np.fft.fftn(u))
-    return Field(g, u)
+    half = np.exp(-0.5j * k2_symbol(g) * dt)
+    mask = dealias_mask(g) if dealias else None
+    return Field(g, _strang_kernel(f.values, half, mask, mu, dt, g.d)[0])
+
+
+def _trajectory(f: Field, cfg: EvolutionConfig):
+    """Yield (step, samples, scat_accum) at step 0, every stride-th and the last step.
+
+    Yielded arrays are never modified afterwards; scat_accum is the
+    midpoint-rule integral of |u|^{2(d+2)/d} over space-time so far.
+    """
+    g = f.grid
+    half = np.exp(-0.5j * k2_symbol(g) * cfg.dt)
+    mask = dealias_mask(g) if cfg.dealias else None
+    w = g.h ** g.d
+    qhalf = (g.d + 2) / g.d
+    nsteps = int(round(cfg.t_end / cfg.dt))
+    u = f.values
+    scat = 0.0
+    yield 0, u, scat
+    for step in range(1, nsteps + 1):
+        u, amp2 = _strang_kernel(u, half, mask, cfg.mu, cfg.dt, g.d)
+        scat += cfg.dt * float(w * np.sum(amp2 ** qhalf))
+        if step % cfg.stride == 0 or step == nsteps:
+            yield step, u, scat
 
 
 def evolve(f: Field, cfg: EvolutionConfig, eta_frac: float = 0.05):
@@ -133,39 +158,23 @@ def evolve(f: Field, cfg: EvolutionConfig, eta_frac: float = 0.05):
     if boundary_mass_fraction(f) > BOUNDARY_MASS_WARN:
         raise ValueError("initial data places too much mass at the box boundary")
 
-    k2 = g.k2_mesh()
-    half = np.exp(-0.5j * k2 * cfg.dt)
-    mask = _dealias_mask(g) if cfg.dealias else None
-    w = quad_weight(f)
     d = g.d
-    qexp = 2.0 * (d + 2) / d
-
     series = DiagnosticsSeries(d=d)
-    u = f.values.copy()
-    nsteps = int(round(cfg.t_end / cfg.dt))
-    scat = 0.0
     grad0 = None
-    last_good = u.copy()
-
-    def observe(step_idx: int, uarr: np.ndarray) -> Optional[str]:
-        nonlocal grad0
-        t = step_idx * cfg.dt
-        if not np.all(np.isfinite(uarr.view(np.float64))):
-            return "nan"
-        fld = Field(g, uarr)
-        spec = np.fft.fftn(uarr)
-        wk = (2.0 * g.L) ** (-d) * (g.h ** d) ** 2
-        kin = float(wk * np.sum(k2 * np.abs(spec) ** 2))
-        amp = np.abs(uarr)
-        m = float(w * np.sum(amp ** 2))
-        pot = float(w * np.sum(amp ** qexp))
-        en = 0.5 * kin + cfg.mu * d / (2.0 * (d + 2)) * pot
-        xm = g.x_mesh()
-        var = float(w * np.sum(sum(x * x for x in xm) * amp ** 2))
-        mom = _momentum_from_spec(g, uarr, spec)
-        n_est, xi_est, x_est = _estimates_from_spec(g, amp ** 2, spec, eta_frac * m)
+    last_good = f.values
+    for step, u, scat in _trajectory(f, cfg):
+        if not np.all(np.isfinite(u.view(np.float64))):
+            series.outcome = "nan-abort"
+            return series, Field(g, last_good)
+        spec = np.fft.fftn(u)
+        sdens = np.abs(spec) ** 2
+        amp = np.abs(u)
+        dens = amp ** 2
+        kin = _kinetic(g, sdens)
+        m = _mass(g, dens)
+        n_est, xi_est, x_est = _estimates_from_spec(g, dens, sdens, eta_frac * m)
         fl = []
-        if boundary_mass_fraction(fld) > BOUNDARY_MASS_WARN:
+        if density_boundary_fraction(g, dens) > BOUNDARY_MASS_WARN:
             fl.append("boundary")
             series.boundary_breach = True
         if grad0 is None:
@@ -173,60 +182,26 @@ def evolve(f: Field, cfg: EvolutionConfig, eta_frac: float = 0.05):
         blow = (grad0 > 0 and kin >= GRADIENT_GROWTH_FACTOR * grad0) or amp.max() >= AMPLITUDE_LIMIT
         if blow:
             fl.append("blowup")
-        series.t.append(t)
+        pot = _potential(g, amp)
+        series.t.append(step * cfg.dt)
         series.mass.append(m)
-        series.energy.append(en)
-        series.variance.append(var)
+        series.energy.append(_energy(d, kin, pot, cfg.mu))
+        series.variance.append(_variance(g, dens))
         series.kinetic.append(kin)
         series.potential.append(pot)
-        series.momentum.append(mom)
+        series.momentum.append(_momentum(g, u, spec))
         series.scat_accum.append(scat)
         series.N_est.append(n_est)
         series.xi_est.append(xi_est)
         series.x_est.append(x_est)
         series.flags.append("|".join(fl))
-        return "blowup" if blow else None
-
-    status = observe(0, u)
-    if status == "blowup":
-        series.outcome = "blowup-suspected"
-        return series, Field(g, u)
-
-    for step in range(1, nsteps + 1):
-        u = np.fft.ifftn(half * np.fft.fftn(u))
-        amp2 = np.abs(u) ** 2
-        u = u * np.exp(-1j * cfg.mu * cfg.dt * amp2 ** (2.0 / d))
-        spec = np.fft.fftn(u)
-        if mask is not None:
-            spec = mask * spec
-        u = np.fft.ifftn(half * spec)
-        # midpoint-rule accumulation of the space-time norm
-        scat += cfg.dt * float(w * np.sum(amp2 ** (qexp / 2.0)))
-        if step % cfg.stride == 0 or step == nsteps:
-            status = observe(step, u)
-            if status == "nan":
-                series.outcome = "nan-abort"
-                return series, Field(g, last_good)
-            if status == "blowup":
-                series.outcome = "blowup-suspected"
-                return series, Field(g, u)
-            last_good = u.copy()
+        if blow:
+            series.outcome = "blowup-suspected"
+            return series, Field(g, u)
+        last_good = u
 
     series.outcome = "completed"
     return series, Field(g, u)
-
-
-def _momentum_from_spec(g, uarr, spec) -> np.ndarray:
-    out = np.empty(g.d)
-    ub = np.conj(uarr)
-    km = g.k_mesh()
-    kmax = np.pi * g.n / (2.0 * g.L)
-    w = g.h ** g.d
-    for j in range(g.d):
-        mult = np.where(np.abs(np.abs(km[j]) - kmax) < 1e-12, 0.0, 1j * km[j])
-        du = np.fft.ifftn(mult * spec)
-        out[j] = float(w * np.sum(np.imag(ub * du)))
-    return out
 
 
 def _weighted_median(coords: np.ndarray, weights: np.ndarray) -> float:
@@ -238,7 +213,7 @@ def _weighted_median(coords: np.ndarray, weights: np.ndarray) -> float:
     return float(coords[min(idx, len(coords) - 1)])
 
 
-def _estimates_from_spec(g, dens, spec, eta):
+def _estimates_from_spec(g, dens, sdens, eta):
     d = g.d
     # spatial center: mass-weighted median per axis
     x_est = np.empty(d)
@@ -247,7 +222,6 @@ def _estimates_from_spec(g, dens, spec, eta):
         marg = dens.sum(axis=other) if other else dens
         x_est[j] = _weighted_median(g.axis_x, marg)
     # frequency center: spectral mass-weighted median per axis
-    sdens = np.abs(spec) ** 2
     korder = np.fft.fftshift(g.axis_k)
     xi_est = np.empty(d)
     for j in range(d):
@@ -273,13 +247,11 @@ def _estimates_from_spec(g, dens, spec, eta):
 
 def concentration_estimates(f: Field, eta: float):
     """Concentration center, frequency center and dyadic scale of a field."""
-    from .observables import mass as _mass
-
-    m = _mass(f)
+    m = mass(f)
     if not (0 < eta < m):
         raise ValueError(f"eta must lie in (0, mass), got {eta} with mass {m}")
-    spec = np.fft.fftn(f.values)
-    return _estimates_from_spec(f.grid, np.abs(f.values) ** 2, spec, eta)
+    sdens = np.abs(np.fft.fftn(f.values)) ** 2
+    return _estimates_from_spec(f.grid, np.abs(f.values) ** 2, sdens, eta)
 
 
 def virial_check(series: DiagnosticsSeries, abs_floor: float = 0.0) -> float:
@@ -307,8 +279,7 @@ def virial_check(series: DiagnosticsSeries, abs_floor: float = 0.0) -> float:
 def free_pullback(f: Field, t: float) -> Field:
     """Apply exp(-i t Delta) spectrally (exact inverse of the free flow)."""
     g = f.grid
-    vals = np.fft.ifftn(np.exp(1j * g.k2_mesh() * t) * np.fft.fftn(f.values))
-    return Field(g, vals)
+    return Field(g, apply_multiplier(f.values, np.exp(1j * k2_symbol(g) * t)))
 
 
 def scattering_cauchy_difference(u1: Field, t1: float, u2: Field, t2: float) -> float:
@@ -348,13 +319,9 @@ def variance_blowup_time(f: Field, mu: int):
     The variance is exactly quadratic in time along the flow, so a root
     upper-bounds the lifespan of negative-energy data.
     """
-    from .observables import energy as _energy
-    from .observables import variance as _variance
-    from .observables import variance_rate as _variance_rate
-
-    V0 = _variance(f)
-    V1 = _variance_rate(f)
-    E = _energy(f, mu)
+    V0 = variance(f)
+    V1 = variance_rate(f)
+    E = energy(f, mu)
     roots = np.roots([8.0 * E, V1, V0])
     real = [float(r.real) for r in roots if abs(r.imag) < 1e-12 and r.real > 0]
     return min(real) if real else None

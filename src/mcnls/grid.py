@@ -9,17 +9,26 @@ continuum Fourier transform
 so Fourier-side sums with weight (2L)^{-d} approximate (2pi)^{-d}
 integrals in k.  All fields carry their grid; transforms are pure
 functions of immutable inputs.
+
+This is the one spectral-operator layer: per-grid symbols cached
+read-only (|k|^2, Nyquist-zeroed derivative wavenumbers, the 2/3 dealias
+mask, |x|^2, the boundary annulus), `apply_multiplier`, and the 2n-grid
+zero-padding `pad_spectrum` / `truncate_spectrum`.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 SNAPSHOT_MAGIC = b"MCNLS1"
 SNAPSHOT_VERSION = 1
+# magic, version, dimension, points per axis, half-width L
+_SNAPSHOT_HEADER = struct.Struct("<6sBBId")
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -70,18 +79,17 @@ class GridSpec:
     def dk(self) -> float:
         return np.pi / self.L
 
-    def x_mesh(self) -> tuple:
-        """Tuple of d coordinate arrays with shape (n,)*d."""
-        ax = self.axis_x
+    def _mesh(self, ax: np.ndarray) -> tuple:
         if self.d == 1:
             return (ax,)
         return tuple(np.meshgrid(ax, ax, indexing="ij"))
 
+    def x_mesh(self) -> tuple:
+        """Tuple of d coordinate arrays with shape (n,)*d."""
+        return self._mesh(self.axis_x)
+
     def k_mesh(self) -> tuple:
-        ak = self.axis_k
-        if self.d == 1:
-            return (ak,)
-        return tuple(np.meshgrid(ak, ak, indexing="ij"))
+        return self._mesh(self.axis_k)
 
     def k2_mesh(self) -> np.ndarray:
         """|k|^2 on the frequency lattice, FFT order."""
@@ -172,45 +180,88 @@ def spectral_l2_sq(sf: SpectralField) -> float:
     return float(w * np.sum(np.abs(sf.modes) ** 2))
 
 
-def gradient_norm_sq(f: Field) -> float:
-    """integral |grad f|^2 dx evaluated spectrally; exact for band-limited f."""
-    g = f.grid
-    sf = to_spectral(f)
-    w = (2.0 * g.L) ** (-g.d)
-    return float(w * np.sum(g.k2_mesh() * np.abs(sf.modes) ** 2))
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=16)
+def k2_symbol(grid: GridSpec) -> np.ndarray:
+    """|k|^2 on the frequency lattice, FFT order; cached read-only per grid."""
+    return _read_only(grid.k2_mesh())
+
+
+@lru_cache(maxsize=16)
+def derivative_wavenumbers(grid: GridSpec) -> tuple:
+    """Per-axis k_j, unpaired Nyquist mode zeroed (d/dx_j is i k_j); cached read-only."""
+    ak = grid.axis_k
+    ak[grid.n // 2] = 0.0
+    return tuple(_read_only(k) for k in grid._mesh(ak))
+
+
+@lru_cache(maxsize=16)
+def dealias_mask(grid: GridSpec) -> np.ndarray:
+    """2/3-rule mask: 1 where every |k_j| <= (2/3) kmax, else 0; cached read-only."""
+    kmax = np.pi * grid.n / (2.0 * grid.L)
+    keep = np.all(np.abs(grid.k_mesh()) <= (2.0 / 3.0) * kmax, axis=0)
+    return _read_only(keep.astype(float))
+
+
+@lru_cache(maxsize=16)
+def r2_mesh(grid: GridSpec) -> np.ndarray:
+    """|x|^2 on the physical grid; cached read-only."""
+    return _read_only(sum(x * x for x in grid.x_mesh()))
+
+
+@lru_cache(maxsize=16)
+def outer_annulus(grid: GridSpec, frac: float) -> np.ndarray:
+    """Boolean mask of the outermost `frac` annulus, max_j |x_j| >= L (1 - frac)."""
+    return _read_only(np.max(np.abs(grid.x_mesh()), axis=0) >= grid.L * (1.0 - frac))
+
+
+def apply_multiplier(values: np.ndarray, mult) -> np.ndarray:
+    """Fourier multiplier on raw samples: ifftn(mult * fftn(values))."""
+    return np.fft.ifftn(mult * np.fft.fftn(values))
+
+
+def _n_grid_modes(n: int, d: int) -> tuple:
+    """Positions of an n-grid's FFT-ordered modes inside its 2n-grid spectrum."""
+    return np.ix_(*(np.r_[0:n // 2, -(n // 2):0],) * d)
+
+
+def pad_spectrum(spec: np.ndarray) -> np.ndarray:
+    """Embed FFT-ordered modes of an n-grid into a zero-padded 2n-grid."""
+    big = np.zeros((2 * spec.shape[0],) * spec.ndim, dtype=np.complex128)
+    big[_n_grid_modes(spec.shape[0], spec.ndim)] = spec
+    return big
+
+
+def truncate_spectrum(spec_big: np.ndarray) -> np.ndarray:
+    """Keep the n-grid modes of a 2n-grid spectrum (inverse of pad_spectrum)."""
+    return spec_big[_n_grid_modes(spec_big.shape[0] // 2, spec_big.ndim)]
 
 
 def spectral_derivative(f: Field, axis: int) -> Field:
     """Spectral partial derivative; the odd Nyquist mode is zeroed."""
-    g = f.grid
-    k = g.k_mesh()[axis]
-    mult = 1j * k
-    # zero the unpaired Nyquist mode along this axis
-    nyq = np.abs(np.abs(k) - np.pi * g.n / (2.0 * g.L)) < 1e-12
-    mult = np.where(nyq, 0.0, mult)
-    vals = np.fft.ifftn(mult * np.fft.fftn(f.values))
-    return Field(g, vals)
+    k = derivative_wavenumbers(f.grid)[axis]
+    return Field(f.grid, apply_multiplier(f.values, 1j * k))
 
 
 def laplacian(f: Field) -> Field:
-    g = f.grid
-    vals = np.fft.ifftn(-g.k2_mesh() * np.fft.fftn(f.values))
-    return Field(g, vals)
+    return Field(f.grid, apply_multiplier(f.values, -k2_symbol(f.grid)))
 
 
 def boundary_mass_fraction(f: Field, frac: float = 0.05) -> float:
     """Fraction of the mass in the outermost `frac` annulus of the box."""
-    g = f.grid
-    cut = g.L * (1.0 - frac)
-    xm = g.x_mesh()
-    outer = np.zeros(g.shape, dtype=bool)
-    for x in xm:
-        outer |= np.abs(x) >= cut
-    dens = np.abs(f.values) ** 2
+    return density_boundary_fraction(f.grid, np.abs(f.values) ** 2, frac)
+
+
+def density_boundary_fraction(grid: GridSpec, dens: np.ndarray, frac: float = 0.05) -> float:
+    """boundary_mass_fraction from a precomputed density |u|^2."""
     total = dens.sum()
     if total == 0.0:
         return 0.0
-    return float(dens[outer].sum() / total)
+    return float(dens[outer_annulus(grid, frac)].sum() / total)
 
 
 BOUNDARY_MASS_BUDGET = 1e-10
@@ -225,28 +276,26 @@ def write_snapshot(f: Field, path) -> None:
     inter[0::2] = flat.real
     inter[1::2] = flat.imag
     with open(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<B", SNAPSHOT_VERSION))
-        fh.write(struct.pack("<B", g.d))
-        fh.write(struct.pack("<I", g.n))
-        fh.write(struct.pack("<d", g.L))
+        fh.write(_SNAPSHOT_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, g.d, g.n, g.L))
         fh.write(inter.tobytes())
 
 
 def read_snapshot(path) -> Field:
+    """Read an MCNLS1 snapshot; the file size is checked against the header first."""
     with open(path, "rb") as fh:
-        magic = fh.read(6)
+        head = fh.read(_SNAPSHOT_HEADER.size)
+        if len(head) < _SNAPSHOT_HEADER.size:
+            raise ValueError("snapshot header truncated")
+        magic, version, d, n, L = _SNAPSHOT_HEADER.unpack(head)
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"bad snapshot magic {magic!r}")
-        (version,) = struct.unpack("<B", fh.read(1))
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
-        (d,) = struct.unpack("<B", fh.read(1))
-        (n,) = struct.unpack("<I", fh.read(4))
-        (L,) = struct.unpack("<d", fh.read(8))
         grid = make_grid(d, n, L)
-        raw = np.frombuffer(fh.read(16 * grid.npoints), dtype="<f8")
-        if raw.size != 2 * grid.npoints:
-            raise ValueError("snapshot truncated")
-        vals = raw[0::2] + 1j * raw[1::2]
-        return Field(grid, vals.reshape(grid.shape))
+        expected = 16 * grid.npoints
+        payload = os.fstat(fh.fileno()).st_size - _SNAPSHOT_HEADER.size
+        if payload != expected:
+            raise ValueError(f"snapshot payload is {payload} bytes, header implies {expected}")
+        raw = np.frombuffer(fh.read(expected), dtype="<f8")
+    vals = raw[0::2] + 1j * raw[1::2]
+    return Field(grid, vals.reshape(grid.shape))

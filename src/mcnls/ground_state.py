@@ -14,8 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import Field, GridSpec
-from .observables import kinetic, mass, potential, quad_weight
+from .grid import Field, GridSpec, apply_multiplier, k2_symbol, r2_mesh
+from .observables import _mass, kinetic, mass, potential
 
 
 class PetviashviliError(RuntimeError):
@@ -42,10 +42,9 @@ class GroundState:
 
 def _ode_residual(vals: np.ndarray, grid: GridSpec) -> float:
     p = 1 + 4 // grid.d
-    spec = np.fft.fftn(vals)
-    lap = np.fft.ifftn(-grid.k2_mesh() * spec)
+    lap = apply_multiplier(vals, -k2_symbol(grid))
     res = lap + vals ** p - vals
-    return float(np.sqrt(grid.h ** grid.d * np.sum(np.abs(res) ** 2)))
+    return float(np.sqrt(_mass(grid, np.abs(res) ** 2)))
 
 
 def _make_state(vals: np.ndarray, grid: GridSpec, profile=None) -> GroundState:
@@ -88,13 +87,10 @@ def solve_petviashvili(
         raise ValueError("tol too small")
     p = 1 + 4 // grid.d
     theta = p / (p - 1.0)
-    k2 = grid.k2_mesh()
-    sym = 1.0 + k2
-    w = quad_weight(Field(grid, np.zeros(grid.shape)))
+    sym = 1.0 + k2_symbol(grid)
 
     if initial is None:
-        r2 = sum(x * x for x in grid.x_mesh())
-        q = 1.5 * np.exp(-r2 / 2.0)
+        q = 1.5 * np.exp(-r2_mesh(grid) / 2.0)
     else:
         q = initial.values.real.copy()
 
@@ -108,9 +104,9 @@ def solve_petviashvili(
             raise PetviashviliError("iteration collapsed", last_res)
         gamma = num / den
         q_new = np.fft.ifftn(np.fft.fftn(qp) / sym).real * gamma ** theta
-        diff = np.sqrt(w * np.sum((q_new - q) ** 2))
+        diff = np.sqrt(_mass(grid, (q_new - q) ** 2))
         q = q_new
-        if np.sqrt(w * np.sum(q ** 2)) < 1e-10:
+        if np.sqrt(_mass(grid, q ** 2)) < 1e-10:
             raise PetviashviliError("iterate collapsed to zero", last_res)
         last_res = _ode_residual(q, grid)
         if diff < tol:

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .grid import Field, laplacian, spectral_derivative
-from .observables import kinetic, mass, momentum_density, potential, quad_weight
+from .observables import energy, kinetic, mass, momentum_density, quad_weight
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +506,7 @@ def defocusing_gap(f: Field, q) -> float:
     Below the ground-state mass this is at least
     (1 - (||f||/||Q||)^{4/d}) times half the gradient term.
     """
-    d = f.grid.d
-    return 0.5 * kinetic(f) - d / (2.0 * (d + 2.0)) * potential(f)
+    return energy(f, -1)
 
 
 def defocusing_gap_lower_bound(f: Field, q) -> float:

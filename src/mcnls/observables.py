@@ -5,55 +5,89 @@ Conventions for i u_t + Delta u = mu |u|^{4/d} u:
     energy    E = 1/2 integral |grad u|^2 + mu d/(2(d+2)) integral |u|^{2(d+2)/d}
     momentum  P_j = Im integral conj(u) d_j u
     variance  V = integral |x|^2 |u|^2
+
+Each public function wraps a private helper on the grid plus |u|, |u|^2,
+the samples or their raw spectrum fftn(u), so a caller holding those reuses them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, gradient_norm_sq, spectral_derivative
+from .grid import Field, derivative_wavenumbers, k2_symbol, r2_mesh
 
 
 def quad_weight(f: Field) -> float:
     return f.grid.h ** f.grid.d
 
 
+def _mass(g, dens: np.ndarray) -> float:
+    return float(g.h ** g.d * np.sum(dens))
+
+
+def _kinetic(g, sdens: np.ndarray) -> float:
+    wk = (2.0 * g.L) ** (-g.d) * (g.h ** g.d) ** 2
+    return float(wk * np.sum(k2_symbol(g) * sdens))
+
+
+def _potential(g, amp: np.ndarray) -> float:
+    q = 2.0 * (g.d + 2) / g.d
+    return float(g.h ** g.d * np.sum(amp ** q))
+
+
+def _energy(d: int, kin: float, pot: float, mu: int) -> float:
+    return 0.5 * kin + mu * d / (2.0 * (d + 2)) * pot
+
+
+def _variance(g, dens: np.ndarray) -> float:
+    return float(g.h ** g.d * np.sum(r2_mesh(g) * dens))
+
+
+def _momentum_density(g, values: np.ndarray, spec: np.ndarray) -> list:
+    ub = np.conj(values)
+    out = []
+    for k in derivative_wavenumbers(g):
+        # named operands: numpy reuses an unnamed temporary in place with the
+        # operands swapped, and the complex product is not bitwise commutative
+        mult = 1j * k
+        du = np.fft.ifftn(mult * spec)
+        out.append(np.imag(ub * du))
+    return out
+
+
+def _momentum(g, values: np.ndarray, spec: np.ndarray) -> np.ndarray:
+    return np.array([g.h ** g.d * np.sum(p) for p in _momentum_density(g, values, spec)])
+
+
 def mass(f: Field) -> float:
-    return float(quad_weight(f) * np.sum(np.abs(f.values) ** 2))
+    return _mass(f.grid, np.abs(f.values) ** 2)
 
 
 def kinetic(f: Field) -> float:
-    """integral |grad u|^2 (without the 1/2)."""
-    return gradient_norm_sq(f)
+    """integral |grad u|^2 (without the 1/2), evaluated spectrally; exact for band-limited u."""
+    return _kinetic(f.grid, np.abs(np.fft.fftn(f.values)) ** 2)
 
 
 def potential(f: Field) -> float:
     """integral |u|^{2(d+2)/d}."""
-    d = f.grid.d
-    q = 2.0 * (d + 2) / d
-    return float(quad_weight(f) * np.sum(np.abs(f.values) ** q))
+    return _potential(f.grid, np.abs(f.values))
 
 
 def energy(f: Field, mu: int) -> float:
-    d = f.grid.d
-    return 0.5 * kinetic(f) + mu * d / (2.0 * (d + 2)) * potential(f)
+    return _energy(f.grid.d, kinetic(f), potential(f), mu)
 
 
 def momentum_density(f: Field) -> list:
     """p_j = Im[conj(u) d_j u], one array per axis."""
-    ub = np.conj(f.values)
-    return [np.imag(ub * spectral_derivative(f, j).values) for j in range(f.grid.d)]
+    return _momentum_density(f.grid, f.values, np.fft.fftn(f.values))
 
 
 def momentum(f: Field) -> np.ndarray:
-    w = quad_weight(f)
-    return np.array([w * np.sum(p) for p in momentum_density(f)])
+    return _momentum(f.grid, f.values, np.fft.fftn(f.values))
 
 
 def variance(f: Field) -> float:
-    xm = f.grid.x_mesh()
-    r2 = sum(x * x for x in xm)
-    return float(quad_weight(f) * np.sum(r2 * np.abs(f.values) ** 2))
+    return _variance(f.grid, np.abs(f.values) ** 2)
 
 
 def variance_rate(f: Field) -> float:

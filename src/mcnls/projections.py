@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, lp_norm
+from .grid import Field, apply_multiplier, k2_symbol, lp_norm, pad_spectrum, truncate_spectrum
 
 
 def _bump_raw(r: np.ndarray) -> np.ndarray:
@@ -57,33 +57,28 @@ class BumpProfile:
 BUMP = BumpProfile()
 
 
-def _apply_multiplier(f: Field, mult: np.ndarray) -> Field:
-    vals = np.fft.ifftn(mult * np.fft.fftn(f.values))
-    return Field(f.grid, vals)
-
-
 def low_multiplier(f_or_grid, N: float) -> np.ndarray:
     grid = getattr(f_or_grid, "grid", f_or_grid)
     if not N > 0:
         raise ValueError(f"frequency scale N must be positive, got {N}")
-    kabs = np.sqrt(grid.k2_mesh())
+    kabs = np.sqrt(k2_symbol(grid))
     return BUMP(kabs / N)
 
 
 def project_low(f: Field, N: float) -> Field:
     """P_{<=N}: multiply modes by phi(|k|/N)."""
-    return _apply_multiplier(f, low_multiplier(f, N))
+    return Field(f.grid, apply_multiplier(f.values, low_multiplier(f, N)))
 
 
 def project_high(f: Field, N: float) -> Field:
     """P_{>N} = Id - P_{<=N}."""
-    return _apply_multiplier(f, 1.0 - low_multiplier(f, N))
+    return Field(f.grid, apply_multiplier(f.values, 1.0 - low_multiplier(f, N)))
 
 
 def project_band(f: Field, N: float) -> Field:
     """P_N = P_{<=2N} - P_{<=N}."""
     mult = low_multiplier(f, 2.0 * N) - low_multiplier(f, N)
-    return _apply_multiplier(f, mult)
+    return Field(f.grid, apply_multiplier(f.values, mult))
 
 
 def nonlinearity(f: Field, mu: int, dealias: bool = True) -> Field:
@@ -98,35 +93,11 @@ def nonlinearity(f: Field, mu: int, dealias: bool = True) -> Field:
     if not dealias:
         vals = mu * np.abs(f.values) ** power * f.values
         return Field(g, vals)
-    n, d = g.n, g.d
-    spec = np.fft.fftn(f.values)
-    big = _pad_spectrum(spec, n, d)
-    ubig = np.fft.ifftn(big) * (2 ** d)
+    d = g.d
+    ubig = np.fft.ifftn(pad_spectrum(np.fft.fftn(f.values))) * (2 ** d)
     fbig = mu * np.abs(ubig) ** power * ubig
-    small = _truncate_spectrum(np.fft.fftn(fbig), n, d) / (2 ** d)
+    small = truncate_spectrum(np.fft.fftn(fbig)) / (2 ** d)
     return Field(g, np.fft.ifftn(small))
-
-
-def _pad_spectrum(spec: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Embed FFT-ordered modes of an n-grid into a zero-padded 2n-grid."""
-    half = n // 2
-    idx = np.r_[0:half, 2 * n - half:2 * n]
-    big = np.zeros((2 * n,) * d, dtype=np.complex128)
-    if d == 1:
-        big[idx] = spec
-    else:
-        big[np.ix_(idx, idx)] = spec
-    return big
-
-
-def _truncate_spectrum(spec_big: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Keep the n-grid modes of a 2n-grid spectrum (inverse of _pad_spectrum)."""
-    half = n // 2
-    nbig = spec_big.shape[0]
-    idx = np.r_[0:half, nbig - half:nbig]
-    if d == 1:
-        return spec_big[idx].copy()
-    return spec_big[np.ix_(idx, idx)].copy()
 
 
 def commutator_error(f: Field, N: float, mu: int) -> float:

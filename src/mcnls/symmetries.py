@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, GridSpec
+from .grid import Field, GridSpec, apply_multiplier, k2_symbol, pad_spectrum, r2_mesh
 from .ground_state import GroundState
+from .observables import _mass, mass
 
 
 def _dyadic_log(lam: float) -> int:
@@ -51,17 +52,8 @@ def _zoom_out_once(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
 def _zoom_in_once(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Samples of f(x/2) on the same grid via spectral upsampling (exact)."""
     n, d = grid.n, grid.d
-    spec = np.fft.fftn(vals)
-    half = n // 2
-    idx = np.r_[0:half, 2 * n - half:2 * n]
-    big = np.zeros((2 * n,) * d, dtype=np.complex128)
-    if d == 1:
-        big[idx] = spec
-    else:
-        big[np.ix_(idx, idx)] = spec
-    fine = np.fft.ifftn(big) * (2 ** d)
-    sl = slice(half, half + n)
-    return fine[sl] if d == 1 else fine[sl, sl]
+    fine = np.fft.ifftn(pad_spectrum(np.fft.fftn(vals))) * (2 ** d)
+    return fine[(slice(n // 2, n // 2 + n),) * d]
 
 
 def _central_half_mass_deficit(vals: np.ndarray, grid: GridSpec) -> float:
@@ -91,7 +83,7 @@ def rescale(f: Field, lam: float) -> Field:
     vals = f.values
     if k > 0:
         spec = np.abs(np.fft.fftn(vals)) ** 2
-        kabs = np.sqrt(g.k2_mesh())
+        kabs = np.sqrt(k2_symbol(g))
         kcut = np.pi * g.n / (2.0 * g.L) / lam
         tail = spec[kabs > kcut].sum() / spec.sum()
         if tail > 1e-10:
@@ -131,7 +123,7 @@ def translate(f: Field, shift) -> Field:
     sh = np.atleast_1d(np.asarray(shift, dtype=float))
     km = g.k_mesh()
     phase = np.exp(-1j * sum(k * s for k, s in zip(km, sh)))
-    return Field(g, np.fft.ifftn(phase * np.fft.fftn(f.values)))
+    return Field(g, apply_multiplier(f.values, phase))
 
 
 def galilean_boost(f: Field, xi0, t: float = 0.0) -> Field:
@@ -154,10 +146,8 @@ def pseudoconformal_sample(t: float, grid: GridSpec, q: GroundState) -> Field:
     if q.profile is None:
         raise ValueError("ground state carries no radial profile to resample")
     d = grid.d
-    xm = grid.x_mesh()
-    r = np.sqrt(sum(x * x for x in xm))
-    amp = np.abs(t) ** (-d / 2.0) * q.profile(r / t)
-    r2 = sum(x * x for x in xm)
+    r2 = r2_mesh(grid)
+    amp = np.abs(t) ** (-d / 2.0) * q.profile(np.sqrt(r2) / t)
     vals = amp * np.exp(1j * (r2 - 4.0) / (4.0 * t))
     return Field(grid, vals)
 
@@ -166,13 +156,10 @@ def equation_residual(f_minus: Field, f0: Field, f_plus: Field, dt: float, mu: i
     """|| i (f+ - f-)/(2 dt) + Lap f0 - mu |f0|^{4/d} f0 ||_2 / ||f0||_2."""
     g = f0.grid
     p = 4 // g.d
-    lap = np.fft.ifftn(-g.k2_mesh() * np.fft.fftn(f0.values))
+    lap = apply_multiplier(f0.values, -k2_symbol(g))
     res = (
         1j * (f_plus.values - f_minus.values) / (2.0 * dt)
         + lap
         - mu * np.abs(f0.values) ** p * f0.values
     )
-    w = g.h ** g.d
-    num = np.sqrt(w * np.sum(np.abs(res) ** 2))
-    den = np.sqrt(w * np.sum(np.abs(f0.values) ** 2))
-    return float(num / den)
+    return float(np.sqrt(_mass(g, np.abs(res) ** 2)) / np.sqrt(mass(f0)))

@@ -174,3 +174,75 @@ def test_cli_subprocess_entry(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "mcnls.cli", "run", str(p)],
                           capture_output=True)
     assert proc.returncode == 0
+
+
+def _morawetz_config(outdir):
+    return {
+        "scenario": "morawetz",
+        "grid": {"d": 1, "n": 256, "L": 16.0},
+        "evolution": {"mu": 1, "dt": 1e-3, "t_end": 0.022, "stride": 5},
+        "initial": {"kind": "gaussian", "amplitude": 1.0, "width": 1.5,
+                    "k0": [0.589048622548086]},
+        "weights": {"M": 8, "R": 4},
+        "output": {"dir": str(outdir)},
+    }
+
+
+_DELETE = object()
+
+
+@pytest.mark.parametrize("scenario", ["simulate", "morawetz"])
+@pytest.mark.parametrize("section, key, value, code", [
+    ("evolution", "mu", _DELETE, 2),
+    ("evolution", "dt", _DELETE, 2),
+    ("evolution", "t_end", _DELETE, 2),
+    ("evolution", "mu", 0, 2),
+    ("evolution", "dt", 0, 2),
+    ("evolution", "mu", 1.5, 2),
+    ("evolution", "stride", 2.5, 2),
+    ("grid", "d", 1.5, 2),
+    ("grid", "n", 256.7, 2),
+    ("grid", "n", 256.0, 0),
+    ("evolution", "stride", 5.0, 0),
+], ids=lambda v: "missing" if v is _DELETE else None)
+def test_evolution_and_grid_config_values(tmp_path, scenario, section, key, value, code):
+    out = tmp_path / "out"
+    cfg = _sim_config(out) if scenario == "simulate" else _morawetz_config(out)
+    if value is _DELETE:
+        del cfg[section][key]
+    else:
+        cfg[section][key] = value
+    assert run_scenario(_write_config(tmp_path, cfg)) == code
+    manifest = json.loads((out / "manifest.json").read_text())
+    if code == 2:
+        assert manifest["failure"].startswith("config error:")
+        assert key in manifest["failure"]
+    else:
+        assert manifest["failure"] is None
+
+
+def test_morawetz_csv_matches_step_strang_reference(tmp_path):
+    from mcnls import Field, build_weights, interaction_flux, make_grid, step_strang
+
+    out = tmp_path / "out"
+    cfg = _morawetz_config(out)
+    assert run_scenario(_write_config(tmp_path, cfg)) == 0
+    lines = (out / "morawetz.csv").read_text().splitlines()[1:]
+    got = np.array([[float(v) for v in line.split(",")] for line in lines])
+
+    g = make_grid(1, 256, 16.0)
+    x = g.axis_x
+    u = Field(g, np.exp(-x ** 2 / (2.0 * 1.5 ** 2)) * np.exp(1j * 0.589048622548086 * x))
+    w = build_weights(1, 8.0, 4.0)
+    dt, nsteps, stride = 1e-3, 22, 5
+    ref = []
+    for step in range(nsteps + 1):
+        if step % stride == 0 or step == nsteps:
+            rep = interaction_flux(u, 1.0, 0.0, 1, w)
+            ref.append([step * dt, rep.action, rep.flux, rep.coercive, rep.tail,
+                        rep.curvature, rep.envelope_drift])
+        u = step_strang(u, dt, 1, dealias=True)
+    ref = np.array(ref)
+    assert got.shape == ref.shape == (6, 7)
+    scale = np.maximum(np.max(np.abs(ref), axis=0), 1e-300)
+    assert np.all(np.max(np.abs(got - ref), axis=0) <= 1e-12 * scale)

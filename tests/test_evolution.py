@@ -277,3 +277,19 @@ def test_pseudoconformal_gradient_growth_under_evolution(q20):
     v = pseudoconformal_sample(-1.0, g, q20)
     series, _ = evolve(v, EvolutionConfig(mu=-1, dt=1e-4, t_end=0.9, stride=1000))
     assert series.kinetic[-1] / series.kinetic[0] > 20.0
+
+
+@pytest.mark.parametrize("d, n", [(1, 256), (2, 64)])
+def test_step_strang_iterates_to_evolve_final_field(d, n):
+    g = make_grid(d, n, 16.0)
+    xm = g.x_mesh()
+    r2 = sum(x * x for x in xm)
+    u0 = Field(g, 1.2 * np.exp(-r2 / 2.0) * np.exp(1j * 0.6 * xm[0]))
+    cfg = EvolutionConfig(mu=-1, dt=1e-3, t_end=0.05, stride=50, dealias=True)
+    series, final = evolve(u0, cfg)
+    assert series.outcome == "completed" and len(series.t) == 2
+    u = u0
+    for _ in range(50):
+        u = step_strang(u, cfg.dt, cfg.mu, dealias=True)
+    scale = np.max(np.abs(final.values))
+    assert np.max(np.abs(u.values - final.values)) <= 1e-13 * scale

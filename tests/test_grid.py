@@ -184,3 +184,64 @@ def test_snapshot_rejects_bad_magic(tmp_path):
     p.write_bytes(b"NOTMAG" + bytes(20))
     with pytest.raises(ValueError):
         read_snapshot(p)
+
+
+def test_cached_symbols_read_only_and_shared():
+    from mcnls.grid import (
+        dealias_mask,
+        derivative_wavenumbers,
+        k2_symbol,
+        outer_annulus,
+        r2_mesh,
+    )
+
+    for d in (1, 2):
+        g = make_grid(d, 32, 8.0)
+        same = make_grid(d, 32, 8.0)
+        symbols = {
+            "k2": k2_symbol,
+            "dealias": dealias_mask,
+            "r2": r2_mesh,
+            "annulus": lambda grid: outer_annulus(grid, 0.05),
+            **{f"k_{j}": (lambda grid, j=j: derivative_wavenumbers(grid)[j]) for j in range(d)},
+        }
+        for name, build in symbols.items():
+            arr = build(g)
+            assert build(same) is arr, name
+            assert arr.shape == g.shape, name
+            with pytest.raises(ValueError):
+                arr[(0,) * d] = 1
+        # the unpaired Nyquist mode (index n/2) is the only zeroed nonzero wavenumber
+        k0 = derivative_wavenumbers(g)[0]
+        line = k0 if d == 1 else k0[:, 0]
+        assert line[16] == 0.0
+        np.testing.assert_array_equal(np.delete(line, 16), np.delete(g.axis_k, 16))
+    assert k2_symbol(make_grid(1, 32, 8.0)) is not k2_symbol(make_grid(1, 32, 4.0))
+
+
+def test_snapshot_rejects_truncated_payload(tmp_path):
+    g = make_grid(1, 16, 4.0)
+    p = tmp_path / "s.mcnls"
+    write_snapshot(Field(g, np.ones(16)), p)
+    p.write_bytes(p.read_bytes()[:-1])
+    with pytest.raises(ValueError, match="payload"):
+        read_snapshot(p)
+
+
+def test_snapshot_rejects_trailing_bytes(tmp_path):
+    g = make_grid(2, 8, 4.0)
+    p = tmp_path / "s.mcnls"
+    write_snapshot(Field(g, np.ones(g.shape)), p)
+    p.write_bytes(p.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="payload"):
+        read_snapshot(p)
+
+
+def test_snapshot_header_size_checked_before_reading(tmp_path):
+    # a 20-byte file whose header claims 2^40 complex samples (16 TiB)
+    import struct
+
+    p = tmp_path / "huge.mcnls"
+    p.write_bytes(b"MCNLS1" + struct.pack("<BBId", 1, 2, 2 ** 20, 4.0))
+    with pytest.raises(ValueError, match="payload"):
+        read_snapshot(p)
