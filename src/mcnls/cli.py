@@ -16,6 +16,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .envelope import (
@@ -106,16 +107,25 @@ def _evolution_from(cfg: dict) -> EvolutionConfig:
         dealias=bool(ev.get("dealias", True))))
 
 
+def _vector(init: dict, name: str, d: int) -> np.ndarray:
+    """initial.<name> as d floats (a bare number is accepted in 1D)."""
+    v = np.atleast_1d(np.asarray(init.get(name, [0.0] * d), dtype=float))
+    if v.shape != (d,):
+        raise ConfigError(f"initial.{name} must have {d} entries, got {init[name]!r}")
+    return v
+
+
 def _initial_field(cfg: dict, grid) -> Field:
-    init = cfg.get("initial")
-    if init is None:
-        raise ConfigError("scenario requires an initial section")
+    return _section(cfg, "initial", lambda init: _initial_from(init, grid))
+
+
+def _initial_from(init: dict, grid) -> Field:
     kind = init.get("kind")
     if kind == "gaussian":
         amp = float(init.get("amplitude", 1.0))
         width = float(init.get("width", 1.0))
-        center = np.atleast_1d(np.asarray(init.get("center", [0.0] * grid.d), dtype=float))
-        k0 = np.atleast_1d(np.asarray(init.get("k0", [0.0] * grid.d), dtype=float))
+        center = _vector(init, "center", grid.d)
+        k0 = _vector(init, "k0", grid.d)
         xm = grid.x_mesh()
         r2 = sum((x - c) ** 2 for x, c in zip(xm, center))
         phase = sum(x * k for x, k in zip(xm, k0))
@@ -129,7 +139,7 @@ def _initial_field(cfg: dict, grid) -> Field:
         if kind == "boosted-soliton":
             if "xi0" not in init:
                 raise ConfigError("boosted-soliton needs xi0")
-            f = galilean_boost(f, np.asarray(init["xi0"], dtype=float), 0.0)
+            f = galilean_boost(f, _vector(init, "xi0", grid.d), 0.0)
         return f
     if kind == "pseudoconformal":
         if grid.d != 1:
@@ -281,7 +291,9 @@ def _scenario_smooth_envelope(cfg, outdir: Path, checks: Checks) -> dict:
     j0 = env.get("J0")
     if j0 is not None and abs(float(j0) - e.j0) > 1e-12:
         raise ConfigError("envelope J0 conflicts with the input file header")
-    m = int(env.get("m", 1))
+    m = _integral(env.get("m", 1), "envelope.m")
+    if m < 0:
+        raise ConfigError(f"envelope.m must be nonnegative, got {m}")
     em = smooth(e, m)
     write_envelope_csv(em, outdir / "envelope_smoothed.csv")
     res = certify_ratio(e, m)
@@ -294,8 +306,7 @@ def _scenario_smooth_envelope(cfg, outdir: Path, checks: Checks) -> dict:
 
 
 def _scenario_weight_check(cfg, outdir: Path, checks: Checks) -> dict:
-    grid_cfg = cfg.get("grid")
-    d = _integral(grid_cfg["d"], "grid.d") if grid_cfg else 1
+    d = _section(cfg, "grid", lambda g: _integral(g["d"], "grid.d")) if "grid" in cfg else 1
     w = _section(cfg, "weights", lambda s: build_weights(d, float(s["M"]), float(s["R"])))
     fam = weight_family_checks(w)
     for name, (value, bound, ok) in fam.items():
@@ -376,8 +387,6 @@ def run_scenario(config_path) -> int:
 
 
 def _versions() -> dict:
-    import scipy
-
     return {"mcnls": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 

@@ -9,34 +9,39 @@ and the inner cutoff chi generate every kernel used here:
     drift kernel        phi(|z| Ntilde / R) z_j
     divergence kernel   G(z)   = Ntilde [(d-1) psi + phi](|z| Ntilde / R)
 
-The 1D evaluators integrate products of the piecewise-linear profiles
-panel by panel with Simpson nodes, which is exact.  The 2D radial
+In 1D phi is an exact piecewise cubic on the knots {0, 1, 2M-2, 2M-1, 2M}:
+phi'' is (hat(r - (2M-1)) - 2 hat(r)) / (2M), and phi', phi and
+F = int_0^r phi are its exact antiderivatives.  The 2D radial
 correlation reduces to incomplete elliptic integrals and is tabulated
-once per (M,) into a cubic spline.
+once per M into a cubic spline.  Both are piecewise polynomials, so the
+two dimensions share one construction of phi, phi', F and psi.
 
 A linear ramp rather than a smooth step is deliberate: a C^1 transition
 of unit width forces int (varphi')^2 > 1 and with it sup|phi''| > 1/M,
 while the ramp attains the bound exactly.
 
-All double integrals with difference kernels run through zero-padded FFT
-convolution; a direct O(n^{2d}) evaluation of the action is retained as
-a test oracle.
+Every double integral sum_x sum_y A(x) K(x - y) B(y) is one Fourier
+pairing on the doubled grid: the offsets x - y of the n-grid fit a
+circle of 2n points per axis without wraparound, so with A and B
+zero-padded to 2n, Parseval gives Re sum conj(A^) K^ B^ / (2n)^d.  The
+kernel spectra are cached per (grid, Ntilde, weights).  Direct O(n^{2d})
+evaluations of the actions are retained as test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import lru_cache
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .grid import Field, laplacian, spectral_derivative
+from .grid import Field, _read_only, laplacian, spectral_derivative
 from .observables import energy, kinetic, mass, momentum_density, quad_weight
 
 
 # ---------------------------------------------------------------------------
-# trapezoid profiles and exact 1D correlation machinery
+# trapezoid profiles and panel quadrature
 # ---------------------------------------------------------------------------
 
 def _trapezoid(plateau: float, support: float) -> Callable:
@@ -44,53 +49,6 @@ def _trapezoid(plateau: float, support: float) -> Callable:
     def value(v):
         return np.clip((support - np.abs(np.asarray(v, dtype=float))) / width, 0.0, 1.0)
     return value
-
-
-def _trapezoid_slope(plateau: float, support: float) -> Callable:
-    width = support - plateau
-    def slope(v):
-        v = np.asarray(v, dtype=float)
-        ramp = (np.abs(v) > plateau) & (np.abs(v) < support)
-        return np.where(ramp, -np.sign(v) / width, 0.0)
-    return slope
-
-
-def _panel_edges(x: np.ndarray, knots_f: np.ndarray, knots_g: np.ndarray):
-    """Sorted per-x s-panel edges for int f(s) g(x-s) ds, clipped to the overlap."""
-    lo = np.maximum(knots_f[0], x - knots_g[-1])
-    hi = np.minimum(knots_f[-1], x - knots_g[0])
-    cand = np.concatenate(
-        [np.broadcast_to(knots_f[:, None], (len(knots_f), x.size)),
-         x[None, :] - knots_g[::-1][:, None]], axis=0)
-    cand = np.clip(cand, lo[None, :], hi[None, :])
-    cand.sort(axis=0)
-    return cand
-
-
-def _corr_generic(x, fa, ga, kind: str, knots_f, knots_g):
-    """Panelwise Simpson for int f(s) g(x-s) ds; exact for the trapezoid pieces.
-
-    kind selects which factors are slopes (piecewise constant, evaluated
-    at the panel midpoint so the interior piece is used): "vv", "sv", "ss".
-    """
-    x = np.asarray(x, dtype=float)
-    shape = x.shape
-    x = np.atleast_1d(x).reshape(-1)
-    edges = _panel_edges(x, knots_f, knots_g)
-    total = np.zeros_like(x)
-    for i in range(edges.shape[0] - 1):
-        a, b = edges[i], edges[i + 1]
-        wdt = b - a
-        m = 0.5 * (a + b)
-        if kind == "vv":
-            contrib = wdt / 6.0 * (
-                fa(a) * ga(x - a) + 4.0 * fa(m) * ga(x - m) + fa(b) * ga(x - b))
-        elif kind == "sv":
-            contrib = fa(m) * wdt / 6.0 * (ga(x - a) + 4.0 * ga(x - m) + ga(x - b))
-        else:
-            contrib = fa(m) * ga(x - m) * wdt
-        total += np.where(wdt > 0, contrib, 0.0)
-    return total.reshape(shape) if shape else total[0]
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
@@ -142,43 +100,33 @@ def _varphi_weight(rho, M):
 
 
 def _phi2_profile_points(r_vals: np.ndarray, M: float) -> np.ndarray:
-    """phi(r) = (1/(pi M^2)) int varphi(|z - s|) varphi(|s|) ds at radii r (2D)."""
-    out = np.empty_like(r_vals)
-    norm = 1.0 / (np.pi * M * M)
-    for idx, r in enumerate(r_vals):
-        if r >= 2.0 * M:
-            out[idx] = 0.0
-            continue
-        if r < 1e-12:
-            fn0 = lambda rho: 2.0 * np.pi * rho * _varphi_weight(rho, M) ** 2
-            edges0 = [0.0, M - 1.0, M]
-            out[idx] = norm * _panel_gauss(fn0, edges0)
-            continue
-        cand = [0.0, M, M - 1.0, r, M - 1.0 - r, M - r, r - (M - 1.0), r - M,
-                r + (M - 1.0), r + M]
-        edges = sorted({float(np.clip(c, 0.0, M)) for c in cand})
+    """phi(r) = (1/(pi M^2)) int varphi(|z - s|) varphi(|s|) ds at radii r (2D).
 
-        def fn(rho, _r=r):
-            th1 = _theta_of_level(_r, rho, M - 1.0)
-            th2 = _theta_of_level(_r, rho, M)
-            arc = _arc_integral(_r, rho, th1, th2)
-            theta_int = 2.0 * (th1 + M * (th2 - th1) - arc)
-            return rho * _varphi_weight(rho, M) * theta_int
-
-        out[idx] = norm * _panel_gauss(fn, edges)
-    return out
+    In polar coordinates s = rho e^{i theta} the angular integral is closed
+    form; the radial one runs Gauss-Legendre on the panels between the
+    radii where a factor changes piece, for all radii at once.
+    """
+    r = np.asarray(r_vals, dtype=float)[:, None]
+    levels = np.array([M - 1.0, M])
+    cand = np.concatenate([np.zeros_like(r) + [0.0, M - 1.0, M], r,
+                           levels - r, r - levels, r + levels], axis=1)
+    edges = np.sort(np.clip(cand, 0.0, M), axis=1)
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    hw = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    rho = mid[..., None] + hw[..., None] * _GAUSS_X
+    rr = r[..., None]
+    th1 = _theta_of_level(rr, rho, M - 1.0)
+    th2 = _theta_of_level(rr, rho, M)
+    theta_int = 2.0 * (th1 + M * (th2 - th1) - _arc_integral(rr, rho, th1, th2))
+    vals = rho * _varphi_weight(rho, M) * theta_int
+    return np.sum(hw * np.sum(_GAUSS_W * vals, axis=-1), axis=-1) / (np.pi * M * M)
 
 
-_PROFILE_CACHE: dict = {}
-
-
+@lru_cache(maxsize=16)
 def _phi2_spline(M: float):
     """Cubic-spline table of the 2D correlation profile on [0, 2M]."""
     from scipy.interpolate import CubicSpline
 
-    key = round(float(M), 12)
-    if key in _PROFILE_CACHE:
-        return _PROFILE_CACHE[key]
     knots = [0.0, 1.0, 2.0, 2.0 * M - 3.0, 2.0 * M - 2.0, 2.0 * M - 1.0, 2.0 * M]
     knots = sorted({k for k in knots if 0.0 <= k <= 2.0 * M})
     pieces = []
@@ -186,10 +134,24 @@ def _phi2_spline(M: float):
         npts = max(16, int(np.ceil((b - a) * 160)))
         pieces.append(np.linspace(a, b, npts, endpoint=False))
     r = np.concatenate(pieces + [np.array([2.0 * M])])
-    vals = _phi2_profile_points(r, M)
-    spl = CubicSpline(r, vals, bc_type=((1, 0.0), (1, 0.0)))
-    _PROFILE_CACHE[key] = spl
-    return spl
+    return CubicSpline(r, _phi2_profile_points(r, M), bc_type=((1, 0.0), (1, 0.0)))
+
+
+def _phi1_profile(M: float) -> tuple:
+    """Exact 1D (phi, phi', phi'') as piecewise polynomials on [0, 2M].
+
+    phi'' = (hat(r - (2M-1)) - 2 hat(r)) / (2M) is linear between the knots;
+    phi'(0) = 0 and phi(0) = (2M - 4/3)/(2M) fix the antiderivatives.
+    """
+    from scipy.interpolate import PPoly
+
+    knots = [0.0, 1.0, 2.0 * M - 2.0, 2.0 * M - 1.0, 2.0 * M]
+    # rows: slope, value at the left knot
+    d2phi = PPoly(np.array([[2.0, 0.0, 1.0, -1.0], [-2.0, 0.0, 0.0, 1.0]]) / (2.0 * M), knots)
+    dphi = d2phi.antiderivative()
+    phi = dphi.antiderivative()
+    phi.c[-1] += (2.0 * M - 4.0 / 3.0) / (2.0 * M)
+    return phi, dphi, d2phi
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +160,7 @@ def _phi2_spline(M: float):
 
 @dataclass(frozen=True)
 class WeightFamily:
-    """Morawetz profiles phi, psi, chi for one (d, M, R)."""
+    """Morawetz profiles phi, psi, chi for one (d, M, R), each a function of |r|."""
 
     d: int
     M: float
@@ -242,69 +204,32 @@ def build_weights(d: int, M: float, R: float) -> WeightFamily:
     M = float(M)
     varphi = _trapezoid(M - 1.0, M)
     chi = _trapezoid(M - 2.0, M - 1.0)
-    overlap_power = 2 * (d + 2) // d
-
     if d == 1:
-        knots = np.array([-M, -(M - 1.0), M - 1.0, M])
-        vslope = _trapezoid_slope(M - 1.0, M)
-        norm = 1.0 / (2.0 * M)
+        phi_pp, dphi_pp, d2phi_pp = _phi1_profile(M)
+        ball, shell = 2.0 * M, lambda rho: 2.0
+    else:
+        phi_pp = _phi2_spline(M)
+        dphi_pp, d2phi_pp = phi_pp.derivative(), None
+        ball, shell = np.pi * M * M, lambda rho: 2.0 * np.pi * rho
+    F_pp = phi_pp.antiderivative()
+    F_total = float(F_pp(2.0 * M))
 
-        def phi(r):
-            return norm * _corr_generic(np.abs(r), varphi, varphi, "vv", knots, knots)
-
-        def dphi(r):
-            return norm * _corr_generic(r, vslope, varphi, "sv", knots, knots)
-
-        def d2phi(r):
-            return norm * _corr_generic(r, vslope, vslope, "ss", knots, knots)
-
-        fknots = np.array([0.0, 1.0, 2.0 * M - 2.0, 2.0 * M - 1.0, 2.0 * M])
-        Fk = np.zeros(len(fknots))
-        for i in range(1, len(fknots)):
-            a, b = fknots[i - 1], fknots[i]
-            m = 0.5 * (a + b)
-            Fk[i] = Fk[i - 1] + (b - a) / 6.0 * float(
-                phi(a) + 4.0 * phi(m) + phi(b))
-        F_total = float(Fk[-1])
-
-        def F(r):
+    def radial(pp, outside):
+        """Profile of |r|: the polynomial on [0, 2M], `outside` beyond."""
+        def value(r):
             r = np.abs(np.asarray(r, dtype=float))
-            rc = np.clip(r, 0.0, 2.0 * M)
-            i = np.clip(np.searchsorted(fknots, rc, side="right") - 1, 0, len(fknots) - 2)
-            a = fknots[i]
-            m = 0.5 * (a + rc)
-            seg = (rc - a) / 6.0 * (phi(a) + 4.0 * phi(m) + phi(rc))
-            return Fk[i] + seg
+            return np.where(r <= 2.0 * M, pp(np.minimum(r, 2.0 * M)), outside)
+        return value
 
-        # normalized int chi^6 varphi over the line
-        over_edges = [0.0, M - 2.0, M - 1.0]
-        fn = lambda v: chi(v) ** overlap_power * varphi(v)
-        plateau_overlap = 2.0 * norm * _panel_gauss(fn, over_edges)
-        return WeightFamily(1, M, float(R), varphi, chi, phi, dphi, d2phi,
-                            F, F_total, float(phi(0.0)), plateau_overlap)
-
-    spl = _phi2_spline(M)
-    antider = spl.antiderivative()
-    F_total = float(antider(2.0 * M))
-    dspl = spl.derivative()
-
-    def phi(r):
-        r = np.abs(np.asarray(r, dtype=float))
-        return np.where(r <= 2.0 * M, spl(np.clip(r, 0.0, 2.0 * M)), 0.0)
-
-    def dphi(r):
-        r = np.abs(np.asarray(r, dtype=float))
-        return np.where(r <= 2.0 * M, dspl(np.clip(r, 0.0, 2.0 * M)), 0.0)
-
-    def F(r):
-        r = np.abs(np.asarray(r, dtype=float))
-        return np.where(r <= 2.0 * M, antider(np.clip(r, 0.0, 2.0 * M)), F_total)
-
-    # normalized int chi^{2(d+2)/d} varphi over the plane (radial)
-    fn = lambda rho: 2.0 * np.pi * rho * chi(rho) ** overlap_power * varphi(rho)
-    plateau_overlap = _panel_gauss(fn, [0.0, M - 2.0, M - 1.0]) / (np.pi * M * M)
-    return WeightFamily(2, M, float(R), varphi, chi, phi, dphi, None,
-                        F, F_total, float(spl(0.0)), plateau_overlap)
+    # normalized int chi^{2(d+2)/d} varphi over R^d, in polar form
+    power = 2 * (d + 2) // d
+    fn = lambda rho: shell(rho) * chi(rho) ** power * varphi(rho)
+    plateau_overlap = _panel_gauss(fn, [0.0, M - 2.0, M - 1.0]) / ball
+    return WeightFamily(d, M, float(R), varphi, chi, radial(phi_pp, 0.0),
+                        radial(dphi_pp, 0.0),
+                        None if d2phi_pp is None else radial(d2phi_pp, 0.0),
+                        radial(F_pp, F_total), F_total, float(phi_pp(0.0)),
+                        plateau_overlap)
 
 
 # ---------------------------------------------------------------------------
@@ -361,37 +286,72 @@ def centered_action(f: Field, Ntilde: float, R: float, w) -> float:
 # interaction action and flux
 # ---------------------------------------------------------------------------
 
-def _diff_meshes(grid):
-    n, h = grid.n, grid.h
-    off = (np.arange(2 * n - 1) - (n - 1)) * h
-    if grid.d == 1:
-        return (off,)
-    return tuple(np.meshgrid(off, off, indexing="ij"))
+def _offsets(grid) -> list:
+    """Offsets h (0..n-1, -n..-1) per axis: every x_i - x_j on the 2n circle."""
+    off = np.fft.fftfreq(2 * grid.n, 1.0 / (2 * grid.n)) * grid.h
+    return np.meshgrid(*([off] * grid.d), indexing="ij")
 
 
-def _conv_same(a: np.ndarray, kern: np.ndarray) -> np.ndarray:
-    """C(x_i) = sum_j kern(x_i - x_j) a(x_j) via zero-padded FFT convolution."""
-    return fftconvolve(a, kern, mode="same")
+def _density_spectrum(grid, a: np.ndarray) -> np.ndarray:
+    """Half spectrum of real samples zero-padded to the 2n grid."""
+    return np.fft.rfftn(a, s=(2 * grid.n,) * grid.d, axes=tuple(range(grid.d)))
 
 
-def _action_kernels(grid, Ntilde: float, w: WeightFamily):
-    zm = _diff_meshes(grid)
+def _kernel_spectrum(grid, kern: np.ndarray) -> np.ndarray:
+    """Half spectrum of a kernel sampled at `_offsets`, with the Parseval weight.
+
+    The weight is 2 on the modes a real FFT stores once for a conjugate pair
+    (1 on the self-conjugate first and last), over (2n)^d.
+    """
+    weight = np.full(grid.n + 1, 2.0)
+    weight[[0, -1]] = 1.0
+    return _read_only(np.fft.rfftn(kern) * (weight / (2 * grid.n) ** grid.d))
+
+
+def _pair(outer_hat: np.ndarray, kern_hat: np.ndarray, inner_hat: np.ndarray) -> float:
+    """sum_i outer(x_i) sum_j K(x_i - x_j) inner(x_j), by Parseval on the 2n grid."""
+    return float(np.vdot(outer_hat, kern_hat * inner_hat).real)
+
+
+class _Kernels(NamedTuple):
+    action: tuple   # a_j, one per axis
+    drift: tuple    # phi(|z| N/R) z_j, one per axis
+    G: np.ndarray   # divergence kernel
+    K: tuple        # ((j, k), K_jk) for j <= k; K is symmetric
+
+
+@lru_cache(maxsize=16)
+def _pairing_kernels(grid, Ntilde: float, w: WeightFamily) -> _Kernels:
+    """Every kernel spectrum of the action and the flux; cached read-only."""
+    d = grid.d
+    zm = _offsets(grid)
     r = np.sqrt(sum(z * z for z in zm))
-    psir = w.psi(r * Ntilde / w.R)
-    return [psir * z * Ntilde for z in zm]
+    s = r * Ntilde / w.R
+    psir = w.psi(s)
+    phis = w.phi(s)
+    gap = phis - psir          # s psi'(s), vanishes at the origin
+    zhat = [np.where(r > 1e-14, z / np.where(r > 1e-14, r, 1.0), 0.0) for z in zm]
+    spec = lambda kern: _kernel_spectrum(grid, kern)
+    K = tuple(((j, k), spec(Ntilde * (psir * (1.0 if j == k else 0.0) + gap * zhat[j] * zhat[k])))
+              for j in range(d) for k in range(j, d))
+    return _Kernels(action=tuple(spec(psir * z * Ntilde) for z in zm),
+                    drift=tuple(spec(phis * z) for z in zm),
+                    G=spec(Ntilde * ((d - 1) * psir + phis)), K=K)
+
+
+def _action(kern: _Kernels, p_hat: list, rho_hat: np.ndarray) -> float:
+    return sum(_pair(ph, a, rho_hat) for ph, a in zip(p_hat, kern.action))
 
 
 def interaction_action(f: Field, Ntilde: float, w: WeightFamily) -> float:
-    """M(t) = int int psi(|x-y| N/R) (x-y)_j N p_j(x) rho(y) dx dy (FFT path)."""
+    """M(t) = int int psi(|x-y| N/R) (x-y)_j N p_j(x) rho(y) dx dy (Fourier pairing)."""
     if not Ntilde > 0:
         raise ValueError("Ntilde must be positive")
     g = f.grid
-    rho = np.abs(f.values) ** 2
-    p = momentum_density(f)
-    kerns = _action_kernels(g, Ntilde, w)
-    w2 = quad_weight(f) ** 2
-    return float(w2 * sum(np.sum(pj * _conv_same(rho, kj).real)
-                          for pj, kj in zip(p, kerns)))
+    p_hat = [_density_spectrum(g, pj) for pj in momentum_density(f)]
+    rho_hat = _density_spectrum(g, np.abs(f.values) ** 2)
+    kern = _pairing_kernels(g, float(Ntilde), w)
+    return quad_weight(f) ** 2 * _action(kern, p_hat, rho_hat)
 
 
 def interaction_action_direct(f: Field, Ntilde: float, w: WeightFamily) -> float:
@@ -457,45 +417,33 @@ def interaction_flux(f: Field, Ntilde: float, Ntilde_prime: float, mu: int,
     g = f.grid
     d = g.d
     w2 = quad_weight(f) ** 2
+    kern = _pairing_kernels(g, float(Ntilde), w)
+    spec = lambda a: _density_spectrum(g, a)
     rho = np.abs(f.values) ** 2
-    p = momentum_density(f)
+    rho_hat = spec(rho)
+    p_hat = [spec(pj) for pj in momentum_density(f)]
     du = [spectral_derivative(f, j).values for j in range(d)]
-    nl = rho ** ((d + 2.0) / d)
-    lap_rho = laplacian(Field(g, rho)).values.real
-
-    zm = _diff_meshes(g)
-    r = np.sqrt(sum(z * z for z in zm))
-    s = r * Ntilde / w.R
-    psir = w.psi(s)
-    gap = w.phi(s) - psir          # s psi'(s), vanishes at the origin
-    with np.errstate(invalid="ignore", divide="ignore"):
-        zhat = [np.where(r > 1e-14, z / np.where(r > 1e-14, r, 1.0), 0.0) for z in zm]
-
-    G = Ntilde * ((d - 1) * psir + w.phi(s))
-    conv_rho_G = _conv_same(rho, G).real
 
     t_disp = 0.0
     t_mom = 0.0
-    for j in range(d):
-        for k in range(d):
-            K_jk = Ntilde * (psir * (1.0 if j == k else 0.0) + gap * zhat[j] * zhat[k])
-            Wjk = np.real(np.conj(du[j]) * du[k])
-            t_disp += 2.0 * w2 * float(np.sum(Wjk * _conv_same(rho, K_jk).real))
-            t_mom += -2.0 * w2 * float(np.sum(p[j] * _conv_same(p[k], K_jk).real))
+    for (j, k), K_jk in kern.K:
+        both = 1.0 if j == k else 2.0   # K_jk = K_kj
+        W_hat = spec(np.real(np.conj(du[j]) * du[k]))
+        t_disp += both * 2.0 * w2 * _pair(W_hat, K_jk, rho_hat)
+        t_mom += both * -2.0 * w2 * _pair(p_hat[j], K_jk, p_hat[k])
 
-    t_nl = (2.0 * mu / (d + 2.0)) * w2 * float(np.sum(nl * conv_rho_G))
-    t_curv = -0.5 * w2 * float(np.sum(lap_rho * conv_rho_G))
+    G_rho = kern.G * rho_hat
+    nl_hat = spec(rho ** ((d + 2.0) / d))
+    lap_hat = spec(laplacian(Field(g, rho)).values.real)
+    t_nl = (2.0 * mu / (d + 2.0)) * w2 * float(np.vdot(nl_hat, G_rho).real)
+    t_curv = -0.5 * w2 * float(np.vdot(lap_hat, G_rho).real)
 
     t_env = 0.0
     if Ntilde_prime != 0.0:
-        phis = w.phi(s)
-        for j in range(d):
-            kern = phis * zm[j]
-            t_env += Ntilde_prime * w2 * float(np.sum(p[j] * _conv_same(rho, kern).real))
+        t_env = Ntilde_prime * w2 * sum(_pair(ph, kd, rho_hat)
+                                        for ph, kd in zip(p_hat, kern.drift))
 
-    kerns = _action_kernels(g, Ntilde, w)
-    action = float(w2 * sum(np.sum(pj * _conv_same(rho, kj).real)
-                            for pj, kj in zip(p, kerns)))
+    action = w2 * _action(kern, p_hat, rho_hat)
     flux = t_mom + t_disp + t_nl + t_curv + t_env
     return MorawetzReport(action, flux, t_mom, t_disp, t_nl, t_curv, t_env)
 
@@ -520,11 +468,10 @@ def defocusing_interaction_action(f: Field) -> float:
     if f.grid.d != 1:
         raise ValueError("the classical kernel is one dimensional")
     g = f.grid
-    rho = np.abs(f.values) ** 2
-    p = momentum_density(f)[0]
-    z = _diff_meshes(g)[0]
-    kern = np.sign(z)
-    return float(quad_weight(f) ** 2 * np.sum(p * _conv_same(rho, kern).real))
+    kern = _kernel_spectrum(g, np.sign(_offsets(g)[0]))
+    p_hat = _density_spectrum(g, momentum_density(f)[0])
+    rho_hat = _density_spectrum(g, np.abs(f.values) ** 2)
+    return quad_weight(f) ** 2 * _pair(p_hat, kern, rho_hat)
 
 
 def defocusing_interaction_action_direct(f: Field) -> float:

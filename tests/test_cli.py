@@ -176,6 +176,14 @@ def test_cli_subprocess_entry(tmp_path):
     assert proc.returncode == 0
 
 
+def test_cli_import_leaves_signal_and_interpolate_unloaded():
+    code = ("import sys, mcnls.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.interpolate') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _morawetz_config(outdir):
     return {
         "scenario": "morawetz",
@@ -219,6 +227,58 @@ def test_evolution_and_grid_config_values(tmp_path, scenario, section, key, valu
         assert key in manifest["failure"]
     else:
         assert manifest["failure"] is None
+
+
+def _envelope_config(outdir):
+    return {"scenario": "smooth-envelope",
+            "envelope": {"J0": 2.0, "m": 3, "input": "bundled:sawtooth"},
+            "output": {"dir": str(outdir)}}
+
+
+def _weight_check_config(outdir):
+    return {"scenario": "weight-check", "grid": {"d": 1, "n": 8, "L": 1.0},
+            "weights": {"M": 8, "R": 4}, "output": {"dir": str(outdir)}}
+
+
+_GRID_2D = {"d": 2, "n": 64, "L": 8.0}
+
+
+@pytest.mark.parametrize("base, section, changes", [
+    (_sim_config, "initial", {"amplitude": "x"}),
+    (_sim_config, "initial", {"width": [1.0]}),
+    (_sim_config, "initial", {"k0": [0.1, 0.2]}),
+    (_sim_config, "initial", {"kind": "boosted-soliton", "xi0": [0.0, 0.0]}),
+    (_sim_config, "initial", {"kind": "boosted-soliton", "xi0": [0.1]}),
+    (_morawetz_config, "initial", {"center": [0.0, 1.0]}),
+    (_envelope_config, "envelope", {"m": 2.7}),
+    (_envelope_config, "envelope", {"m": -1}),
+    (_weight_check_config, "grid", {"d": _DELETE}),
+    (_weight_check_config, "grid", {"d": 1.5}),
+], ids=["amplitude-string", "width-list", "k0-length", "xi0-length", "xi0-off-lattice",
+        "center-length", "m-fractional", "m-negative", "grid-d-missing", "grid-d-fractional"])
+def test_initial_envelope_and_weight_check_config_values(tmp_path, base, section, changes):
+    out = tmp_path / "out"
+    cfg = base(out)
+    for key, value in changes.items():
+        if value is _DELETE:
+            del cfg[section][key]
+        else:
+            cfg[section][key] = value
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failure"].startswith("config error:")
+
+
+def test_2d_initial_center_needs_two_entries(tmp_path):
+    out = tmp_path / "out"
+    cfg = _sim_config(out, grid=dict(_GRID_2D))
+    cfg["initial"]["center"] = [0.0]
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failure"].startswith("config error:")
+    assert "center" in manifest["failure"]
+    cfg["initial"]["center"] = [0.5, -0.5]
+    assert run_scenario(_write_config(tmp_path, cfg)) == 0
 
 
 def test_morawetz_csv_matches_step_strang_reference(tmp_path):

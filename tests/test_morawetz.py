@@ -35,15 +35,25 @@ def test_build_weights_rejects():
         build_weights(3, 8.0, 4.0)
 
 
-def test_phi_closed_form_vs_quadrature(weights):
-    w = weights(1, 8.0, 4.0)
-    M = 8.0
+@pytest.mark.parametrize("M", [4.0, 8.0, 9.5])
+def test_phi_closed_form_vs_quadrature(weights, M):
+    w = weights(1, M, M / 2.0)
     varphi = lambda s: np.clip(M - np.abs(s), 0.0, 1.0)
-    for x0 in (0.0, 0.7, 5.0, 14.3, 15.5):
-        oracle = quad(lambda s: varphi(s) * varphi(x0 - s), -M, M, limit=400)[0] / (2 * M)
+    for x0 in np.array([0.0, 0.7, 5.0, 14.3, 15.5]) * M / 8.0:
+        kinks = [c for c in (1 - M, M - 1, x0 - M, x0 + 1 - M, x0 + M - 1) if -M < c < M]
+        oracle = quad(lambda s: varphi(s) * varphi(x0 - s), -M, M, points=kinks,
+                      limit=400)[0] / (2 * M)
         assert float(w.phi(x0)) == pytest.approx(oracle, abs=1e-10)
     # phi(0) against the hand-computed value
     assert float(w.phi(0.0)) == pytest.approx((2 * M - 4.0 / 3.0) / (2 * M), abs=1e-14)
+    # closed forms of the exact piecewise cubic
+    exact = pytest.approx
+    assert w.F_total == exact((2 * M - 1) ** 2 / (4 * M), rel=1e-14)
+    assert float(w.F(3 * M)) == exact(w.F_total, rel=1e-14)
+    assert float(w.d2phi(0.0)) == exact(-1.0 / M, abs=1e-14)
+    assert float(w.dphi(0.0)) == exact(0.0, abs=1e-14)
+    assert float(w.phi(2 * M)) == exact(0.0, abs=1e-14)
+    assert float(w.dphi(2 * M)) == exact(0.0, abs=1e-14)
 
 
 def test_phi2_closed_form_center_and_oracle(weights):
@@ -183,6 +193,62 @@ def test_interaction_action_kernel_bound(weights):
         a = interaction_action(f, nt, w)
         p1 = sum(quad_weight(f) * np.sum(np.abs(p)) for p in momentum_density(f))
         assert abs(a) <= 2 * w.M * w.R * p1 * mass(f) * (1 + 1e-9)
+
+
+def _flux_terms_direct(f, Nt, Ntp, mu, w):
+    """O(n^{2d}) double sums for the action and the five flux terms."""
+    from mcnls.grid import laplacian, spectral_derivative
+
+    g = f.grid
+    d = g.d
+    xm = [x.reshape(-1) for x in g.x_mesh()]
+    z = [x[:, None] - x[None, :] for x in xm]          # z = x - y, rows x
+    r = np.sqrt(sum(zj * zj for zj in z))
+    s = r * Nt / w.R
+    psi, phi = w.psi(s), w.phi(s)
+    zhat = [np.where(r > 0, zj / np.where(r > 0, r, 1.0), 0.0) for zj in z]
+    rho = (np.abs(f.values) ** 2).reshape(-1)
+    p = [pj.reshape(-1) for pj in momentum_density(f)]
+    du = [spectral_derivative(f, j).values.reshape(-1) for j in range(d)]
+    lap = laplacian(Field(g, np.abs(f.values) ** 2)).values.real.reshape(-1)
+    nl = rho ** ((d + 2.0) / d)
+    w2 = quad_weight(f) ** 2
+    pair = lambda a, kern, b: w2 * float(a @ kern @ b)
+    G = Nt * ((d - 1) * psi + phi)
+    action = sum(pair(p[j], psi * z[j] * Nt, rho) for j in range(d))
+    disp = mom = 0.0
+    for j in range(d):
+        for k in range(d):
+            K = Nt * (psi * (j == k) + (phi - psi) * zhat[j] * zhat[k])
+            disp += 2.0 * pair(np.real(np.conj(du[j]) * du[k]), K, rho)
+            mom -= 2.0 * pair(p[j], K, p[k])
+    nonlin = 2.0 * mu / (d + 2.0) * pair(nl, G, rho)
+    curv = -0.5 * pair(lap, G, rho)
+    env = Ntp * sum(pair(p[j], phi * z[j], rho) for j in range(d))
+    return action, mom, disp, nonlin, curv, env
+
+
+@pytest.mark.parametrize("d, n, L, M, mu", [(1, 64, 12.0, 4.0, 1), (1, 64, 12.0, 8.0, -1),
+                                            (2, 16, 6.0, 4.0, 1), (2, 16, 6.0, 4.0, -1)])
+def test_flux_terms_vs_direct_double_sums(weights, d, n, L, M, mu):
+    g = make_grid(d, n, L)
+    xm = g.x_mesh()
+    r2 = sum(x * x for x in xm)
+    # off-center, chirped and boosted so that no term vanishes by symmetry
+    env = np.exp(-sum((x - 0.3 * (j + 1)) ** 2 for j, x in enumerate(xm)) / 3.0)
+    phase = 0.15 * r2 + 0.4 * xm[0] - 0.25 * xm[-1] * (d == 2)
+    f = Field(g, 1.1 * env * np.exp(1j * phase))
+    w = weights(d, M, M / 2.0)
+    Nt, Ntp = 0.9, 0.3
+    rep = interaction_flux(f, Nt, Ntp, mu, w)
+    got = (rep.action, rep.momentum, rep.dispersive, rep.nonlinear, rep.curvature,
+           rep.envelope_drift)
+    direct = _flux_terms_direct(f, Nt, Ntp, mu, w)
+    for name, a, b in zip(("action", "momentum", "dispersive", "nonlinear",
+                           "curvature", "envelope_drift"), got, direct):
+        assert abs(b) > 1e-6, name
+        assert a == pytest.approx(b, rel=1e-12), name
+    assert interaction_action(f, Nt, w) == pytest.approx(direct[0], rel=1e-12)
 
 
 def _fd_flux_check(f0, mu, Nt, Ntp, w, dt=1e-4, tol=1e-3):
