@@ -26,7 +26,15 @@ from .envelope import (
     write_envelope_csv,
 )
 from .evolution import EvolutionConfig, _trajectory, evolve
-from .grid import Field, make_grid, r2_mesh, read_snapshot, write_snapshot
+from .grid import (
+    BOUNDARY_MASS_WARN,
+    Field,
+    boundary_mass_fraction,
+    make_grid,
+    r2_mesh,
+    read_snapshot,
+    write_snapshot,
+)
 from .ground_state import closed_form_1d, gn_ratio, pohozaev_check, solve_petviashvili
 from .morawetz import (
     MORAWETZ_CSV_HEADER,
@@ -82,6 +90,13 @@ def _integral(value, name: str) -> int:
     return int(value)
 
 
+def _boolean(value, name: str) -> bool:
+    """A config flag: JSON true or false only ("no", 0 and null are rejected)."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _section(cfg: dict, name: str, build):
     """build(cfg[name]), reporting a missing section, key or invalid value as ConfigError."""
     sec = cfg.get(name)
@@ -104,7 +119,7 @@ def _evolution_from(cfg: dict) -> EvolutionConfig:
     return _section(cfg, "evolution", lambda ev: EvolutionConfig(
         mu=_integral(ev["mu"], "evolution.mu"), dt=float(ev["dt"]), t_end=float(ev["t_end"]),
         stride=_integral(ev.get("stride", 1), "evolution.stride"),
-        dealias=bool(ev.get("dealias", True))))
+        dealias=_boolean(ev.get("dealias", True), "evolution.dealias")))
 
 
 def _vector(init: dict, name: str, d: int) -> np.ndarray:
@@ -178,7 +193,9 @@ def _scenario_simulate(cfg, outdir: Path, checks: Checks) -> dict:
     grid = _grid_from(cfg)
     f0 = _initial_field(cfg, grid)
     econf = _evolution_from(cfg)
-    emit = bool(cfg.get("output", {}).get("emit_snapshots", False))
+    if boundary_mass_fraction(f0) > BOUNDARY_MASS_WARN:
+        raise ConfigError("initial data places too much mass at the box boundary")
+    emit = _boolean(cfg.get("output", {}).get("emit_snapshots", False), "output.emit_snapshots")
     if emit:
         write_snapshot(f0, outdir / "initial.mcnls")
     series, final = evolve(f0, econf)
@@ -252,7 +269,7 @@ def _scenario_morawetz(cfg, outdir: Path, checks: Checks) -> dict:
     rows = []
     consistent = True
     bound_ok = True
-    for step, vals, _ in _trajectory(f0, econf):
+    for step, vals, _, _ in _trajectory(f0, econf):
         u = Field(grid, vals)
         rep = interaction_flux(u, 1.0, 0.0, econf.mu, w)
         rows.append(rep.csv_row(step * econf.dt))
@@ -289,8 +306,11 @@ def _load_envelope(cfg):
 def _scenario_smooth_envelope(cfg, outdir: Path, checks: Checks) -> dict:
     e, env = _load_envelope(cfg)
     j0 = env.get("J0")
-    if j0 is not None and abs(float(j0) - e.j0) > 1e-12:
-        raise ConfigError("envelope J0 conflicts with the input file header")
+    if j0 is not None:
+        if isinstance(j0, bool) or not isinstance(j0, (int, float)):
+            raise ConfigError(f"envelope.J0 must be a number, got {j0!r}")
+        if abs(j0 - e.j0) > 1e-12:
+            raise ConfigError("envelope J0 conflicts with the input file header")
     m = _integral(env.get("m", 1), "envelope.m")
     if m < 0:
         raise ConfigError(f"envelope.m must be nonnegative, got {m}")

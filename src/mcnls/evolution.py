@@ -4,7 +4,12 @@ with per-run diagnostics.
 The kinetic half step is the exact spectral multiplier exp(-i|k|^2 dt/2);
 the nonlinear step is the exact pointwise phase rotation
 exp(-i mu |u|^{4/d} dt) (|u| is invariant under that sub-flow), so mass
-is conserved to roundoff.  Blowup is detected, never resolved.
+is conserved to roundoff.  The loop holds the state as a spectrum:
+between observation points the closing half kick of one step and the
+opening half kick of the next merge into one multiplier (FSAL), so a step
+is two in-place FFTs and one phase rotation, and a diagnostics sample
+reuses the spectrum the loop already holds.  Blowup is detected, never
+resolved.
 """
 
 from __future__ import annotations
@@ -24,7 +29,15 @@ from .grid import (
     k2_symbol,
     lp_norm,
 )
-from .observables import _energy, _kinetic, _mass, _momentum, _potential, _variance
+from .observables import (
+    _energy,
+    _kinetic,
+    _mass,
+    _momentum,
+    _potential,
+    _spectral_weight,
+    _variance,
+)
 from .observables import energy, mass, variance, variance_rate
 
 # Blowup is detected, never resolved: the run aborts once the gradient
@@ -102,16 +115,28 @@ class DiagnosticsSeries:
                 fh.write(",".join(f"{v:.17g}" for v in vals) + f",{flags}\n")
 
 
-def _strang_kernel(u, half, mask, mu, dt, d):
-    """One Strang step on raw samples, given the half kick exp(-i|k|^2 dt/2)
-    and the dealias mask (or None); returns (u, |u|^2 at the nonlinear stage)."""
-    u = np.fft.ifftn(half * np.fft.fftn(u))
-    amp2 = np.abs(u) ** 2
-    u = u * np.exp(-1j * mu * dt * amp2 ** (2.0 / d))
-    spec = np.fft.fftn(u)
-    if mask is not None:
-        spec = mask * spec
-    return np.fft.ifftn(half * spec), amp2
+def _half_kicks(g, dt: float, dealias: bool):
+    """The half kick exp(-i|k|^2 dt/2) and the closing kick (the half kick
+    times the dealias mask when dealiasing, else the half kick itself)."""
+    half = np.exp(-0.5j * k2_symbol(g) * dt)
+    return half, (half * dealias_mask(g) if dealias else half)
+
+
+def _stage(kick, spec, buf, ph, mu, dt, d):
+    """buf <- fftn(phase(ifftn(kick * spec))), in place in buf (spec may be buf).
+
+    phase is the exact nonlinear sub-flow u -> u exp(-i mu dt |u|^{4/d});
+    ph is scratch.  Returns |u|^2 at the nonlinear stage.
+    """
+    np.multiply(kick, spec, out=buf)
+    np.fft.ifftn(buf, out=buf)
+    amp2 = buf.real * buf.real + buf.imag * buf.imag
+    a = (-mu * dt) * (amp2 if d == 2 else amp2 * amp2)
+    ph.real = np.cos(a)
+    ph.imag = np.sin(a)
+    buf *= ph
+    np.fft.fftn(buf, out=buf)
+    return amp2
 
 
 def step_strang(f: Field, dt: float, mu: int, dealias: bool = False) -> Field:
@@ -119,31 +144,47 @@ def step_strang(f: Field, dt: float, mu: int, dealias: bool = False) -> Field:
     if not dt > 0:
         raise ValueError("dt must be positive")
     g = f.grid
-    half = np.exp(-0.5j * k2_symbol(g) * dt)
-    mask = dealias_mask(g) if dealias else None
-    return Field(g, _strang_kernel(f.values, half, mask, mu, dt, g.d)[0])
+    half, close = _half_kicks(g, dt, dealias)
+    buf = np.fft.fftn(f.values, out=np.empty(g.shape, dtype=complex))
+    _stage(half, buf, buf, np.empty_like(buf), mu, dt, g.d)
+    np.multiply(close, buf, out=buf)
+    return Field(g, np.fft.ifftn(buf, out=buf))
 
 
 def _trajectory(f: Field, cfg: EvolutionConfig):
-    """Yield (step, samples, scat_accum) at step 0, every stride-th and the last step.
+    """Yield (step, samples, spectrum, scat_accum) at step 0, every stride-th
+    and the last step; spectrum is the raw fftn of the samples.
 
-    Yielded arrays are never modified afterwards; scat_accum is the
-    midpoint-rule integral of |u|^{2(d+2)/d} over space-time so far.
+    The state is held as a spectrum in one work array, and adjacent half
+    kicks merge into one multiplier between observation points (FSAL), so
+    a step costs two in-place FFTs.  Yielded arrays are fresh and never
+    modified afterwards; scat_accum is the midpoint-rule integral of
+    |u|^{2(d+2)/d} over space-time so far.
     """
     g = f.grid
-    half = np.exp(-0.5j * k2_symbol(g) * cfg.dt)
-    mask = dealias_mask(g) if cfg.dealias else None
+    half, close = _half_kicks(g, cfg.dt, cfg.dealias)
+    full = half * close
     w = g.h ** g.d
-    qhalf = (g.d + 2) / g.d
     nsteps = int(round(cfg.t_end / cfg.dt))
     u = f.values
+    spec = np.fft.fftn(u, out=np.empty(g.shape, dtype=complex))
+    buf = np.empty_like(spec)
+    ph = np.empty_like(spec)
     scat = 0.0
-    yield 0, u, scat
+    yield 0, u, spec, scat
+    kick, src = half, spec
     for step in range(1, nsteps + 1):
-        u, amp2 = _strang_kernel(u, half, mask, cfg.mu, cfg.dt, g.d)
-        scat += cfg.dt * float(w * np.sum(amp2 ** qhalf))
+        amp2 = _stage(kick, src, buf, ph, cfg.mu, cfg.dt, g.d)
+        amp4 = amp2 * amp2
+        scat += cfg.dt * float(w * np.sum(amp4 if g.d == 2 else amp4 * amp2))
         if step % cfg.stride == 0 or step == nsteps:
-            yield step, u, scat
+            spec = close * buf
+            # into a fresh array: the allocating transform is about twice as slow
+            u = np.fft.ifftn(spec, out=np.empty_like(spec))
+            yield step, u, spec, scat
+            kick, src = half, spec
+        else:
+            kick, src = full, buf
 
 
 def evolve(f: Field, cfg: EvolutionConfig, eta_frac: float = 0.05):
@@ -162,11 +203,10 @@ def evolve(f: Field, cfg: EvolutionConfig, eta_frac: float = 0.05):
     series = DiagnosticsSeries(d=d)
     grad0 = None
     last_good = f.values
-    for step, u, scat in _trajectory(f, cfg):
+    for step, u, spec, scat in _trajectory(f, cfg):
         if not np.all(np.isfinite(u.view(np.float64))):
             series.outcome = "nan-abort"
             return series, Field(g, last_good)
-        spec = np.fft.fftn(u)
         sdens = np.abs(spec) ** 2
         amp = np.abs(u)
         dens = amp ** 2
@@ -182,14 +222,14 @@ def evolve(f: Field, cfg: EvolutionConfig, eta_frac: float = 0.05):
         blow = (grad0 > 0 and kin >= GRADIENT_GROWTH_FACTOR * grad0) or amp.max() >= AMPLITUDE_LIMIT
         if blow:
             fl.append("blowup")
-        pot = _potential(g, amp)
+        pot = _potential(g, dens)
         series.t.append(step * cfg.dt)
         series.mass.append(m)
         series.energy.append(_energy(d, kin, pot, cfg.mu))
         series.variance.append(_variance(g, dens))
         series.kinetic.append(kin)
         series.potential.append(pot)
-        series.momentum.append(_momentum(g, u, spec))
+        series.momentum.append(_momentum(g, sdens))
         series.scat_accum.append(scat)
         series.N_est.append(n_est)
         series.xi_est.append(xi_est)
@@ -229,10 +269,9 @@ def _estimates_from_spec(g, dens, sdens, eta):
         marg = sdens.sum(axis=other) if other else sdens
         xi_est[j] = _weighted_median(korder, np.fft.fftshift(marg))
     # concentration scale: smallest dyadic N capturing all but eta of the mass
-    km = g.k_mesh()
-    dist2 = sum((k - c) ** 2 for k, c in zip(km, xi_est))
-    wk = (2.0 * g.L) ** (-d) * (g.h ** d) ** 2
-    smass = wk * sdens
+    sq = [(g.axis_k - c) ** 2 for c in xi_est]
+    dist2 = sq[0] if d == 1 else sq[0][:, None] + sq[1][None, :]
+    smass = _spectral_weight(g) * sdens
     jlo = int(np.floor(np.log2(g.dk))) - 1
     jhi = int(np.ceil(np.log2(2.0 * np.pi * g.n / (2.0 * g.L) * (d + 1)))) + 1
     n_est = 2.0 ** jhi

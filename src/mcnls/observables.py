@@ -6,8 +6,8 @@ Conventions for i u_t + Delta u = mu |u|^{4/d} u:
     momentum  P_j = Im integral conj(u) d_j u
     variance  V = integral |x|^2 |u|^2
 
-Each public function wraps a private helper on the grid plus |u|, |u|^2,
-the samples or their raw spectrum fftn(u), so a caller holding those reuses them.
+Each public function wraps a private helper on the grid plus |u|^2 or
+|fftn(u)|^2, so a caller holding those reuses them.
 """
 
 from __future__ import annotations
@@ -25,14 +25,19 @@ def _mass(g, dens: np.ndarray) -> float:
     return float(g.h ** g.d * np.sum(dens))
 
 
+def _spectral_weight(g) -> float:
+    """Parseval weight: h^d sum conj(u) v = wk sum conj(fftn u) fftn v."""
+    return (2.0 * g.L) ** (-g.d) * (g.h ** g.d) ** 2
+
+
 def _kinetic(g, sdens: np.ndarray) -> float:
-    wk = (2.0 * g.L) ** (-g.d) * (g.h ** g.d) ** 2
-    return float(wk * np.sum(k2_symbol(g) * sdens))
+    return float(_spectral_weight(g) * np.sum(k2_symbol(g) * sdens))
 
 
-def _potential(g, amp: np.ndarray) -> float:
-    q = 2.0 * (g.d + 2) / g.d
-    return float(g.h ** g.d * np.sum(amp ** q))
+def _potential(g, dens: np.ndarray) -> float:
+    # |u|^{2(d+2)/d} = dens^{(d+2)/d} as integer powers
+    sq = dens * dens
+    return float(g.h ** g.d * np.sum(sq if g.d == 2 else sq * dens))
 
 
 def _energy(d: int, kin: float, pot: float, mu: int) -> float:
@@ -43,20 +48,10 @@ def _variance(g, dens: np.ndarray) -> float:
     return float(g.h ** g.d * np.sum(r2_mesh(g) * dens))
 
 
-def _momentum_density(g, values: np.ndarray, spec: np.ndarray) -> list:
-    ub = np.conj(values)
-    out = []
-    for k in derivative_wavenumbers(g):
-        # named operands: numpy reuses an unnamed temporary in place with the
-        # operands swapped, and the complex product is not bitwise commutative
-        mult = 1j * k
-        du = np.fft.ifftn(mult * spec)
-        out.append(np.imag(ub * du))
-    return out
-
-
-def _momentum(g, values: np.ndarray, spec: np.ndarray) -> np.ndarray:
-    return np.array([g.h ** g.d * np.sum(p) for p in _momentum_density(g, values, spec)])
+def _momentum(g, sdens: np.ndarray) -> np.ndarray:
+    # Parseval: Im sum conj(u) ifftn(i k_j uhat) = sum k_j |uhat|^2 / n^d
+    wk = _spectral_weight(g)
+    return np.array([wk * np.sum(k * sdens) for k in derivative_wavenumbers(g)])
 
 
 def mass(f: Field) -> float:
@@ -70,7 +65,7 @@ def kinetic(f: Field) -> float:
 
 def potential(f: Field) -> float:
     """integral |u|^{2(d+2)/d}."""
-    return _potential(f.grid, np.abs(f.values))
+    return _potential(f.grid, np.abs(f.values) ** 2)
 
 
 def energy(f: Field, mu: int) -> float:
@@ -79,11 +74,20 @@ def energy(f: Field, mu: int) -> float:
 
 def momentum_density(f: Field) -> list:
     """p_j = Im[conj(u) d_j u], one array per axis."""
-    return _momentum_density(f.grid, f.values, np.fft.fftn(f.values))
+    ub = np.conj(f.values)
+    spec = np.fft.fftn(f.values)
+    out = []
+    for k in derivative_wavenumbers(f.grid):
+        # named operands: numpy reuses an unnamed temporary in place with the
+        # operands swapped, and the complex product is not bitwise commutative
+        mult = 1j * k
+        du = np.fft.ifftn(mult * spec)
+        out.append(np.imag(ub * du))
+    return out
 
 
 def momentum(f: Field) -> np.ndarray:
-    return _momentum(f.grid, f.values, np.fft.fftn(f.values))
+    return _momentum(f.grid, np.abs(np.fft.fftn(f.values)) ** 2)
 
 
 def variance(f: Field) -> float:

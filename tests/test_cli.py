@@ -254,8 +254,15 @@ _GRID_2D = {"d": 2, "n": 64, "L": 8.0}
     (_envelope_config, "envelope", {"m": -1}),
     (_weight_check_config, "grid", {"d": _DELETE}),
     (_weight_check_config, "grid", {"d": 1.5}),
+    (_sim_config, "initial", {"center": [15.5]}),
+    (_sim_config, "evolution", {"dealias": "no"}),
+    (_morawetz_config, "evolution", {"dealias": 0}),
+    (_sim_config, "output", {"emit_snapshots": "no"}),
+    (_envelope_config, "envelope", {"J0": "x"}),
 ], ids=["amplitude-string", "width-list", "k0-length", "xi0-length", "xi0-off-lattice",
-        "center-length", "m-fractional", "m-negative", "grid-d-missing", "grid-d-fractional"])
+        "center-length", "m-fractional", "m-negative", "grid-d-missing", "grid-d-fractional",
+        "center-at-boundary", "dealias-string", "dealias-integer", "emit-snapshots-string",
+        "J0-string"])
 def test_initial_envelope_and_weight_check_config_values(tmp_path, base, section, changes):
     out = tmp_path / "out"
     cfg = base(out)

@@ -293,3 +293,53 @@ def test_step_strang_iterates_to_evolve_final_field(d, n):
         u = step_strang(u, cfg.dt, cfg.mu, dealias=True)
     scale = np.max(np.abs(final.values))
     assert np.max(np.abs(u.values - final.values)) <= 1e-13 * scale
+
+
+def test_trajectory_yields_are_never_overwritten():
+    from mcnls.evolution import _trajectory
+
+    g = make_grid(2, 64, 16.0)
+    xm = g.x_mesh()
+    u0 = Field(g, 1.2 * np.exp(-(xm[0] ** 2 + xm[1] ** 2) / 2.0) * np.exp(1j * 0.6 * xm[0]))
+    cfg = EvolutionConfig(mu=-1, dt=1e-3, t_end=0.02, stride=3, dealias=True)
+    kept, copies = [], []
+    for step, u, spec, _ in _trajectory(u0, cfg):
+        kept.append((u, spec))
+        copies.append((u.copy(), spec.copy()))
+    assert len(kept) == 8
+    for (u, spec), (u_c, spec_c) in zip(kept, copies):
+        assert np.array_equal(u, u_c) and np.array_equal(spec, spec_c)
+    # the yielded spectrum is the raw fftn of the yielded samples
+    for u, spec in kept:
+        assert np.max(np.abs(np.fft.fftn(u) - spec)) <= 1e-13 * np.max(np.abs(spec))
+
+
+def _chirped_offcentre_gaussian(d):
+    g = make_grid(d, 512 if d == 1 else 128, 16.0)
+    xm = g.x_mesh()
+    centre = (1.3, -0.7)[:d]
+    r2 = sum((x - c) ** 2 for x, c in zip(xm, centre))
+    phase = 0.3 * r2 + sum(k * x for k, x in zip((0.8, -0.5), xm))
+    return Field(g, 1.1 * np.exp(-r2 / (2.0 * 1.4 ** 2)) * np.exp(1j * phase))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_spectral_momentum_matches_momentum_density(d):
+    from mcnls.observables import kinetic, momentum, momentum_density
+
+    f = _chirped_offcentre_gaussian(d)
+    h_d = f.grid.h ** d
+    direct = np.array([h_d * np.sum(p) for p in momentum_density(f)])
+    got = momentum(f)
+    assert np.max(np.abs(got)) > 0.1
+    assert np.max(np.abs(got - direct)) <= 1e-13 * np.sqrt(mass(f) * kinetic(f))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_potential_matches_generic_power(d):
+    from mcnls.observables import potential
+
+    f = _chirped_offcentre_gaussian(d)
+    q = 2.0 * (d + 2) / d
+    ref = f.grid.h ** d * np.sum(np.abs(f.values) ** q)
+    assert abs(potential(f) - ref) <= 1e-14 * ref

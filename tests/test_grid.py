@@ -245,3 +245,16 @@ def test_snapshot_header_size_checked_before_reading(tmp_path):
     p.write_bytes(b"MCNLS1" + struct.pack("<BBId", 1, 2, 2 ** 20, 4.0))
     with pytest.raises(ValueError, match="payload"):
         read_snapshot(p)
+
+
+@pytest.mark.parametrize("shape", [(512,), (256, 256)])
+def test_in_place_fft_matches_allocating_fft(shape):
+    # the Strang loop transforms its work array in place (out= the input)
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for transform in (np.fft.fftn, np.fft.ifftn):
+        ref = transform(x)
+        y = x.copy()
+        out = transform(y, out=y)
+        assert out is y
+        assert np.array_equal(y, ref)
