@@ -12,8 +12,11 @@ and the inner cutoff chi generate every kernel used here:
 In 1D phi is an exact piecewise cubic on the knots {0, 1, 2M-2, 2M-1, 2M}:
 phi'' is (hat(r - (2M-1)) - 2 hat(r)) / (2M), and phi', phi and
 F = int_0^r phi are its exact antiderivatives.  The 2D radial
-correlation reduces to incomplete elliptic integrals and is tabulated
-once per M into a cubic spline.  Both are piecewise polynomials, so the
+correlation is a polar double integral: the angular part is closed form
+up to an arc length, which a Gauss-Legendre rule integrates where the
+integrand is analytic, and the radial part runs Gauss-Legendre panels.
+It is tabulated once per M into a clamped cubic spline.  Both are
+piecewise polynomials (a small numpy class, `_PiecewisePoly`), so the
 two dimensions share one construction of phi, phi', F and psi.
 
 A linear ramp rather than a smooth step is deliberate: a C^1 transition
@@ -23,8 +26,12 @@ while the ramp attains the bound exactly.
 Every double integral sum_x sum_y A(x) K(x - y) B(y) is one Fourier
 pairing on the doubled grid: the offsets x - y of the n-grid fit a
 circle of 2n points per axis without wraparound, so with A and B
-zero-padded to 2n, Parseval gives Re sum conj(A^) K^ B^ / (2n)^d.  The
-kernel spectra are cached per (grid, Ntilde, weights).  Direct O(n^{2d})
+zero-padded to 2n, Parseval gives Re sum conj(A^) K^ B^ / (2n)^d.  Every
+kernel is even or odd in z, so its spectrum is real or imaginary and is
+kept as one real array; for an odd kernel the pairing is
+-Im sum conj(A^) (Im K^) B^, in which a momentum density p = xi rho
+cancels mode by mode.  The kernel spectra are cached per
+(grid, Ntilde, weights).  Direct O(n^{2d})
 evaluations of the actions are retained as test oracles.
 """
 
@@ -36,7 +43,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .grid import Field, _read_only, laplacian, spectral_derivative
+from .grid import Field, _read_only, half_spectrum_weight, laplacian, spectral_derivative
 from .observables import energy, kinetic, mass, momentum_density, quad_weight
 
 
@@ -83,16 +90,25 @@ def _theta_of_level(r, rho, c):
 
 
 def _arc_integral(r, rho, th1, th2):
-    """int_{th1}^{th2} sqrt(r^2 + rho^2 - 2 r rho cos th) dth."""
-    from scipy.special import ellipeinc
+    """int_{th1}^{th2} sqrt(r^2 + rho^2 - 2 r rho cos th) dth; 0 where th2 <= th1.
 
-    r = np.asarray(r, dtype=float)
-    s = r + rho
-    m = np.where(s > 0, 4.0 * r * rho / np.where(s > 0, s * s, 1.0), 0.0)
-    m = np.clip(m, 0.0, 1.0)
-    val = 2.0 * s * (ellipeinc(np.pi / 2 - th1 / 2.0, m)
-                     - ellipeinc(np.pi / 2 - th2 / 2.0, m))
-    return np.where(s > 0, val, 0.0)
+    16-point Gauss-Legendre in th.  The caller's th1, th2 are the angles
+    where the distance crosses M-1 and M, so on [th1, th2] the integrand
+    lies in [M-1, M]: analytic and bounded away from zero.  One pass per
+    node keeps the memory at a few arrays of the live entries.
+    """
+    r, rho, th1, th2 = np.broadcast_arrays(r, rho, th1, th2)
+    out = np.zeros(th1.shape)
+    live = th2 > th1
+    mid = 0.5 * (th1[live] + th2[live])
+    hw = 0.5 * (th2[live] - th1[live])
+    r, rho = r[live], rho[live]
+    sq, cross = r * r + rho * rho, 2.0 * r * rho
+    acc = np.zeros_like(mid)
+    for x, wt in zip(_GAUSS_X, _GAUSS_W):
+        acc += wt * np.sqrt(sq - cross * np.cos(mid + hw * x))
+    out[live] = hw * acc
+    return out
 
 
 def _varphi_weight(rho, M):
@@ -103,30 +119,93 @@ def _phi2_profile_points(r_vals: np.ndarray, M: float) -> np.ndarray:
     """phi(r) = (1/(pi M^2)) int varphi(|z - s|) varphi(|s|) ds at radii r (2D).
 
     In polar coordinates s = rho e^{i theta} the angular integral is closed
-    form; the radial one runs Gauss-Legendre on the panels between the
-    radii where a factor changes piece, for all radii at once.
+    form up to one arc length (`_arc_integral`); the radial one runs
+    Gauss-Legendre on the panels between the radii where a factor changes
+    piece, for all radii at once, skipping the panels of zero width.
     """
     r = np.asarray(r_vals, dtype=float)[:, None]
     levels = np.array([M - 1.0, M])
     cand = np.concatenate([np.zeros_like(r) + [0.0, M - 1.0, M], r,
                            levels - r, r - levels, r + levels], axis=1)
     edges = np.sort(np.clip(cand, 0.0, M), axis=1)
-    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-    hw = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    rho = mid[..., None] + hw[..., None] * _GAUSS_X
-    rr = r[..., None]
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    keep = hi > lo
+    radius = np.nonzero(keep)[0]          # the radius index of each kept panel
+    mid = 0.5 * (hi + lo)[keep][:, None]
+    hw = 0.5 * (hi - lo)[keep]
+    rho = mid + hw[:, None] * _GAUSS_X
+    rr = r[radius]
     th1 = _theta_of_level(rr, rho, M - 1.0)
     th2 = _theta_of_level(rr, rho, M)
     theta_int = 2.0 * (th1 + M * (th2 - th1) - _arc_integral(rr, rho, th1, th2))
     vals = rho * _varphi_weight(rho, M) * theta_int
-    return np.sum(hw * np.sum(_GAUSS_W * vals, axis=-1), axis=-1) / (np.pi * M * M)
+    panels = hw * np.sum(_GAUSS_W * vals, axis=-1)
+    return np.bincount(radius, panels, minlength=r.shape[0]) / (np.pi * M * M)
+
+
+class _PiecewisePoly:
+    """Piecewise polynomial in the local power basis (the layout of scipy's PPoly).
+
+    c[m, i] multiplies (v - x[i])^(k - m) on [x[i], x[i+1]], k = len(c) - 1;
+    beyond the ends the first and last pieces extend.
+    """
+
+    def __init__(self, c, x):
+        self.c = np.array(c, dtype=float)
+        self.x = np.asarray(x, dtype=float)
+
+    def __call__(self, v):
+        v = np.asarray(v, dtype=float)
+        i = np.clip(np.searchsorted(self.x, v, side="right") - 1, 0, self.x.size - 2)
+        t = v - self.x[i]
+        out = self.c[0, i]
+        for row in self.c[1:]:
+            out = out * t + row[i]
+        return out
+
+    def derivative(self) -> "_PiecewisePoly":
+        k = self.c.shape[0] - 1
+        return _PiecewisePoly(self.c[:-1] * np.arange(k, 0, -1)[:, None], self.x)
+
+    def antiderivative(self) -> "_PiecewisePoly":
+        """The antiderivative that vanishes at x[0] and is continuous at the knots."""
+        k = self.c.shape[0] - 1
+        c = np.vstack([self.c / np.arange(k + 1, 0, -1)[:, None], np.zeros(self.c.shape[1])])
+        h = np.diff(self.x)
+        rise = c[0]
+        for row in c[1:-1]:
+            rise = rise * h + row
+        c[-1, 1:] = np.cumsum(rise * h)[:-1]
+        return _PiecewisePoly(c, self.x)
+
+
+def _clamped_spline(x: np.ndarray, y: np.ndarray) -> _PiecewisePoly:
+    """Cubic spline through (x, y) with zero slope at both ends.
+
+    The interior knot slopes s solve the tridiagonal system
+    h_i s_{i-1} + 2 (h_{i-1} + h_i) s_i + h_{i-1} s_{i+1}
+        = 3 (h_i delta_{i-1} + h_{i-1} delta_i),
+    diagonally dominant, so the Thomas elimination needs no pivoting.
+    """
+    h = np.diff(x)
+    delta = np.diff(y) / h
+    sub, diag, sup = h[1:].tolist(), (2.0 * (h[:-1] + h[1:])).tolist(), h[:-1].tolist()
+    rhs = (3.0 * (h[1:] * delta[:-1] + h[:-1] * delta[1:])).tolist()
+    for i in range(1, len(diag)):
+        f = sub[i] / diag[i - 1]
+        diag[i] -= f * sup[i - 1]
+        rhs[i] -= f * rhs[i - 1]
+    s = [0.0] * (len(diag) + 2)
+    for i in range(len(diag) - 1, -1, -1):
+        s[i + 1] = (rhs[i] - sup[i] * s[i + 2]) / diag[i]
+    s = np.array(s)
+    t = (s[:-1] + s[1:] - 2.0 * delta) / h
+    return _PiecewisePoly([t / h, (delta - s[:-1]) / h - t, s[:-1], y[:-1]], x)
 
 
 @lru_cache(maxsize=16)
-def _phi2_spline(M: float):
-    """Cubic-spline table of the 2D correlation profile on [0, 2M]."""
-    from scipy.interpolate import CubicSpline
-
+def _phi2_spline(M: float) -> _PiecewisePoly:
+    """Clamped cubic-spline table of the 2D correlation profile on [0, 2M]."""
     knots = [0.0, 1.0, 2.0, 2.0 * M - 3.0, 2.0 * M - 2.0, 2.0 * M - 1.0, 2.0 * M]
     knots = sorted({k for k in knots if 0.0 <= k <= 2.0 * M})
     pieces = []
@@ -134,7 +213,7 @@ def _phi2_spline(M: float):
         npts = max(16, int(np.ceil((b - a) * 160)))
         pieces.append(np.linspace(a, b, npts, endpoint=False))
     r = np.concatenate(pieces + [np.array([2.0 * M])])
-    return CubicSpline(r, _phi2_profile_points(r, M), bc_type=((1, 0.0), (1, 0.0)))
+    return _clamped_spline(r, _phi2_profile_points(r, M))
 
 
 def _phi1_profile(M: float) -> tuple:
@@ -143,11 +222,10 @@ def _phi1_profile(M: float) -> tuple:
     phi'' = (hat(r - (2M-1)) - 2 hat(r)) / (2M) is linear between the knots;
     phi'(0) = 0 and phi(0) = (2M - 4/3)/(2M) fix the antiderivatives.
     """
-    from scipy.interpolate import PPoly
-
     knots = [0.0, 1.0, 2.0 * M - 2.0, 2.0 * M - 1.0, 2.0 * M]
     # rows: slope, value at the left knot
-    d2phi = PPoly(np.array([[2.0, 0.0, 1.0, -1.0], [-2.0, 0.0, 0.0, 1.0]]) / (2.0 * M), knots)
+    d2phi = _PiecewisePoly(np.array([[2.0, 0.0, 1.0, -1.0], [-2.0, 0.0, 0.0, 1.0]]) / (2.0 * M),
+                           knots)
     dphi = d2phi.antiderivative()
     phi = dphi.antiderivative()
     phi.c[-1] += (2.0 * M - 4.0 / 3.0) / (2.0 * M)
@@ -297,27 +375,37 @@ def _density_spectrum(grid, a: np.ndarray) -> np.ndarray:
     return np.fft.rfftn(a, s=(2 * grid.n,) * grid.d, axes=tuple(range(grid.d)))
 
 
-def _kernel_spectrum(grid, kern: np.ndarray) -> np.ndarray:
-    """Half spectrum of a kernel sampled at `_offsets`, with the Parseval weight.
+def _kernel_spectrum(grid, kern: np.ndarray, odd: bool) -> np.ndarray:
+    """Re K^ (Im K^ if odd) of a kernel sampled at `_offsets`, times the Parseval weight.
 
-    The weight is 2 on the modes a real FFT stores once for a conjugate pair
-    (1 on the self-conjugate first and last), over (2n)^d.
+    No x_i - x_j reaches the offset -n h, so that sample is zeroed; a kernel
+    even (odd) in z is then exactly even (odd) on the 2n circle and its
+    spectrum is real (imaginary).  The weight is `half_spectrum_weight`
+    over (2n)^d.
     """
-    weight = np.full(grid.n + 1, 2.0)
-    weight[[0, -1]] = 1.0
-    return _read_only(np.fft.rfftn(kern) * (weight / (2 * grid.n) ** grid.d))
+    kern = kern.copy()
+    for axis in range(grid.d):
+        kern[(slice(None),) * axis + (grid.n,)] = 0.0
+    spec = np.fft.rfftn(kern)
+    part = spec.imag if odd else spec.real
+    return _read_only(part * (half_spectrum_weight(2 * grid.n) / (2 * grid.n) ** grid.d))
 
 
 def _pair(outer_hat: np.ndarray, kern_hat: np.ndarray, inner_hat: np.ndarray) -> float:
-    """sum_i outer(x_i) sum_j K(x_i - x_j) inner(x_j), by Parseval on the 2n grid."""
+    """sum_i outer(x_i) sum_j K(x_i - x_j) inner(x_j) for an even K, by Parseval on the 2n grid."""
     return float(np.vdot(outer_hat, kern_hat * inner_hat).real)
 
 
+def _pair_odd(outer_hat: np.ndarray, kern_hat: np.ndarray, inner_hat: np.ndarray) -> float:
+    """The same for an odd K: Re sum conj(A^) i Im(K^) B^ = -Im sum conj(A^) Im(K^) B^."""
+    return -float(np.vdot(outer_hat, kern_hat * inner_hat).imag)
+
+
 class _Kernels(NamedTuple):
-    action: tuple   # a_j, one per axis
-    drift: tuple    # phi(|z| N/R) z_j, one per axis
-    G: np.ndarray   # divergence kernel
-    K: tuple        # ((j, k), K_jk) for j <= k; K is symmetric
+    action: tuple   # a_j, one per axis (odd)
+    drift: tuple    # phi(|z| N/R) z_j, one per axis (odd)
+    G: np.ndarray   # divergence kernel (even)
+    K: tuple        # ((j, k), K_jk) for j <= k; K is symmetric and even
 
 
 @lru_cache(maxsize=16)
@@ -331,16 +419,17 @@ def _pairing_kernels(grid, Ntilde: float, w: WeightFamily) -> _Kernels:
     phis = w.phi(s)
     gap = phis - psir          # s psi'(s), vanishes at the origin
     zhat = [np.where(r > 1e-14, z / np.where(r > 1e-14, r, 1.0), 0.0) for z in zm]
-    spec = lambda kern: _kernel_spectrum(grid, kern)
-    K = tuple(((j, k), spec(Ntilde * (psir * (1.0 if j == k else 0.0) + gap * zhat[j] * zhat[k])))
+    even = lambda kern: _kernel_spectrum(grid, kern, odd=False)
+    odd = lambda kern: _kernel_spectrum(grid, kern, odd=True)
+    K = tuple(((j, k), even(Ntilde * (psir * (1.0 if j == k else 0.0) + gap * zhat[j] * zhat[k])))
               for j in range(d) for k in range(j, d))
-    return _Kernels(action=tuple(spec(psir * z * Ntilde) for z in zm),
-                    drift=tuple(spec(phis * z) for z in zm),
-                    G=spec(Ntilde * ((d - 1) * psir + phis)), K=K)
+    return _Kernels(action=tuple(odd(psir * z * Ntilde) for z in zm),
+                    drift=tuple(odd(phis * z) for z in zm),
+                    G=even(Ntilde * ((d - 1) * psir + phis)), K=K)
 
 
 def _action(kern: _Kernels, p_hat: list, rho_hat: np.ndarray) -> float:
-    return sum(_pair(ph, a, rho_hat) for ph, a in zip(p_hat, kern.action))
+    return sum(_pair_odd(ph, a, rho_hat) for ph, a in zip(p_hat, kern.action))
 
 
 def interaction_action(f: Field, Ntilde: float, w: WeightFamily) -> float:
@@ -440,7 +529,7 @@ def interaction_flux(f: Field, Ntilde: float, Ntilde_prime: float, mu: int,
 
     t_env = 0.0
     if Ntilde_prime != 0.0:
-        t_env = Ntilde_prime * w2 * sum(_pair(ph, kd, rho_hat)
+        t_env = Ntilde_prime * w2 * sum(_pair_odd(ph, kd, rho_hat)
                                         for ph, kd in zip(p_hat, kern.drift))
 
     action = w2 * _action(kern, p_hat, rho_hat)
@@ -468,10 +557,10 @@ def defocusing_interaction_action(f: Field) -> float:
     if f.grid.d != 1:
         raise ValueError("the classical kernel is one dimensional")
     g = f.grid
-    kern = _kernel_spectrum(g, np.sign(_offsets(g)[0]))
+    kern = _kernel_spectrum(g, np.sign(_offsets(g)[0]), odd=True)
     p_hat = _density_spectrum(g, momentum_density(f)[0])
     rho_hat = _density_spectrum(g, np.abs(f.values) ** 2)
-    return quad_weight(f) ** 2 * _pair(p_hat, kern, rho_hat)
+    return quad_weight(f) ** 2 * _pair_odd(p_hat, kern, rho_hat)
 
 
 def defocusing_interaction_action_direct(f: Field) -> float:

@@ -75,13 +75,14 @@ def energy(f: Field, mu: int) -> float:
 def momentum_density(f: Field) -> list:
     """p_j = Im[conj(u) d_j u], one array per axis."""
     ub = np.conj(f.values)
-    spec = np.fft.fftn(f.values)
+    spec = np.fft.fftn(f.values, out=np.empty_like(f.values))
     out = []
     for k in derivative_wavenumbers(f.grid):
         # named operands: numpy reuses an unnamed temporary in place with the
         # operands swapped, and the complex product is not bitwise commutative
         mult = 1j * k
-        du = np.fft.ifftn(mult * spec)
+        du = mult * spec
+        np.fft.ifftn(du, out=du)
         out.append(np.imag(ub * du))
     return out
 

@@ -184,6 +184,25 @@ def test_cli_import_leaves_signal_and_interpolate_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_2d_morawetz_run_leaves_interpolate_special_linalg_unloaded(tmp_path):
+    cfg = {
+        "scenario": "morawetz",
+        "grid": {"d": 2, "n": 64, "L": 16.0},
+        "evolution": {"mu": -1, "dt": 1e-3, "t_end": 0.002, "stride": 1},
+        "initial": {"kind": "boosted-soliton", "xi0": [0.19634954084936207, 0.0]},
+        "weights": {"M": 4, "R": 2},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    p = _write_config(tmp_path, cfg)
+    code = ("import sys; from mcnls.cli import run_scenario; "
+            f"code = run_scenario({str(p)!r}); "
+            "print(code, sorted(m for m in ('scipy.interpolate', 'scipy.special', "
+            "'scipy.linalg') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+
+
 def _morawetz_config(outdir):
     return {
         "scenario": "morawetz",

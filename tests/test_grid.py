@@ -258,3 +258,37 @@ def test_in_place_fft_matches_allocating_fft(shape):
         out = transform(y, out=y)
         assert out is y
         assert np.array_equal(y, ref)
+
+
+@pytest.mark.parametrize("shape", [(512,), (64, 64), (256, 256)])
+def test_preallocated_transforms_match_allocating_transforms(shape):
+    # apply_multiplier, to_spectral/to_physical and momentum_density transform
+    # into preallocated arrays; the results stay bit-equal to the allocating form
+    from mcnls import to_physical, to_spectral
+    from mcnls.observables import momentum_density
+    from mcnls.grid import apply_multiplier, derivative_wavenumbers, k2_symbol
+
+    g = make_grid(len(shape), shape[0], 16.0)
+    rng = np.random.default_rng(12)
+    real = rng.standard_normal(shape)
+    cplx = real + 1j * rng.standard_normal(shape)
+    mults = [-k2_symbol(g)] + [1j * k for k in derivative_wavenumbers(g)]
+    for v in (real, cplx):
+        for mult in mults:
+            ref = np.fft.ifftn(mult * np.fft.fftn(v))
+            assert np.array_equal(apply_multiplier(v, mult), ref)
+    # a general complex multiplier keeps the operand order mult * spectrum
+    phase = np.exp(1j * rng.standard_normal(shape))
+    ref = np.fft.ifftn(np.multiply(phase, np.fft.fftn(cplx)))
+    assert np.array_equal(apply_multiplier(cplx, phase), ref)
+
+    f = Field(g, cplx)
+    modes = to_spectral(f).modes
+    assert np.array_equal(modes, (g.h ** g.d) * g._phase() * np.fft.fftn(cplx))
+    back = np.fft.ifftn(modes * g._phase()) / (g.h ** g.d)
+    assert np.array_equal(to_physical(to_spectral(f)).values, back)
+    spec = np.fft.fftn(cplx)
+    for pj, k in zip(momentum_density(f), derivative_wavenumbers(g)):
+        mult = 1j * k
+        du = np.fft.ifftn(mult * spec)
+        assert np.array_equal(pj, np.imag(np.conj(cplx) * du))

@@ -158,3 +158,67 @@ def test_boost_mass_and_energy(q20):
     pred = energy(q20.field, -1) + 0.5 * xi ** 2 * mass(q20.field)
     assert energy(qb, -1) == pytest.approx(pred, rel=1e-12)
     assert energy(qb, -1) > 0
+
+
+def _petviashvili_complex_reference(grid, tol=1e-12, max_iter=500):
+    """The full-spectrum iteration: complex FFTs, residual-free, returns (Q, iterations)."""
+    from mcnls.grid import k2_symbol, r2_mesh
+
+    p = 1 + 4 // grid.d
+    theta = p / (p - 1.0)
+    sym = 1.0 + k2_symbol(grid)
+    q = 1.5 * np.exp(-r2_mesh(grid) / 2.0)
+    for it in range(1, max_iter + 1):
+        qp = q ** p
+        qhat = np.fft.fftn(q)
+        gamma = np.sum(sym * np.abs(qhat) ** 2) / np.sum(np.conj(qhat) * np.fft.fftn(qp)).real
+        q_new = np.fft.ifftn(np.fft.fftn(qp) / sym).real * gamma ** theta
+        diff = np.sqrt(grid.h ** grid.d * np.sum((q_new - q) ** 2))
+        q = q_new
+        if diff < tol:
+            return np.abs(q), it
+    return q, max_iter
+
+
+@pytest.mark.parametrize("d, n, iterations", [(1, 512, 31), (2, 128, 50)])
+def test_petviashvili_real_fft_matches_complex_reference(d, n, iterations):
+    g = make_grid(d, n, 16.0)
+    ref, its = _petviashvili_complex_reference(g)
+    assert its == iterations
+    q = solve_petviashvili(g)
+    assert np.max(np.abs(q.field.values.real - ref)) <= 1e-13 * ref.max()
+    # the same iteration count: converged at `its`, not at its - 1
+    solve_petviashvili(g, max_iter=its)
+    with pytest.raises(PetviashviliError):
+        solve_petviashvili(g, max_iter=its - 1)
+
+
+def test_petviashvili_error_residual_is_last_iterate_residual(monkeypatch):
+    from mcnls import ground_state
+
+    g = make_grid(2, 64, 16.0)
+    seen = []
+    real = ground_state._ode_residual
+
+    def spy(vals, grid):
+        seen.append(vals.copy())
+        return real(vals, grid)
+
+    monkeypatch.setattr(ground_state, "_ode_residual", spy)
+    with pytest.raises(PetviashviliError) as exc:
+        solve_petviashvili(g, max_iter=3)
+    assert len(seen) == 1   # evaluated once, not per iteration
+    last, _ = _petviashvili_complex_reference(g, max_iter=3)
+    assert np.max(np.abs(seen[0] - last)) <= 1e-13 * last.max()
+    assert exc.value.residual == real(seen[0], g)
+
+
+def test_lazy_profile_matches_eager_spline():
+    from mcnls.ground_state import _radial_profile
+
+    g = make_grid(2, 64, 16.0)
+    q = solve_petviashvili(g)
+    eager = _radial_profile(q.field.values.real, g)
+    s = np.linspace(-20.0, 20.0, 4001)
+    assert np.array_equal(q.profile(s), eager(s))
+    assert np.array_equal(q.profile(s), eager(s))  # built once, then reused

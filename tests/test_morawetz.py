@@ -439,3 +439,93 @@ def test_freezing_diagnostic(weights):
     # the dominant window recovers the boost frequency
     best = max(windows, key=lambda v: v.dispersive)
     assert best.xi[0] == pytest.approx(4 * g.dk, rel=0.05)
+
+
+def _phi2_profile_points_ellipeinc(r_vals, M):
+    """The 2D profile table with the arc length as incomplete elliptic integrals of the 2nd kind."""
+    from scipy.special import ellipeinc
+
+    from mcnls.morawetz import _GAUSS_W, _GAUSS_X, _theta_of_level
+
+    r = np.asarray(r_vals, dtype=float)[:, None]
+    levels = np.array([M - 1.0, M])
+    cand = np.concatenate([np.zeros_like(r) + [0.0, M - 1.0, M], r,
+                           levels - r, r - levels, r + levels], axis=1)
+    edges = np.sort(np.clip(cand, 0.0, M), axis=1)
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    hw = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    rho = mid[..., None] + hw[..., None] * _GAUSS_X
+    rr = r[..., None]
+    th1 = _theta_of_level(rr, rho, M - 1.0)
+    th2 = _theta_of_level(rr, rho, M)
+    s = rr + rho
+    m = np.clip(np.where(s > 0, 4.0 * rr * rho / np.where(s > 0, s * s, 1.0), 0.0), 0.0, 1.0)
+    arc = np.where(s > 0, 2.0 * s * (ellipeinc(np.pi / 2 - th1 / 2.0, m)
+                                     - ellipeinc(np.pi / 2 - th2 / 2.0, m)), 0.0)
+    vals = rho * np.clip(M - rho, 0.0, 1.0) * 2.0 * (th1 + M * (th2 - th1) - arc)
+    return np.sum(hw * np.sum(_GAUSS_W * vals, axis=-1), axis=-1) / (np.pi * M * M)
+
+
+@pytest.mark.parametrize("M", [4.0, 8.0, 9.5, 16.0])
+def test_phi2_profile_vs_ellipeinc_oracle(weights, M):
+    from scipy.interpolate import CubicSpline
+
+    from mcnls.morawetz import _phi2_spline
+
+    knots = _phi2_spline(M).x
+    oracle = CubicSpline(knots, _phi2_profile_points_ellipeinc(knots, M),
+                         bc_type=((1, 0.0), (1, 0.0)))
+    w = weights(2, M, M / 2.0)
+    r = np.linspace(0.0, 2.5 * M, 20001)
+    inside = np.minimum(r, 2.0 * M)
+    phi = np.where(r <= 2 * M, oracle(inside), 0.0)
+    dphi = np.where(r <= 2 * M, oracle.derivative()(inside), 0.0)
+    F = oracle.antiderivative()(inside)
+    rel = lambda a, b: np.max(np.abs(a - b)) / np.max(np.abs(b))
+    assert rel(w.phi(r), phi) <= 1e-14
+    assert rel(w.F(r), F) <= 5e-14
+    assert rel(w.dphi(r), dphi) <= 1e-10
+
+
+@pytest.mark.parametrize("M", [4.0, 8.0, 16.0])
+def test_clamped_spline_matches_scipy_cubic_spline(M):
+    from scipy.interpolate import CubicSpline
+
+    from mcnls.morawetz import _clamped_spline, _phi2_profile_points, _phi2_spline
+
+    x = _phi2_spline(M).x
+    y = _phi2_profile_points(x, M)
+    ours = _clamped_spline(x, y)
+    ref = CubicSpline(x, y, bc_type=((1, 0.0), (1, 0.0)))
+    v = np.linspace(0.0, 2.0 * M, 30001)
+    for a, b in ((ours, ref), (ours.derivative(), ref.derivative()),
+                 (ours.antiderivative(), ref.antiderivative())):
+        assert np.max(np.abs(a(v) - b(v))) <= 1e-13 * np.max(np.abs(b(v)))
+
+
+@pytest.mark.parametrize("M", [4.0, 8.0, 9.5])
+def test_piecewise_poly_matches_scipy_ppoly(M):
+    from scipy.interpolate import PPoly
+
+    from mcnls.morawetz import _phi1_profile
+
+    knots = [0.0, 1.0, 2.0 * M - 2.0, 2.0 * M - 1.0, 2.0 * M]
+    d2phi = PPoly(np.array([[2.0, 0.0, 1.0, -1.0], [-2.0, 0.0, 0.0, 1.0]]) / (2.0 * M), knots)
+    dphi = d2phi.antiderivative()
+    phi = dphi.antiderivative()
+    phi.c[-1] += (2.0 * M - 4.0 / 3.0) / (2.0 * M)
+    ours = _phi1_profile(M)
+    v = np.linspace(0.0, 2.0 * M, 20001)
+    for a, b in zip(ours + (ours[0].antiderivative(),), (phi, dphi, d2phi, phi.antiderivative())):
+        assert np.max(np.abs(a(v) - b(v))) <= 1e-15 * np.max(np.abs(b(v)))
+
+
+@pytest.mark.parametrize("xi", [(-2, 0), (3, -1), (1, 2)])
+def test_interaction_action_of_boosted_townes_soliton_vanishes(weights, xi):
+    from mcnls import solve_petviashvili
+
+    g = make_grid(2, 128, 16.0)
+    w = weights(2, 8.0, 4.0)
+    f = galilean_boost(solve_petviashvili(g).field, np.array(xi) * g.dk, 0.0)
+    p1 = sum(quad_weight(f) * np.sum(np.abs(p)) for p in momentum_density(f))
+    assert abs(interaction_action(f, 1.0, w)) <= 1e-15 * 2 * w.M * w.R * p1 * mass(f)
