@@ -116,10 +116,16 @@ def _grid_from(cfg: dict):
 
 
 def _evolution_from(cfg: dict) -> EvolutionConfig:
-    return _section(cfg, "evolution", lambda ev: EvolutionConfig(
+    econf = _section(cfg, "evolution", lambda ev: EvolutionConfig(
         mu=_integral(ev["mu"], "evolution.mu"), dt=float(ev["dt"]), t_end=float(ev["t_end"]),
         stride=_integral(ev.get("stride", 1), "evolution.stride"),
         dealias=_boolean(ev.get("dealias", True), "evolution.dealias")))
+    # the run takes round(t_end/dt) steps: any other t_end would be changed silently
+    steps = econf.t_end / econf.dt
+    if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
+        raise ConfigError(f"evolution.t_end {econf.t_end!r} is not a whole number of "
+                          f"steps of evolution.dt {econf.dt!r}")
+    return econf
 
 
 def _vector(init: dict, name: str, d: int) -> np.ndarray:

@@ -7,9 +7,9 @@ exp(-i mu |u|^{4/d} dt) (|u| is invariant under that sub-flow), so mass
 is conserved to roundoff.  The loop holds the state as a spectrum:
 between observation points the closing half kick of one step and the
 opening half kick of the next merge into one multiplier (FSAL), so a step
-is two in-place FFTs and one phase rotation, and a diagnostics sample
-reuses the spectrum the loop already holds.  Blowup is detected, never
-resolved.
+is two in-place FFTs and one phase rotation into preallocated scratch,
+and a diagnostics sample reuses the spectrum the loop already holds.
+Blowup is detected, never resolved.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .grid import (
     density_boundary_fraction,
     k2_symbol,
     lp_norm,
+    transforms,
 )
 from .observables import (
     _energy,
@@ -36,6 +37,7 @@ from .observables import (
     _momentum,
     _potential,
     _spectral_weight,
+    _spectrum,
     _variance,
 )
 from .observables import energy, mass, variance, variance_rate
@@ -122,21 +124,48 @@ def _half_kicks(g, dt: float, dealias: bool):
     return half, (half * dealias_mask(g) if dealias else half)
 
 
-def _stage(kick, spec, buf, ph, mu, dt, d):
-    """buf <- fftn(phase(ifftn(kick * spec))), in place in buf (spec may be buf).
+def _stage_with_scratch(g, mu: int, dt: float):
+    """The nonlinear stage of one run with its preallocated scratch.
 
-    phase is the exact nonlinear sub-flow u -> u exp(-i mu dt |u|^{4/d});
-    ph is scratch.  Returns |u|^2 at the nonlinear stage.
+    Returns (stage, buf, acc).  stage(kick, src) sets
+    buf <- fwd(phase(inv(kick * src))) in place (src may be buf), where
+    phase is the exact nonlinear sub-flow u -> u exp(-i mu dt |u|^{4/d}),
+    and adds |u|^{2(d+2)/d} at the nonlinear stage into acc element-wise.
+    A call allocates nothing: every product writes into scratch with out=.
     """
-    np.multiply(kick, spec, out=buf)
-    np.fft.ifftn(buf, out=buf)
-    amp2 = buf.real * buf.real + buf.imag * buf.imag
-    a = (-mu * dt) * (amp2 if d == 2 else amp2 * amp2)
-    ph.real = np.cos(a)
-    ph.imag = np.sin(a)
-    buf *= ph
-    np.fft.fftn(buf, out=buf)
-    return amp2
+    fwd, inv = transforms(g.d)
+    buf = np.empty(g.shape, dtype=complex)
+    ph = np.empty_like(buf)
+    amp2 = np.empty(g.shape)
+    arg = np.empty(g.shape)
+    acc = np.zeros(g.shape)
+    re, im, ph_re, ph_im = buf.real, buf.imag, ph.real, ph.imag
+    c = -mu * dt
+    quintic = g.d == 1
+    multiply, add, cos, sin = np.multiply, np.add, np.cos, np.sin
+
+    def stage(kick, src):
+        multiply(kick, src, out=buf)
+        inv(buf, out=buf)
+        multiply(re, re, out=amp2)
+        multiply(im, im, out=arg)
+        add(amp2, arg, out=amp2)
+        multiply(amp2, amp2, out=arg)
+        if quintic:
+            # phase argument c |u|^4; acc gains |u|^6, computed into amp2
+            multiply(arg, amp2, out=amp2)
+            add(acc, amp2, out=acc)
+            multiply(c, arg, out=arg)
+        else:
+            # phase argument c |u|^2; acc gains |u|^4
+            add(acc, arg, out=acc)
+            multiply(c, amp2, out=arg)
+        cos(arg, out=ph_re)
+        sin(arg, out=ph_im)
+        multiply(buf, ph, out=buf)
+        fwd(buf, out=buf)
+
+    return stage, buf, acc
 
 
 def step_strang(f: Field, dt: float, mu: int, dealias: bool = False) -> Field:
@@ -145,42 +174,46 @@ def step_strang(f: Field, dt: float, mu: int, dealias: bool = False) -> Field:
         raise ValueError("dt must be positive")
     g = f.grid
     half, close = _half_kicks(g, dt, dealias)
-    buf = np.fft.fftn(f.values, out=np.empty(g.shape, dtype=complex))
-    _stage(half, buf, buf, np.empty_like(buf), mu, dt, g.d)
+    fwd, inv = transforms(g.d)
+    stage, buf, _ = _stage_with_scratch(g, mu, dt)
+    fwd(f.values, out=buf)
+    stage(half, buf)
     np.multiply(close, buf, out=buf)
-    return Field(g, np.fft.ifftn(buf, out=buf))
+    return Field(g, inv(buf, out=buf))
 
 
 def _trajectory(f: Field, cfg: EvolutionConfig):
     """Yield (step, samples, spectrum, scat_accum) at step 0, every stride-th
-    and the last step; spectrum is the raw fftn of the samples.
+    and the last step; spectrum is the raw forward transform of the samples.
 
     The state is held as a spectrum in one work array, and adjacent half
     kicks merge into one multiplier between observation points (FSAL), so
-    a step costs two in-place FFTs.  Yielded arrays are fresh and never
-    modified afterwards; scat_accum is the midpoint-rule integral of
-    |u|^{2(d+2)/d} over space-time so far.
+    a step costs two in-place FFTs and allocates nothing.  Yielded arrays
+    are fresh and never modified afterwards.  scat_accum is the
+    midpoint-rule integral of |u|^{2(d+2)/d} over space-time so far: the
+    integrand is summed element-wise across steps and reduced only at
+    observation points.
     """
     g = f.grid
-    half, close = _half_kicks(g, cfg.dt, cfg.dealias)
+    dt, stride = cfg.dt, cfg.stride
+    half, close = _half_kicks(g, dt, cfg.dealias)
     full = half * close
     w = g.h ** g.d
-    nsteps = int(round(cfg.t_end / cfg.dt))
+    nsteps = int(round(cfg.t_end / dt))
+    fwd, inv = transforms(g.d)
+    stage, buf, acc = _stage_with_scratch(g, cfg.mu, dt)
     u = f.values
-    spec = np.fft.fftn(u, out=np.empty(g.shape, dtype=complex))
-    buf = np.empty_like(spec)
-    ph = np.empty_like(spec)
+    spec = fwd(u, out=np.empty_like(buf))
     scat = 0.0
     yield 0, u, spec, scat
     kick, src = half, spec
     for step in range(1, nsteps + 1):
-        amp2 = _stage(kick, src, buf, ph, cfg.mu, cfg.dt, g.d)
-        amp4 = amp2 * amp2
-        scat += cfg.dt * float(w * np.sum(amp4 if g.d == 2 else amp4 * amp2))
-        if step % cfg.stride == 0 or step == nsteps:
+        stage(kick, src)
+        if step % stride == 0 or step == nsteps:
+            scat += dt * float(w * acc.sum())
+            acc.fill(0.0)
             spec = close * buf
-            # into a fresh array: the allocating transform is about twice as slow
-            u = np.fft.ifftn(spec, out=np.empty_like(spec))
+            u = inv(spec, out=np.empty_like(spec))
             yield step, u, spec, scat
             kick, src = half, spec
         else:
@@ -202,6 +235,7 @@ def evolve(f: Field, cfg: EvolutionConfig, eta_frac: float = 0.05):
     d = g.d
     series = DiagnosticsSeries(d=d)
     grad0 = None
+    n_est = None
     last_good = f.values
     for step, u, spec, scat in _trajectory(f, cfg):
         if not np.all(np.isfinite(u.view(np.float64))):
@@ -212,7 +246,7 @@ def evolve(f: Field, cfg: EvolutionConfig, eta_frac: float = 0.05):
         dens = amp ** 2
         kin = _kinetic(g, sdens)
         m = _mass(g, dens)
-        n_est, xi_est, x_est = _estimates_from_spec(g, dens, sdens, eta_frac * m)
+        n_est, xi_est, x_est = _estimates_from_spec(g, dens, sdens, eta_frac * m, n_est)
         fl = []
         if density_boundary_fraction(g, dens) > BOUNDARY_MASS_WARN:
             fl.append("boundary")
@@ -253,7 +287,15 @@ def _weighted_median(coords: np.ndarray, weights: np.ndarray) -> float:
     return float(coords[min(idx, len(coords) - 1)])
 
 
-def _estimates_from_spec(g, dens, sdens, eta):
+def _estimates_from_spec(g, dens, sdens, eta, n_start=None):
+    """(N_est, xi_est, x_est) from |u|^2 and |fftn u|^2.
+
+    N_est is the smallest dyadic N in [2^jlo, 2^jhi] whose ball around
+    xi_est leaves less than eta of the spectral mass outside (2^jhi if
+    none does).  The mass outside is nonincreasing in N, so the search
+    starts at the dyadic n_start (the previous sample's N_est; 2^jlo if
+    None) and steps down or up from there.
+    """
     d = g.d
     # spatial center: mass-weighted median per axis
     x_est = np.empty(d)
@@ -274,14 +316,21 @@ def _estimates_from_spec(g, dens, sdens, eta):
     smass = _spectral_weight(g) * sdens
     jlo = int(np.floor(np.log2(g.dk))) - 1
     jhi = int(np.ceil(np.log2(2.0 * np.pi * g.n / (2.0 * g.L) * (d + 1)))) + 1
-    n_est = 2.0 ** jhi
-    for j in range(jlo, jhi + 1):
+
+    def captured(j):
         N = 2.0 ** j
-        outside = float(smass[dist2 > N * N].sum())
-        if outside < eta:
-            n_est = N
-            break
-    return n_est, xi_est, x_est
+        return float(smass[dist2 > N * N].sum()) < eta
+
+    j = jlo if n_start is None else min(max(int(np.log2(n_start)), jlo), jhi)
+    if captured(j):
+        while j > jlo and captured(j - 1):
+            j -= 1
+    else:
+        while j < jhi:
+            j += 1
+            if captured(j):
+                break
+    return 2.0 ** j, xi_est, x_est
 
 
 def concentration_estimates(f: Field, eta: float):
@@ -289,7 +338,7 @@ def concentration_estimates(f: Field, eta: float):
     m = mass(f)
     if not (0 < eta < m):
         raise ValueError(f"eta must lie in (0, mass), got {eta} with mass {m}")
-    sdens = np.abs(np.fft.fftn(f.values)) ** 2
+    sdens = np.abs(_spectrum(f)) ** 2
     return _estimates_from_spec(f.grid, np.abs(f.values) ** 2, sdens, eta)
 
 

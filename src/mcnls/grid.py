@@ -10,10 +10,11 @@ so Fourier-side sums with weight (2L)^{-d} approximate (2pi)^{-d}
 integrals in k.  All fields carry their grid; transforms are pure
 functions of immutable inputs.
 
-This is the one spectral-operator layer: per-grid symbols cached
-read-only (|k|^2, Nyquist-zeroed derivative wavenumbers, the 2/3 dealias
-mask, |x|^2, the boundary annulus), `apply_multiplier`, and the 2n-grid
-zero-padding `pad_spectrum` / `truncate_spectrum`.
+This is the one spectral-operator layer: the complex transform pair
+`transforms`, per-grid symbols cached read-only (|k|^2, Nyquist-zeroed
+derivative wavenumbers, the 2/3 dealias mask, |x|^2, the boundary
+annulus), `apply_multiplier`, and the 2n-grid zero-padding
+`pad_spectrum` / `truncate_spectrum`.
 """
 
 from __future__ import annotations
@@ -148,18 +149,33 @@ class SpectralField:
         object.__setattr__(self, "modes", m)
 
 
+def transforms(d: int) -> tuple:
+    """The complex transform pair (fwd, inv) over all d axes of a d-dim array.
+
+    Every complex transform in the package goes through this pair, always
+    with `out=` (numpy's allocating transform is about twice as slow on
+    2D grids).  In 1D it is `fft`/`ifft`, bit-equal to `fftn`/`ifftn`
+    without their per-call axis handling.
+    """
+    if d == 1:
+        return np.fft.fft, np.fft.ifft
+    return np.fft.fftn, np.fft.ifftn
+
+
 def to_spectral(f: Field) -> SpectralField:
     """Forward transform approximating uhat(k) = integral u e^{-ikx} dx."""
     g = f.grid
-    modes = np.fft.fftn(f.values, out=np.empty_like(f.values))
+    fwd, _ = transforms(g.d)
+    modes = fwd(f.values, out=np.empty_like(f.values))
     return SpectralField(g, np.multiply((g.h ** g.d) * g._phase(), modes, out=modes))
 
 
 def to_physical(sf: SpectralField) -> Field:
     """Inverse of to_spectral."""
     g = sf.grid
+    _, inv = transforms(g.d)
     vals = sf.modes * g._phase()
-    np.fft.ifftn(vals, out=vals)
+    inv(vals, out=vals)
     return Field(g, np.divide(vals, g.h ** g.d, out=vals))
 
 
@@ -223,13 +239,13 @@ def outer_annulus(grid: GridSpec, frac: float) -> np.ndarray:
 def apply_multiplier(values: np.ndarray, mult) -> np.ndarray:
     """Fourier multiplier on raw samples: ifftn(mult * fftn(values)).
 
-    Both transforms write into one preallocated array: numpy's allocating
-    transform is about twice as slow on 2D grids, and the results are
-    bit-equal.  The product keeps the operand order mult * spectrum.
+    Both transforms write into one preallocated array.  The product keeps
+    the operand order mult * spectrum.
     """
-    spec = np.fft.fftn(values, out=np.empty(np.shape(values), dtype=np.complex128))
+    fwd, inv = transforms(np.ndim(values))
+    spec = fwd(values, out=np.empty(np.shape(values), dtype=np.complex128))
     np.multiply(mult, spec, out=spec)
-    return np.fft.ifftn(spec, out=spec)
+    return inv(spec, out=spec)
 
 
 def half_spectrum_weight(n: int) -> np.ndarray:

@@ -265,11 +265,6 @@ class WeightFamily:
         safe = np.where(r > 1e-14, r, 1.0)
         return np.where(r > 1e-14, (self.phi(r) - self.psi(r)) / safe, 0.0)
 
-    @property
-    def kernel_sup_bound(self) -> float:
-        """sup over z of |psi(|z| N/R) z_j N| is at most 2 M R."""
-        return 2.0 * self.M * self.R
-
 
 def build_weights(d: int, M: float, R: float) -> WeightFamily:
     """Construct the weight family; M >= 4 keeps the inner plateau positive."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, derivative_wavenumbers, k2_symbol, r2_mesh
+from .grid import Field, derivative_wavenumbers, k2_symbol, r2_mesh, transforms
 
 
 def quad_weight(f: Field) -> float:
@@ -54,13 +54,18 @@ def _momentum(g, sdens: np.ndarray) -> np.ndarray:
     return np.array([wk * np.sum(k * sdens) for k in derivative_wavenumbers(g)])
 
 
+def _spectrum(f: Field) -> np.ndarray:
+    fwd, _ = transforms(f.grid.d)
+    return fwd(f.values, out=np.empty_like(f.values))
+
+
 def mass(f: Field) -> float:
     return _mass(f.grid, np.abs(f.values) ** 2)
 
 
 def kinetic(f: Field) -> float:
     """integral |grad u|^2 (without the 1/2), evaluated spectrally; exact for band-limited u."""
-    return _kinetic(f.grid, np.abs(np.fft.fftn(f.values)) ** 2)
+    return _kinetic(f.grid, np.abs(_spectrum(f)) ** 2)
 
 
 def potential(f: Field) -> float:
@@ -74,21 +79,22 @@ def energy(f: Field, mu: int) -> float:
 
 def momentum_density(f: Field) -> list:
     """p_j = Im[conj(u) d_j u], one array per axis."""
+    _, inv = transforms(f.grid.d)
     ub = np.conj(f.values)
-    spec = np.fft.fftn(f.values, out=np.empty_like(f.values))
+    spec = _spectrum(f)
     out = []
     for k in derivative_wavenumbers(f.grid):
         # named operands: numpy reuses an unnamed temporary in place with the
         # operands swapped, and the complex product is not bitwise commutative
         mult = 1j * k
         du = mult * spec
-        np.fft.ifftn(du, out=du)
+        inv(du, out=du)
         out.append(np.imag(ub * du))
     return out
 
 
 def momentum(f: Field) -> np.ndarray:
-    return _momentum(f.grid, np.abs(np.fft.fftn(f.values)) ** 2)
+    return _momentum(f.grid, np.abs(_spectrum(f)) ** 2)
 
 
 def variance(f: Field) -> float:

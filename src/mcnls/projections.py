@@ -11,7 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, apply_multiplier, k2_symbol, lp_norm, pad_spectrum, truncate_spectrum
+from .grid import (
+    Field,
+    apply_multiplier,
+    k2_symbol,
+    lp_norm,
+    pad_spectrum,
+    transforms,
+    truncate_spectrum,
+)
 
 
 def _bump_raw(r: np.ndarray) -> np.ndarray:
@@ -94,10 +102,12 @@ def nonlinearity(f: Field, mu: int, dealias: bool = True) -> Field:
         vals = mu * np.abs(f.values) ** power * f.values
         return Field(g, vals)
     d = g.d
-    ubig = np.fft.ifftn(pad_spectrum(np.fft.fftn(f.values))) * (2 ** d)
+    fwd, inv = transforms(d)
+    big = pad_spectrum(fwd(f.values, out=np.empty_like(f.values)))
+    ubig = inv(big, out=big) * (2 ** d)
     fbig = mu * np.abs(ubig) ** power * ubig
-    small = truncate_spectrum(np.fft.fftn(fbig)) / (2 ** d)
-    return Field(g, np.fft.ifftn(small))
+    small = truncate_spectrum(fwd(fbig, out=fbig)) / (2 ** d)
+    return Field(g, inv(small, out=small))
 
 
 def commutator_error(f: Field, N: float, mu: int) -> float:

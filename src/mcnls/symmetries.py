@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, GridSpec, apply_multiplier, k2_symbol, pad_spectrum, r2_mesh
+from .grid import Field, GridSpec, apply_multiplier, k2_symbol, pad_spectrum, r2_mesh, transforms
 from .ground_state import GroundState
-from .observables import _mass, mass
+from .observables import _mass, _spectrum, mass
 
 
 def _dyadic_log(lam: float) -> int:
@@ -52,7 +52,9 @@ def _zoom_out_once(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
 def _zoom_in_once(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Samples of f(x/2) on the same grid via spectral upsampling (exact)."""
     n, d = grid.n, grid.d
-    fine = np.fft.ifftn(pad_spectrum(np.fft.fftn(vals))) * (2 ** d)
+    fwd, inv = transforms(d)
+    big = pad_spectrum(fwd(vals, out=np.empty_like(vals)))
+    fine = inv(big, out=big) * (2 ** d)
     return fine[(slice(n // 2, n // 2 + n),) * d]
 
 
@@ -82,7 +84,7 @@ def rescale(f: Field, lam: float) -> Field:
     g = f.grid
     vals = f.values
     if k > 0:
-        spec = np.abs(np.fft.fftn(vals)) ** 2
+        spec = np.abs(_spectrum(f)) ** 2
         kabs = np.sqrt(k2_symbol(g))
         kcut = np.pi * g.n / (2.0 * g.L) / lam
         tail = spec[kabs > kcut].sum() / spec.sum()

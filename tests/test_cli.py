@@ -231,6 +231,7 @@ _DELETE = object()
     ("grid", "n", 256.7, 2),
     ("grid", "n", 256.0, 0),
     ("evolution", "stride", 5.0, 0),
+    ("evolution", "t_end", 0.0515, 2),
 ], ids=lambda v: "missing" if v is _DELETE else None)
 def test_evolution_and_grid_config_values(tmp_path, scenario, section, key, value, code):
     out = tmp_path / "out"

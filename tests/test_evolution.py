@@ -343,3 +343,91 @@ def test_potential_matches_generic_power(d):
     q = 2.0 * (d + 2) / d
     ref = f.grid.h ** d * np.sum(np.abs(f.values) ** q)
     assert abs(potential(f) - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("d, n", [(1, 256), (2, 64)])
+def test_scat_accum_matches_per_step_reference(d, n):
+    # the loop sums |u|^{2(d+2)/d} element-wise across steps and reduces it at
+    # observation points; the reference sums dt h^d sum |u|^q after every step
+    from mcnls.evolution import _half_kicks, _trajectory
+
+    g = make_grid(d, n, 16.0)
+    xm = g.x_mesh()
+    r2 = sum(x * x for x in xm)
+    u0 = Field(g, 1.2 * np.exp(-r2 / 2.0) * np.exp(1j * 0.6 * xm[0]))
+    cfg = EvolutionConfig(mu=-1, dt=1e-3, t_end=0.2, stride=7, dealias=True)
+    half, close = _half_kicks(g, cfg.dt, cfg.dealias)
+    q = 2.0 * (d + 2) / d
+    w = g.h ** d
+    u, ref, refs = u0.values, 0.0, [0.0]
+    for _ in range(200):
+        v = np.fft.ifftn(half * np.fft.fftn(u))
+        amp = np.abs(v)
+        ref += cfg.dt * w * np.sum(amp ** q)
+        v = v * np.exp(-1j * cfg.mu * cfg.dt * amp ** (4.0 / d))
+        u = np.fft.ifftn(close * np.fft.fftn(v))
+        refs.append(ref)
+    got = {step: scat for step, _, _, scat in _trajectory(u0, cfg)}
+    assert sorted(got) == [0, *range(7, 200, 7), 200]
+    for step, scat in got.items():
+        assert abs(scat - refs[step]) <= 1e-13 * refs[-1]
+    assert abs(got[200] - refs[200]) <= 1e-13 * refs[200]
+
+
+def _linear_scan_n_est(g, sdens, xi_est, eta):
+    # the search as first written: every dyadic N from 2^jlo up
+    from mcnls.observables import _spectral_weight
+
+    sq = [(g.axis_k - c) ** 2 for c in xi_est]
+    dist2 = sq[0] if g.d == 1 else sq[0][:, None] + sq[1][None, :]
+    smass = _spectral_weight(g) * sdens
+    jlo = int(np.floor(np.log2(g.dk))) - 1
+    jhi = int(np.ceil(np.log2(2.0 * np.pi * g.n / (2.0 * g.L) * (g.d + 1)))) + 1
+    for j in range(jlo, jhi + 1):
+        N = 2.0 ** j
+        if float(smass[dist2 > N * N].sum()) < eta:
+            return N, jlo, jhi
+    return 2.0 ** jhi, jlo, jhi
+
+
+def _check_warm_start(f, eta, n_start=None):
+    from mcnls.evolution import _estimates_from_spec
+
+    g = f.grid
+    dens = np.abs(f.values) ** 2
+    sdens = np.abs(np.fft.fftn(f.values)) ** 2
+    cold = _estimates_from_spec(g, dens, sdens, eta)
+    ref, jlo, jhi = _linear_scan_n_est(g, sdens, cold[1], eta)
+    assert cold[0] == ref
+    for start in [2.0 ** j for j in range(jlo - 2, jhi + 3)]:
+        warm = _estimates_from_spec(g, dens, sdens, eta, start)
+        assert warm[0] == ref
+        assert np.array_equal(warm[1], cold[1]) and np.array_equal(warm[2], cold[2])
+    if n_start is not None:
+        assert _estimates_from_spec(g, dens, sdens, eta, n_start)[0] == ref
+    return ref
+
+
+@pytest.mark.parametrize("d, n", [(1, 512), (2, 128)])
+def test_warm_started_scale_search_matches_linear_scan(d, n):
+    from conftest import smooth_random_field
+
+    g = make_grid(d, n, 16.0)
+    rng = np.random.default_rng(15)
+    for trial in range(4):
+        f = smooth_random_field(g, rng, kmax_idx=5 + 20 * trial, width_frac=0.05 + 0.03 * trial)
+        m = mass(f)
+        for frac in (1e-6, 1e-3, 0.05, 0.5):
+            _check_warm_start(f, frac * m)
+    xm = g.x_mesh()
+    # a lattice plane wave has all its mass at xi_est: the lowest level
+    wave = Field(g, np.exp(1j * 5 * g.dk * xm[0]))
+    assert _check_warm_start(wave, 0.05 * mass(wave)) == 2.0 ** (int(np.floor(np.log2(g.dk))) - 1)
+    # a concentrating Gaussian sequence, each search started at the last scale
+    r2 = sum(x * x for x in xm)
+    prev, scales = None, []
+    for width in (2.0, 1.0, 0.5, 0.25, 0.125, 0.25, 1.0):
+        f = Field(g, np.exp(-r2 / (2.0 * width ** 2)) * np.exp(1j * 3 * g.dk * xm[0]))
+        prev = _check_warm_start(f, 0.05 * mass(f), prev)
+        scales.append(prev)
+    assert scales[4] > scales[0] and scales[6] < scales[4]

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -292,3 +295,84 @@ def test_preallocated_transforms_match_allocating_transforms(shape):
         mult = 1j * k
         du = np.fft.ifftn(mult * spec)
         assert np.array_equal(pj, np.imag(np.conj(cplx) * du))
+
+
+_COMPLEX_TRANSFORMS = {"fft", "ifft", "fftn", "ifftn"}
+
+
+def _complex_transform_uses(tree):
+    """Line numbers naming numpy's complex transforms or its private ufuncs."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            on_fft = (isinstance(base, ast.Attribute) and base.attr == "fft"
+                      and isinstance(base.value, ast.Name) and base.value.id in ("np", "numpy"))
+            if (on_fft and node.attr in _COMPLEX_TRANSFORMS) or node.attr.startswith("_pocketfft"):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.fft"):
+            if any(a.name in _COMPLEX_TRANSFORMS or a.name.startswith("_pocketfft")
+                   for a in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_complex_transforms_only_through_grid_entry_point():
+    # every complex FFT goes through grid.transforms; real FFTs are free to use
+    import mcnls
+
+    src = Path(mcnls.__file__).parent
+    offenders = {}
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        lines = _complex_transform_uses(ast.parse(text, filename=str(path)))
+        if path.name == "grid.py":
+            # grid may name the public transforms, never the private ufuncs
+            assert "_pocketfft" not in text
+            assert lines, "grid.transforms should name numpy's complex transforms"
+        elif lines:
+            offenders[path.name] = lines
+    assert offenders == {}
+
+
+def test_transform_guard_catches_direct_calls():
+    src = ("import numpy as np\nfrom numpy.fft import ifftn\n"
+           "a = np.fft.fftn(x)\nb = np.fft.rfftn(x)\nc = np.fft._pocketfft_umath.fft\n")
+    assert _complex_transform_uses(ast.parse(src)) == [2, 3, 5]
+
+
+@pytest.mark.parametrize("shape", [(512,), (128, 128)])
+def test_transforms_entry_point_is_bit_equal_to_nd_forms(shape):
+    from mcnls.grid import transforms
+
+    fwd, inv = transforms(len(shape))
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for mine, ref in ((fwd, np.fft.fftn), (inv, np.fft.ifftn)):
+        y = x.copy()
+        assert mine(y, out=y) is y
+        assert np.array_equal(y, ref(x))
+    out = np.empty(shape, dtype=complex)
+    assert np.array_equal(fwd(x.real, out=out), np.fft.fftn(x.real))
+
+
+@pytest.mark.parametrize("d, n", [(1, 256), (2, 64)])
+def test_padded_grid_transforms_match_allocating_forms(d, n):
+    # nonlinearity(dealias=True) and the zoom-in of rescale transform on the
+    # 2n grid through grid.transforms; both stay bit-equal to numpy's
+    # allocating n-d transforms
+    from mcnls.grid import pad_spectrum, truncate_spectrum
+    from mcnls.projections import nonlinearity
+    from mcnls.symmetries import rescale
+
+    g = make_grid(d, n, 16.0)
+    f = smooth_random_field(g, np.random.default_rng(14), width_frac=0.06)
+    power = 4 // d
+    ubig = np.fft.ifftn(pad_spectrum(np.fft.fftn(f.values))) * (2 ** d)
+    fbig = -1 * np.abs(ubig) ** power * ubig
+    ref = np.fft.ifftn(truncate_spectrum(np.fft.fftn(fbig)) / (2 ** d))
+    assert np.array_equal(nonlinearity(f, -1).values, ref)
+
+    fine = np.fft.ifftn(pad_spectrum(np.fft.fftn(f.values))) * (2 ** d)
+    zoomed = 0.5 ** (d / 2.0) * fine[(slice(n // 2, n // 2 + n),) * d]
+    assert np.array_equal(rescale(f, 0.5).values, zoomed)
