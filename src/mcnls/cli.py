@@ -25,7 +25,7 @@ from .envelope import (
     smooth,
     write_envelope_csv,
 )
-from .evolution import EvolutionConfig, _trajectory, evolve
+from .evolution import EvolutionConfig, _Observed, evolve
 from .grid import (
     BOUNDARY_MASS_WARN,
     Field,
@@ -38,12 +38,12 @@ from .grid import (
 from .ground_state import closed_form_1d, gn_ratio, pohozaev_check, solve_petviashvili
 from .morawetz import (
     MORAWETZ_CSV_HEADER,
+    _flux_terms,
     build_weights,
-    interaction_flux,
     weight_conditions_check,
     weight_family_checks,
 )
-from .observables import energy, kinetic, mass, momentum_density, quad_weight
+from .observables import energy, kinetic
 from .symmetries import galilean_boost, pseudoconformal_sample
 
 SCENARIOS = ("simulate", "ground-state", "morawetz", "smooth-envelope",
@@ -137,7 +137,10 @@ def _vector(init: dict, name: str, d: int) -> np.ndarray:
 
 
 def _initial_field(cfg: dict, grid) -> Field:
-    return _section(cfg, "initial", lambda init: _initial_from(init, grid))
+    f = _section(cfg, "initial", lambda init: _initial_from(init, grid))
+    if boundary_mass_fraction(f) > BOUNDARY_MASS_WARN:
+        raise ConfigError("initial data places too much mass at the box boundary")
+    return f
 
 
 def _initial_from(init: dict, grid) -> Field:
@@ -175,10 +178,6 @@ def _initial_from(init: dict, grid) -> Field:
     raise ConfigError(f"unknown initial kind {kind!r}")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 class Checks:
     def __init__(self):
         self.results = {}
@@ -199,16 +198,11 @@ def _scenario_simulate(cfg, outdir: Path, checks: Checks) -> dict:
     grid = _grid_from(cfg)
     f0 = _initial_field(cfg, grid)
     econf = _evolution_from(cfg)
-    if boundary_mass_fraction(f0) > BOUNDARY_MASS_WARN:
-        raise ConfigError("initial data places too much mass at the box boundary")
     emit = _boolean(cfg.get("output", {}).get("emit_snapshots", False), "output.emit_snapshots")
     if emit:
         write_snapshot(f0, outdir / "initial.mcnls")
     series, final = evolve(f0, econf)
     series.to_csv(outdir / "diagnostics.csv")
-    if series.boundary_breach:
-        print("mcnls: warning: outermost 5% annulus held more than 1e-8 "
-              "of the mass during the run", file=sys.stderr)
     if emit:
         write_snapshot(final, outdir / "final.mcnls")
     m0 = series.mass[0]
@@ -275,21 +269,23 @@ def _scenario_morawetz(cfg, outdir: Path, checks: Checks) -> dict:
     rows = []
     consistent = True
     bound_ok = True
-    for step, vals, _, _ in _trajectory(f0, econf):
-        u = Field(grid, vals)
-        rep = interaction_flux(u, 1.0, 0.0, econf.mu, w)
-        rows.append(rep.csv_row(step * econf.dt))
+    wq = grid.h ** grid.d
+    run = _Observed(f0, econf)
+    for s in run:
+        rep, p = _flux_terms(grid, s.u, s.spec, 1.0, 0.0, econf.mu, w)
+        rows.append(rep.csv_row(s.step * econf.dt))
         total = rep.momentum + rep.dispersive + rep.nonlinear + \
             rep.curvature + rep.envelope_drift
         scale = max(abs(rep.flux), 1e-12)
         consistent &= abs(total - rep.flux) <= 1e-8 * scale
-        p1 = sum(quad_weight(u) * np.sum(np.abs(p)) for p in momentum_density(u))
-        bound_ok &= abs(rep.action) <= 2.0 * w.M * w.R * p1 * mass(u) * (1 + 1e-9)
+        p1 = sum(wq * np.sum(np.abs(pj)) for pj in p)
+        bound_ok &= abs(rep.action) <= 2.0 * w.M * w.R * p1 * wq * np.sum(s.dens) * (1 + 1e-9)
     (outdir / "morawetz.csv").write_text(
         MORAWETZ_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
     checks.add("decomposition_consistent", consistent)
     checks.add("action_kernel_bound", bound_ok)
-    return {"samples": len(rows)}
+    outcome = "ok" if run.outcome == "completed" else run.outcome
+    return {"outcome": outcome, "boundary_breach": run.boundary_breach, "samples": len(rows)}
 
 
 def _load_envelope(cfg):
@@ -384,6 +380,9 @@ def run_scenario(config_path) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         detail = _RUNNERS[cfg["scenario"]](cfg, outdir, checks)
         manifest["detail"] = detail
+        if detail.get("boundary_breach"):
+            print("mcnls: warning: outermost 5% annulus held more than 1e-8 "
+                  "of the mass during the run", file=sys.stderr)
         manifest["outcome"] = detail.get("outcome", "ok")
         code = 0 if checks.all_passed else 1
         if code == 1:

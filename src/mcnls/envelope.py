@@ -284,25 +284,30 @@ def envelope_from_series(times, scat_accum, n_est, j0: float = 2.0) -> Piecewise
     """Estimate a lattice envelope from trajectory diagnostics.
 
     Breakpoints are placed where the accumulated space-time norm crosses
-    successive integers; node heights snap the frequency-scale estimate
-    (normalized to 1 at the start) down to the lattice, clamped to the
-    one-step-per-interval constraint.
+    successive integers, interpolated linearly between the samples around
+    each crossing; node heights snap the frequency-scale estimate at the
+    later sample (normalized to 1 at the start) down to the lattice,
+    clamped to the one-step-per-interval constraint.
     """
     t = np.asarray(times, dtype=float)
     acc = np.asarray(scat_accum, dtype=float)
     n = np.asarray(n_est, dtype=float)
     if n[0] <= 0:
         raise ValueError("frequency-scale estimates must be positive")
-    crossings = [0]
+    if acc[0] >= 1.0:
+        raise ValueError("the space-time norm must start below one unit")
+    crossings, bt = [0], [t[0]]
     level = 1.0
     for i in range(1, len(t)):
         while acc[i] >= level:
+            # acc[i-1] < level <= acc[i]: the fraction lies in (0, 1]
+            frac = (level - acc[i - 1]) / (acc[i] - acc[i - 1])
             crossings.append(i)
+            bt.append(t[i - 1] + frac * (t[i] - t[i - 1]))
             level += 1.0
     if len(crossings) < 2:
         raise ValueError("trajectory too short: the space-time norm never "
                          "accumulated one unit")
-    bt = [t[i] for i in crossings]
     exps = [0]
     for i in crossings[1:]:
         raw = np.log(n[i] / n[0]) / np.log(j0)

@@ -15,7 +15,7 @@ Blowup is detected, never resolved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -124,15 +124,30 @@ def _half_kicks(g, dt: float, dealias: bool):
     return half, (half * dealias_mask(g) if dealias else half)
 
 
-def _stage_with_scratch(g, mu: int, dt: float):
-    """The nonlinear stage of one run with its preallocated scratch.
+def step_strang(f: Field, dt: float, mu: int, dealias: bool = False) -> Field:
+    """One Strang step: half kinetic, exact nonlinear phase, half kinetic."""
+    *_, (_, u, _, _) = _trajectory(f, EvolutionConfig(mu, dt, dt, 1, dealias))
+    return Field(f.grid, u)
 
-    Returns (stage, buf, acc).  stage(kick, src) sets
-    buf <- fwd(phase(inv(kick * src))) in place (src may be buf), where
-    phase is the exact nonlinear sub-flow u -> u exp(-i mu dt |u|^{4/d}),
-    and adds |u|^{2(d+2)/d} at the nonlinear stage into acc element-wise.
-    A call allocates nothing: every product writes into scratch with out=.
+
+def _trajectory(f: Field, cfg: EvolutionConfig):
+    """Yield (step, samples, spectrum, scat_accum) at step 0, every stride-th
+    and the last step; spectrum is the raw forward transform of the samples.
+
+    The state is held as a spectrum in one work array, and adjacent half
+    kicks merge into one multiplier between observation points (FSAL), so a
+    step buf <- fwd(phase(inv(kick * src))) costs two in-place FFTs and
+    allocates nothing.  Yielded arrays are fresh and never modified
+    afterwards.  scat_accum is the midpoint-rule integral of |u|^{2(d+2)/d}
+    over space-time so far: the integrand at the nonlinear stage is summed
+    element-wise across steps and reduced only at observation points.
     """
+    g = f.grid
+    dt, stride = cfg.dt, cfg.stride
+    half, close = _half_kicks(g, dt, cfg.dealias)
+    full = half * close
+    w = g.h ** g.d
+    nsteps = int(round(cfg.t_end / dt))
     fwd, inv = transforms(g.d)
     buf = np.empty(g.shape, dtype=complex)
     ph = np.empty_like(buf)
@@ -140,11 +155,15 @@ def _stage_with_scratch(g, mu: int, dt: float):
     arg = np.empty(g.shape)
     acc = np.zeros(g.shape)
     re, im, ph_re, ph_im = buf.real, buf.imag, ph.real, ph.imag
-    c = -mu * dt
+    c = -cfg.mu * dt
     quintic = g.d == 1
     multiply, add, cos, sin = np.multiply, np.add, np.cos, np.sin
-
-    def stage(kick, src):
+    u = f.values
+    spec = fwd(u, out=np.empty_like(buf))
+    scat = 0.0
+    yield 0, u, spec, scat
+    kick, src = half, spec
+    for step in range(1, nsteps + 1):
         multiply(kick, src, out=buf)
         inv(buf, out=buf)
         multiply(re, re, out=amp2)
@@ -164,51 +183,6 @@ def _stage_with_scratch(g, mu: int, dt: float):
         sin(arg, out=ph_im)
         multiply(buf, ph, out=buf)
         fwd(buf, out=buf)
-
-    return stage, buf, acc
-
-
-def step_strang(f: Field, dt: float, mu: int, dealias: bool = False) -> Field:
-    """One Strang step: half kinetic, exact nonlinear phase, half kinetic."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    g = f.grid
-    half, close = _half_kicks(g, dt, dealias)
-    fwd, inv = transforms(g.d)
-    stage, buf, _ = _stage_with_scratch(g, mu, dt)
-    fwd(f.values, out=buf)
-    stage(half, buf)
-    np.multiply(close, buf, out=buf)
-    return Field(g, inv(buf, out=buf))
-
-
-def _trajectory(f: Field, cfg: EvolutionConfig):
-    """Yield (step, samples, spectrum, scat_accum) at step 0, every stride-th
-    and the last step; spectrum is the raw forward transform of the samples.
-
-    The state is held as a spectrum in one work array, and adjacent half
-    kicks merge into one multiplier between observation points (FSAL), so
-    a step costs two in-place FFTs and allocates nothing.  Yielded arrays
-    are fresh and never modified afterwards.  scat_accum is the
-    midpoint-rule integral of |u|^{2(d+2)/d} over space-time so far: the
-    integrand is summed element-wise across steps and reduced only at
-    observation points.
-    """
-    g = f.grid
-    dt, stride = cfg.dt, cfg.stride
-    half, close = _half_kicks(g, dt, cfg.dealias)
-    full = half * close
-    w = g.h ** g.d
-    nsteps = int(round(cfg.t_end / dt))
-    fwd, inv = transforms(g.d)
-    stage, buf, acc = _stage_with_scratch(g, cfg.mu, dt)
-    u = f.values
-    spec = fwd(u, out=np.empty_like(buf))
-    scat = 0.0
-    yield 0, u, spec, scat
-    kick, src = half, spec
-    for step in range(1, nsteps + 1):
-        stage(kick, src)
         if step % stride == 0 or step == nsteps:
             scat += dt * float(w * acc.sum())
             acc.fill(0.0)
@@ -220,62 +194,90 @@ def _trajectory(f: Field, cfg: EvolutionConfig):
             kick, src = full, buf
 
 
+class _Sample(NamedTuple):
+    step: int
+    u: np.ndarray        # samples
+    spec: np.ndarray     # their raw forward transform
+    scat: float          # scat_accum so far
+    dens: np.ndarray     # |u|^2
+    sdens: np.ndarray    # |spec|^2
+    kinetic: float
+    flags: str           # "|"-joined: "boundary", "blowup"
+
+
+class _Observed:
+    """A trajectory's `_Sample`s with the run's outcome handling.
+
+    Raises ValueError for initial data with too much mass at the box
+    boundary.  Stops after a sample flagged "blowup" with outcome
+    "blowup-suspected", or before a non-finite one with "nan-abort".
+    `last` holds the samples of the last yielded field.
+    """
+
+    def __init__(self, f: Field, cfg: EvolutionConfig):
+        if boundary_mass_fraction(f) > BOUNDARY_MASS_WARN:
+            raise ValueError("initial data places too much mass at the box boundary")
+        self.f, self.cfg, self.last = f, cfg, f.values
+        self.outcome, self.boundary_breach = "completed", False
+
+    def __iter__(self):
+        g = self.f.grid
+        grad0 = None
+        for step, u, spec, scat in _trajectory(self.f, self.cfg):
+            if not np.all(np.isfinite(u.view(np.float64))):
+                self.outcome = "nan-abort"
+                return
+            sdens = np.abs(spec) ** 2
+            amp = np.abs(u)
+            dens = amp ** 2
+            kin = _kinetic(g, sdens)
+            fl = []
+            if density_boundary_fraction(g, dens) > BOUNDARY_MASS_WARN:
+                fl.append("boundary")
+                self.boundary_breach = True
+            if grad0 is None:
+                grad0 = kin
+            blow = (grad0 > 0 and kin >= GRADIENT_GROWTH_FACTOR * grad0) or amp.max() >= AMPLITUDE_LIMIT
+            if blow:
+                fl.append("blowup")
+            self.last = u
+            yield _Sample(step, u, spec, scat, dens, sdens, kin, "|".join(fl))
+            if blow:
+                self.outcome = "blowup-suspected"
+                return
+
+
 def evolve(f: Field, cfg: EvolutionConfig, eta_frac: float = 0.05):
     """Run to t_end recording diagnostics every `stride` steps.
 
     Returns (series, final_field).  Aborts with outcome "blowup-suspected"
     when the gradient energy grows by GRADIENT_GROWTH_FACTOR or the
     amplitude reaches AMPLITUDE_LIMIT, and with "nan-abort" (returning the
-    last recorded state) if samples stop being finite.
+    last recorded state) if samples stop being finite (see `_Observed`).
     """
     g = f.grid
-    if boundary_mass_fraction(f) > BOUNDARY_MASS_WARN:
-        raise ValueError("initial data places too much mass at the box boundary")
-
-    d = g.d
-    series = DiagnosticsSeries(d=d)
-    grad0 = None
+    series = DiagnosticsSeries(d=g.d)
+    run = _Observed(f, cfg)
     n_est = None
-    last_good = f.values
-    for step, u, spec, scat in _trajectory(f, cfg):
-        if not np.all(np.isfinite(u.view(np.float64))):
-            series.outcome = "nan-abort"
-            return series, Field(g, last_good)
-        sdens = np.abs(spec) ** 2
-        amp = np.abs(u)
-        dens = amp ** 2
-        kin = _kinetic(g, sdens)
-        m = _mass(g, dens)
-        n_est, xi_est, x_est = _estimates_from_spec(g, dens, sdens, eta_frac * m, n_est)
-        fl = []
-        if density_boundary_fraction(g, dens) > BOUNDARY_MASS_WARN:
-            fl.append("boundary")
-            series.boundary_breach = True
-        if grad0 is None:
-            grad0 = kin
-        blow = (grad0 > 0 and kin >= GRADIENT_GROWTH_FACTOR * grad0) or amp.max() >= AMPLITUDE_LIMIT
-        if blow:
-            fl.append("blowup")
-        pot = _potential(g, dens)
-        series.t.append(step * cfg.dt)
+    for s in run:
+        m = _mass(g, s.dens)
+        n_est, xi_est, x_est = _estimates_from_spec(g, s.dens, s.sdens, eta_frac * m, n_est)
+        pot = _potential(g, s.dens)
+        series.t.append(s.step * cfg.dt)
         series.mass.append(m)
-        series.energy.append(_energy(d, kin, pot, cfg.mu))
-        series.variance.append(_variance(g, dens))
-        series.kinetic.append(kin)
+        series.energy.append(_energy(g.d, s.kinetic, pot, cfg.mu))
+        series.variance.append(_variance(g, s.dens))
+        series.kinetic.append(s.kinetic)
         series.potential.append(pot)
-        series.momentum.append(_momentum(g, sdens))
-        series.scat_accum.append(scat)
+        series.momentum.append(_momentum(g, s.sdens))
+        series.scat_accum.append(s.scat)
         series.N_est.append(n_est)
         series.xi_est.append(xi_est)
         series.x_est.append(x_est)
-        series.flags.append("|".join(fl))
-        if blow:
-            series.outcome = "blowup-suspected"
-            return series, Field(g, u)
-        last_good = u
-
-    series.outcome = "completed"
-    return series, Field(g, u)
+        series.flags.append(s.flags)
+        del s  # else it stays alive while the observer computes the next sample
+    series.outcome, series.boundary_breach = run.outcome, run.boundary_breach
+    return series, Field(g, run.last)
 
 
 def _weighted_median(coords: np.ndarray, weights: np.ndarray) -> float:

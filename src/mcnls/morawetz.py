@@ -43,8 +43,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .grid import Field, _read_only, half_spectrum_weight, laplacian, spectral_derivative
-from .observables import energy, kinetic, mass, momentum_density, quad_weight
+from .grid import Field, _read_only, half_spectrum_weight, laplacian
+from .observables import (_gradient, _momentum_density, _spectrum, energy, kinetic, mass,
+                          momentum_density, quad_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -496,29 +497,35 @@ def interaction_flux(f: Field, Ntilde: float, Ntilde_prime: float, mu: int,
     Exact identity for solutions of i u_t + Delta u = mu |u|^{4/d} u:
     the five reported terms sum to the flux.
     """
+    return _flux_terms(f.grid, f.values, _spectrum(f), Ntilde, Ntilde_prime, mu, w)[0]
+
+
+def _flux_terms(g, u: np.ndarray, spec: np.ndarray, Ntilde: float, Ntilde_prime: float,
+                mu: int, w: WeightFamily) -> tuple:
+    """(interaction_flux report, momentum density p) of samples u with raw spectrum spec."""
     if not Ntilde > 0:
         raise ValueError("Ntilde must be positive")
-    g = f.grid
     d = g.d
-    w2 = quad_weight(f) ** 2
+    w2 = (g.h ** d) ** 2
     kern = _pairing_kernels(g, float(Ntilde), w)
-    spec = lambda a: _density_spectrum(g, a)
-    rho = np.abs(f.values) ** 2
-    rho_hat = spec(rho)
-    p_hat = [spec(pj) for pj in momentum_density(f)]
-    du = [spectral_derivative(f, j).values for j in range(d)]
+    pad = lambda a: _density_spectrum(g, a)
+    rho = np.abs(u) ** 2
+    rho_hat = pad(rho)
+    du = _gradient(g, spec)
+    p = _momentum_density(u, du)
+    p_hat = [pad(pj) for pj in p]
 
     t_disp = 0.0
     t_mom = 0.0
     for (j, k), K_jk in kern.K:
         both = 1.0 if j == k else 2.0   # K_jk = K_kj
-        W_hat = spec(np.real(np.conj(du[j]) * du[k]))
+        W_hat = pad(np.real(np.conj(du[j]) * du[k]))
         t_disp += both * 2.0 * w2 * _pair(W_hat, K_jk, rho_hat)
         t_mom += both * -2.0 * w2 * _pair(p_hat[j], K_jk, p_hat[k])
 
     G_rho = kern.G * rho_hat
-    nl_hat = spec(rho ** ((d + 2.0) / d))
-    lap_hat = spec(laplacian(Field(g, rho)).values.real)
+    nl_hat = pad(rho ** ((d + 2.0) / d))
+    lap_hat = pad(laplacian(Field(g, rho)).values.real)
     t_nl = (2.0 * mu / (d + 2.0)) * w2 * float(np.vdot(nl_hat, G_rho).real)
     t_curv = -0.5 * w2 * float(np.vdot(lap_hat, G_rho).real)
 
@@ -529,7 +536,7 @@ def interaction_flux(f: Field, Ntilde: float, Ntilde_prime: float, mu: int,
 
     action = w2 * _action(kern, p_hat, rho_hat)
     flux = t_mom + t_disp + t_nl + t_curv + t_env
-    return MorawetzReport(action, flux, t_mom, t_disp, t_nl, t_curv, t_env)
+    return MorawetzReport(action, flux, t_mom, t_disp, t_nl, t_curv, t_env), p
 
 
 def defocusing_gap(f: Field, q) -> float:
@@ -593,8 +600,8 @@ def freezing_diagnostic(f: Field, Ntilde: float, w: WeightFamily,
     xm = g.x_mesh()
     wq = quad_weight(f)
     rho = np.abs(f.values) ** 2
-    p = momentum_density(f)
-    du = [spectral_derivative(f, j).values for j in range(g.d)]
+    du = _gradient(g, _spectrum(f))
+    p = _momentum_density(f.values, du)
     half_span = g.L * Ntilde / w.R + w.M
     centers = np.linspace(-half_span, half_span, n_centers)
     out = []

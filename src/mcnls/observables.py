@@ -77,20 +77,27 @@ def energy(f: Field, mu: int) -> float:
     return _energy(f.grid.d, kinetic(f), potential(f), mu)
 
 
-def momentum_density(f: Field) -> list:
-    """p_j = Im[conj(u) d_j u], one array per axis."""
-    _, inv = transforms(f.grid.d)
-    ub = np.conj(f.values)
-    spec = _spectrum(f)
+def _gradient(g, spec: np.ndarray) -> list:
+    """d_j u, one array per axis, from the raw spectrum: one inverse transform each."""
+    _, inv = transforms(g.d)
     out = []
-    for k in derivative_wavenumbers(f.grid):
+    for k in derivative_wavenumbers(g):
         # named operands: numpy reuses an unnamed temporary in place with the
         # operands swapped, and the complex product is not bitwise commutative
         mult = 1j * k
         du = mult * spec
-        inv(du, out=du)
-        out.append(np.imag(ub * du))
+        out.append(inv(du, out=du))
     return out
+
+
+def _momentum_density(u: np.ndarray, du: list) -> list:
+    ub = np.conj(u)
+    return [np.imag(ub * duj) for duj in du]
+
+
+def momentum_density(f: Field) -> list:
+    """p_j = Im[conj(u) d_j u], one array per axis."""
+    return _momentum_density(f.values, _gradient(f.grid, _spectrum(f)))
 
 
 def momentum(f: Field) -> np.ndarray:

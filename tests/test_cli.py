@@ -279,10 +279,11 @@ _GRID_2D = {"d": 2, "n": 64, "L": 8.0}
     (_morawetz_config, "evolution", {"dealias": 0}),
     (_sim_config, "output", {"emit_snapshots": "no"}),
     (_envelope_config, "envelope", {"J0": "x"}),
+    (_morawetz_config, "initial", {"center": [15.5]}),
 ], ids=["amplitude-string", "width-list", "k0-length", "xi0-length", "xi0-off-lattice",
         "center-length", "m-fractional", "m-negative", "grid-d-missing", "grid-d-fractional",
         "center-at-boundary", "dealias-string", "dealias-integer", "emit-snapshots-string",
-        "J0-string"])
+        "J0-string", "morawetz-center-at-boundary"])
 def test_initial_envelope_and_weight_check_config_values(tmp_path, base, section, changes):
     out = tmp_path / "out"
     cfg = base(out)
@@ -333,3 +334,25 @@ def test_morawetz_csv_matches_step_strang_reference(tmp_path):
     assert got.shape == ref.shape == (6, 7)
     scale = np.maximum(np.max(np.abs(ref), axis=0), 1e-300)
     assert np.all(np.max(np.abs(got - ref), axis=0) <= 1e-12 * scale)
+
+
+def test_morawetz_shares_simulate_blowup_abort(tmp_path):
+    # focusing 1D Gaussian above the ground-state mass: simulate aborts at
+    # t = 0.495, and the morawetz scenario must stop at the same sample
+    base = {
+        "grid": {"d": 1, "n": 1024, "L": 16.0},
+        "evolution": {"mu": -1, "dt": 1e-4, "t_end": 0.5, "stride": 50, "dealias": False},
+        "initial": {"kind": "gaussian", "amplitude": 1.3, "width": 1.5},
+    }
+    last_t = {}
+    for scenario, csv in (("simulate", "diagnostics.csv"), ("morawetz", "morawetz.csv")):
+        out = tmp_path / scenario
+        cfg = dict(base, scenario=scenario, output={"dir": str(out)})
+        if scenario == "morawetz":
+            cfg["weights"] = {"M": 8, "R": 4}
+        assert run_scenario(_write_config(tmp_path, cfg, f"{scenario}.json")) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outcome"] == "blowup-suspected"
+        assert manifest["detail"]["boundary_breach"] is False
+        last_t[scenario] = float((out / csv).read_text().splitlines()[-1].split(",")[0])
+    assert last_t["morawetz"] == last_t["simulate"] < 0.5

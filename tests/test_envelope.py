@@ -236,3 +236,29 @@ def test_envelope_from_series():
     assert all(b - a in (-1, 0, 1) for a, b in zip(e.exponents, e.exponents[1:]))
     assert all(v <= 0 for v in e.exponents)
     assert len(e.times) >= 8
+
+
+def test_envelope_from_series_interpolates_crossings():
+    # two integers crossed between the second and third samples
+    e = envelope_from_series([0.0, 1.0, 2.0], [0.0, 0.5, 2.5], [1.0, 1.0, 1.0])
+    assert e.times == (0.0, 1.25, 1.75)
+    with pytest.raises(ValueError):
+        envelope_from_series([0.0, 1.0], [1.0, 2.0], [1.0, 1.0])
+
+
+def test_envelope_from_concentrating_trajectory():
+    # a focusing 1D Gaussian above the ground-state mass crosses several
+    # space-time units between samples as it concentrates
+    from mcnls import EvolutionConfig, Field, evolve, make_grid
+
+    g = make_grid(1, 1024, 16.0)
+    u0 = Field(g, 1.3 * np.exp(-g.axis_x ** 2 / (2.0 * 1.5 ** 2)))
+    series, _ = evolve(u0, EvolutionConfig(mu=-1, dt=1e-4, t_end=0.5, stride=200))
+    acc = np.asarray(series.scat_accum)
+    assert np.max(np.diff(np.floor(acc))) >= 2
+    e = envelope_from_series(series.t, series.scat_accum, series.N_est)
+    assert all(b > a for a, b in zip(e.times, e.times[1:]))
+    assert e.n_intervals == int(np.floor(acc[-1]))
+    em = smooth(e, 1)
+    assert em.times == e.times
+    assert certify_ratio(e, 1).bound_ok

@@ -529,3 +529,31 @@ def test_interaction_action_of_boosted_townes_soliton_vanishes(weights, xi):
     f = galilean_boost(solve_petviashvili(g).field, np.array(xi) * g.dk, 0.0)
     p1 = sum(quad_weight(f) * np.sum(np.abs(p)) for p in momentum_density(f))
     assert abs(interaction_action(f, 1.0, w)) <= 1e-15 * 2 * w.M * w.R * p1 * mass(f)
+
+
+def test_flux_sample_makes_d_plus_2_grid_transforms(weights, monkeypatch):
+    # the loop's spectrum gives grad u (d inverse transforms); only Lap rho
+    # needs its own pair.  Counted: complex fftn/ifftn on n-grid arrays.
+    from mcnls.morawetz import _flux_terms
+    from mcnls.observables import _spectrum
+
+    g = make_grid(2, 64, 16.0)
+    u = smooth_random_field(g, np.random.default_rng(3))
+    spec = _spectrum(u)
+    w = weights(2, 8.0, 4.0)
+    _flux_terms(g, u.values, spec, 1.0, 0.0, -1, w)  # kernel spectra cached
+    calls = []
+    for name in ("fftn", "ifftn"):
+        orig = getattr(np.fft, name)
+
+        def counted(a, *args, _orig=orig, **kwargs):
+            if np.shape(a) == g.shape:
+                calls.append(_orig.__name__)
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    rep, p = _flux_terms(g, u.values, spec, 1.0, 0.0, -1, w)
+    assert len(calls) == g.d + 2
+    monkeypatch.undo()
+    assert rep == interaction_flux(u, 1.0, 0.0, -1, w)
+    assert all(np.array_equal(a, b) for a, b in zip(p, momentum_density(u)))
