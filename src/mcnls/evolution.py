@@ -9,12 +9,17 @@ between observation points the closing half kick of one step and the
 opening half kick of the next merge into one multiplier (FSAL), so a step
 is two in-place FFTs and one phase rotation into preallocated scratch,
 and a diagnostics sample reuses the spectrum the loop already holds.
-Blowup is detected, never resolved.
+With dealiasing in 2D the transforms are the boxed pair of
+`grid.boxed_transforms`, which skips the FFT lines outside the 2/3 box,
+and on larger grids cos and sin run only where the phase angle is not
+negligible (exp(i a) = 1 + i a to the last bit for |a| < 2^-27); both
+leave every output bit-equal.  Blowup is detected, never resolved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, NamedTuple
 
 import numpy as np
@@ -22,8 +27,10 @@ import numpy as np
 from .grid import (
     BOUNDARY_MASS_WARN,
     Field,
+    _read_only,
     apply_multiplier,
     boundary_mass_fraction,
+    boxed_transforms,
     dealias_mask,
     density_boundary_fraction,
     k2_symbol,
@@ -49,6 +56,17 @@ from .observables import energy, mass, variance, variance_rate
 # the norm itself) or the amplitude reaches AMPLITUDE_LIMIT.
 GRADIENT_GROWTH_FACTOR = 1e3
 AMPLITUDE_LIMIT = 1e6
+
+# Below this phase angle libm's cos is exactly 1.0 and its sin exactly the
+# angle (the Taylor remainders are under half an ulp), so the phase factor
+# is 1 + i a to the last bit.
+NEGLIGIBLE_ANGLE = 2.0 ** -27
+# Grids with fewer points evaluate cos and sin everywhere: there the
+# compare, gather and scatter cost more than they save.  On a 1D Gaussian
+# with 16 % of the angles not negligible, the compacted phase took 1.46x
+# the full one at 512 points, 1.22x at 1024, 0.94x at 2048 and 0.74x at
+# 4096 (numpy 2.4.6, 2-vCPU x86-64 VM).
+COMPACT_MIN_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -117,11 +135,20 @@ class DiagnosticsSeries:
                 fh.write(",".join(f"{v:.17g}" for v in vals) + f",{flags}\n")
 
 
-def _half_kicks(g, dt: float, dealias: bool):
-    """The half kick exp(-i|k|^2 dt/2) and the closing kick (the half kick
-    times the dealias mask when dealiasing, else the half kick itself)."""
+@lru_cache(maxsize=16)
+def _kicks(g, dt: float, dealias: bool):
+    """(half, close, full), cached read-only per (grid, dt, dealias): the half
+    kick exp(-i|k|^2 dt/2), the closing kick (the half kick times the
+    dealias mask when dealiasing, else the half kick itself) and their
+    product, the merged kick between observation points."""
     half = np.exp(-0.5j * k2_symbol(g) * dt)
-    return half, (half * dealias_mask(g) if dealias else half)
+    close = half * dealias_mask(g) if dealias else half
+    return _read_only(half), _read_only(close), _read_only(half * close)
+
+
+def _half_kicks(g, dt: float, dealias: bool):
+    """The half and closing kicks of `_kicks`."""
+    return _kicks(g, dt, dealias)[:2]
 
 
 def step_strang(f: Field, dt: float, mu: int, dealias: bool = False) -> Field:
@@ -137,18 +164,24 @@ def _trajectory(f: Field, cfg: EvolutionConfig):
     The state is held as a spectrum in one work array, and adjacent half
     kicks merge into one multiplier between observation points (FSAL), so a
     step buf <- fwd(phase(inv(kick * src))) costs two in-place FFTs and
-    allocates nothing.  Yielded arrays are fresh and never modified
-    afterwards.  scat_accum is the midpoint-rule integral of |u|^{2(d+2)/d}
-    over space-time so far: the integrand at the nonlinear stage is summed
-    element-wise across steps and reduced only at observation points.
+    allocates nothing.  When dealiasing in 2D, every kick but step 1's
+    opening one is masked, so the transforms are the boxed pair of
+    `grid.boxed_transforms`.  The phase exp(i a) is 1 + i a to the last bit
+    where |a| < NEGLIGIBLE_ANGLE; on grids of at least COMPACT_MIN_POINTS
+    points, cos and sin run only on the other points unless those are more
+    than half of the grid.  Yielded arrays are fresh and never modified
+    afterwards.  scat_accum is the midpoint-rule integral of
+    |u|^{2(d+2)/d} over space-time so far: the integrand at the nonlinear
+    stage is summed element-wise across steps and reduced only at
+    observation points.
     """
     g = f.grid
     dt, stride = cfg.dt, cfg.stride
-    half, close = _half_kicks(g, dt, cfg.dealias)
-    full = half * close
+    half, close, full = _kicks(g, dt, cfg.dealias)
     w = g.h ** g.d
     nsteps = int(round(cfg.t_end / dt))
     fwd, inv = transforms(g.d)
+    bfwd, binv = boxed_transforms(g, cfg.dealias)
     buf = np.empty(g.shape, dtype=complex)
     ph = np.empty_like(buf)
     amp2 = np.empty(g.shape)
@@ -158,14 +191,24 @@ def _trajectory(f: Field, cfg: EvolutionConfig):
     c = -cfg.mu * dt
     quintic = g.d == 1
     multiply, add, cos, sin = np.multiply, np.add, np.cos, np.sin
+    compact = g.npoints >= COMPACT_MIN_POINTS
+    if compact:
+        # the phase argument is c x, x = |u|^4 (d = 1) or |u|^2 (d = 2)
+        x_min = NEGLIGIBLE_ANGLE / abs(c)
+        big = np.empty(g.shape, dtype=bool)
+        big_flat = big.reshape(-1)
+        ph_re_flat, ph_im_flat = ph.reshape(-1).real, ph.reshape(-1).imag
+        max_big = g.npoints // 2
     u = f.values
     spec = fwd(u, out=np.empty_like(buf))
     scat = 0.0
     yield 0, u, spec, scat
-    kick, src = half, spec
+    # step 1's source spectrum is unmasked, so its inverse is the full one
+    kick, src, step_inv = half, spec, inv
     for step in range(1, nsteps + 1):
         multiply(kick, src, out=buf)
-        inv(buf, out=buf)
+        step_inv(buf, out=buf)
+        step_inv = binv
         multiply(re, re, out=amp2)
         multiply(im, im, out=arg)
         add(amp2, arg, out=amp2)
@@ -174,20 +217,34 @@ def _trajectory(f: Field, cfg: EvolutionConfig):
             # phase argument c |u|^4; acc gains |u|^6, computed into amp2
             multiply(arg, amp2, out=amp2)
             add(acc, amp2, out=acc)
-            multiply(c, arg, out=arg)
+            x = arg
         else:
             # phase argument c |u|^2; acc gains |u|^4
             add(acc, arg, out=acc)
-            multiply(c, amp2, out=arg)
-        cos(arg, out=ph_re)
-        sin(arg, out=ph_im)
+            x = amp2
+        compacted = False
+        if compact:
+            np.greater_equal(x, x_min, out=big)
+            compacted = np.count_nonzero(big) <= max_big
+        if compacted:
+            # exp(i a) is 1 + i a except at the gathered points
+            multiply(c, x, out=ph_im)
+            ph_re.fill(1.0)
+            idx = np.flatnonzero(big_flat)
+            a = ph_im_flat[idx]
+            ph_re_flat[idx] = cos(a)
+            ph_im_flat[idx] = sin(a)
+        else:
+            multiply(c, x, out=arg)
+            cos(arg, out=ph_re)
+            sin(arg, out=ph_im)
         multiply(buf, ph, out=buf)
-        fwd(buf, out=buf)
+        bfwd(buf, out=buf)
         if step % stride == 0 or step == nsteps:
             scat += dt * float(w * acc.sum())
             acc.fill(0.0)
             spec = close * buf
-            u = inv(spec, out=np.empty_like(spec))
+            u = binv(spec, out=np.empty_like(spec))
             yield step, u, spec, scat
             kick, src = half, spec
         else:

@@ -11,7 +11,8 @@ integrals in k.  All fields carry their grid; transforms are pure
 functions of immutable inputs.
 
 This is the one spectral-operator layer: the complex transform pair
-`transforms`, per-grid symbols cached read-only (|k|^2, Nyquist-zeroed
+`transforms` and its pruning to the 2/3 dealias box `boxed_transforms`,
+per-grid symbols cached read-only (|k|^2, Nyquist-zeroed
 derivative wavenumbers, the 2/3 dealias mask, |x|^2, the boundary
 annulus), `apply_multiplier`, and the 2n-grid zero-padding
 `pad_spectrum` / `truncate_spectrum`.
@@ -155,11 +156,54 @@ def transforms(d: int) -> tuple:
     Every complex transform in the package goes through this pair, always
     with `out=` (numpy's allocating transform is about twice as slow on
     2D grids).  In 1D it is `fft`/`ifft`, bit-equal to `fftn`/`ifftn`
-    without their per-call axis handling.
+    without their per-call axis handling.  The dealiased 2D Strang loop
+    uses `boxed_transforms`, the same pair with the 1D passes outside the
+    2/3 box skipped.
     """
     if d == 1:
         return np.fft.fft, np.fft.ifft
     return np.fft.fftn, np.fft.ifftn
+
+
+@lru_cache(maxsize=16)
+def boxed_transforms(grid: GridSpec, dealias: bool) -> tuple:
+    """The pair of `transforms` pruned to the 2/3 dealias box, `(fwd, inv)`.
+
+    A spectrum masked by `dealias_mask` is zero outside two blocks of
+    kept indices per axis.  numpy's 2D transforms run the 1D transform
+    along axis 1 and then along axis 0, line by line; the boxed pair
+    keeps that order and skips the lines whose result is known or unused:
+
+    - `inv` takes a masked spectrum.  It transforms along axis 1 only the
+      kept rows, sets the other rows to 0 (their transform) and then
+      transforms along axis 0 in full.
+    - `fwd` transforms along axis 1 in full and along axis 0 only the
+      kept columns.  The other columns hold the axis-1 pass alone, for a
+      caller that multiplies by the mask (or a masked kick) next.
+
+    The kept entries are bit-equal to those of `transforms`.  In 1D, or
+    without dealiasing, this is the plain pair.  Cached per grid.
+    """
+    if grid.d == 1 or not dealias:
+        return transforms(grid.d)
+    keep, n = _dealias_axis(grid), grid.n
+    lo, hi = int(keep[:n // 2].sum()), n - int(keep[n // 2:].sum())
+    blocks, dropped = (slice(0, lo), slice(hi, n)), slice(lo, hi)
+    fft, ifft = np.fft.fft, np.fft.ifft
+
+    def fwd(x, out):
+        fft(x, axis=1, out=out)
+        for b in blocks:
+            fft(out[:, b], axis=0, out=out[:, b])
+        return out
+
+    def inv(x, out):
+        for b in blocks:
+            ifft(x[b], axis=1, out=out[b])
+        out[dropped] = 0.0
+        return ifft(out, axis=0, out=out)
+
+    return fwd, inv
 
 
 def to_spectral(f: Field) -> SpectralField:
@@ -216,11 +260,18 @@ def derivative_wavenumbers(grid: GridSpec) -> tuple:
     return tuple(_read_only(k) for k in grid._mesh(ak))
 
 
+def _dealias_axis(grid: GridSpec) -> np.ndarray:
+    """Per-axis 2/3 rule, FFT order: |k| <= (2/3) kmax."""
+    kmax = np.pi * grid.n / (2.0 * grid.L)
+    return np.abs(grid.axis_k) <= (2.0 / 3.0) * kmax
+
+
 @lru_cache(maxsize=16)
 def dealias_mask(grid: GridSpec) -> np.ndarray:
     """2/3-rule mask: 1 where every |k_j| <= (2/3) kmax, else 0; cached read-only."""
-    kmax = np.pi * grid.n / (2.0 * grid.L)
-    keep = np.all(np.abs(grid.k_mesh()) <= (2.0 / 3.0) * kmax, axis=0)
+    keep = _dealias_axis(grid)
+    if grid.d == 2:
+        keep = keep[:, None] & keep[None, :]
     return _read_only(keep.astype(float))
 
 

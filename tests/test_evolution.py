@@ -431,3 +431,172 @@ def test_warm_started_scale_search_matches_linear_scan(d, n):
         prev = _check_warm_start(f, 0.05 * mass(f), prev)
         scales.append(prev)
     assert scales[4] > scales[0] and scales[6] < scales[4]
+
+
+def _reference_trajectory(f, cfg):
+    # the loop before the boxed transform pair and the compacted phase:
+    # numpy's full n-d transforms, and cos and sin on every point
+    from mcnls.grid import dealias_mask, k2_symbol
+
+    g = f.grid
+    half = np.exp(-0.5j * k2_symbol(g) * cfg.dt)
+    close = half * dealias_mask(g) if cfg.dealias else half
+    full = half * close
+    nsteps = int(round(cfg.t_end / cfg.dt))
+    w, c = g.h ** g.d, -cfg.mu * cfg.dt
+    acc, scat = np.zeros(g.shape), 0.0
+    spec = np.fft.fftn(f.values)
+    yield 0, f.values, spec, scat
+    kick, src = half, spec
+    for step in range(1, nsteps + 1):
+        v = np.fft.ifftn(kick * src)
+        amp2 = v.real * v.real + v.imag * v.imag
+        arg = amp2 * amp2
+        if g.d == 1:
+            acc += arg * amp2
+            arg = c * arg
+        else:
+            acc += arg
+            arg = c * amp2
+        ph = np.empty(g.shape, dtype=complex)
+        ph.real, ph.imag = np.cos(arg), np.sin(arg)
+        buf = np.fft.fftn(v * ph)
+        if step % cfg.stride == 0 or step == nsteps:
+            scat += cfg.dt * float(w * acc.sum())
+            acc[...] = 0.0
+            spec = close * buf
+            yield step, np.fft.ifftn(spec), spec, scat
+            kick, src = half, spec
+        else:
+            kick, src = full, buf
+
+
+def _non_negligible_fraction(f, cfg):
+    from mcnls.evolution import NEGLIGIBLE_ANGLE
+
+    amp2 = np.abs(f.values) ** 2
+    angle = cfg.dt * (amp2 * amp2 if f.grid.d == 1 else amp2)
+    return np.count_nonzero(angle >= NEGLIGIBLE_ANGLE) / angle.size
+
+
+def _gaussian(d, n, amplitude=1.2, L=16.0):
+    g = make_grid(d, n, L)
+    xm = g.x_mesh()
+    r2 = sum((x - 0.7) ** 2 for x in xm)
+    return Field(g, amplitude * np.exp(-r2 / 2.0) * np.exp(1j * 0.6 * xm[0]))
+
+
+def _box_filling(n):
+    # a plane wave over a smooth random field: no angle is negligible
+    from conftest import smooth_random_field
+
+    g = make_grid(2, n, 16.0)
+    f = smooth_random_field(g, np.random.default_rng(17), width_frac=0.3)
+    return Field(g, f.values + 0.8 * np.exp(1j * 2 * g.dk * g.x_mesh()[1]))
+
+
+@pytest.mark.parametrize("case, dealias, mu, compacted", [
+    ("gaussian-2d", True, 1, True),       # boxed pair and compacted phase
+    ("box-filling-2d", True, -1, False),  # boxed pair, full cos/sin fallback
+    ("gaussian-2d", False, -1, True),     # plain pair, compacted phase
+    ("gaussian-1d-8192", True, -1, True),  # compacted phase
+    ("gaussian-1d-512", True, -1, False),  # neither
+])
+def test_trajectory_bit_equal_to_full_transform_reference(case, dealias, mu, compacted):
+    from mcnls.evolution import COMPACT_MIN_POINTS, _trajectory
+
+    f = {"gaussian-2d": lambda: _gaussian(2, 128),
+         "box-filling-2d": lambda: _box_filling(64),
+         "gaussian-1d-8192": lambda: _gaussian(1, 8192),
+         "gaussian-1d-512": lambda: _gaussian(1, 512)}[case]()
+    cfg = EvolutionConfig(mu=mu, dt=1e-3, t_end=0.023, stride=5, dealias=dealias)
+    frac = _non_negligible_fraction(f, cfg)
+    engaged = f.grid.npoints >= COMPACT_MIN_POINTS and frac <= 0.5
+    assert engaged == compacted
+    got = list(_trajectory(f, cfg))
+    ref = list(_reference_trajectory(f, cfg))
+    assert [s[0] for s in got] == [s[0] for s in ref] == [0, 5, 10, 15, 20, 23]
+    for (_, u, spec, scat), (_, u_ref, spec_ref, scat_ref) in zip(got, ref):
+        assert np.array_equal(u, u_ref)
+        assert np.array_equal(spec, spec_ref)
+        assert scat == scat_ref
+
+
+def test_negligible_phase_angles_give_exact_cos_and_sin():
+    # below NEGLIGIBLE_ANGLE libm's cos is 1.0 and its sin the angle itself,
+    # which the compacted phase relies on to stay bit-equal
+    from mcnls.evolution import NEGLIGIBLE_ANGLE
+
+    rng = np.random.default_rng(18)
+    tiny = np.finfo(float).smallest_subnormal
+    mags = np.exp(rng.uniform(np.log(tiny), np.log(NEGLIGIBLE_ANGLE), 20000))
+    mags = np.concatenate([mags, [0.0, tiny, np.finfo(float).tiny,
+                                  np.nextafter(NEGLIGIBLE_ANGLE, 0.0)]])
+    a = np.concatenate([mags, -mags])
+    assert np.all(np.cos(a) == 1.0)
+    assert np.array_equal(np.sin(a), a)
+    assert np.array_equal(np.signbit(np.sin(a)), np.signbit(a))
+    # the loop writes cos and sin into the strided halves of a complex array
+    ph = np.empty(a.shape, dtype=complex)
+    np.cos(a, out=ph.real)
+    np.sin(a, out=ph.imag)
+    assert np.all(ph.real == 1.0) and np.array_equal(ph.imag, a)
+    # the loop calls an angle negligible when x < NEGLIGIBLE_ANGLE / |c| for
+    # the angle c x; the largest such x gives an angle still below the bound
+    for dt in (1e-5, 1e-4, 3e-4, 1e-3, 2.5e-3, 1e-2, 0.1):
+        for c in (dt, -dt):
+            x = np.nextafter(NEGLIGIBLE_ANGLE / abs(c), 0.0)
+            assert abs(c * x) < NEGLIGIBLE_ANGLE
+
+
+def test_concentrating_2d_boxed_trajectory_stays_exact_and_finite():
+    # a focusing Gaussian above the Townes mass, dealiased at n = 128: the
+    # boxed pair carries the collapse until the 2/3 box arrests it, without
+    # raising, with a finite final field and the reference loop's samples.
+    # At this size the box caps the gradient growth far below
+    # GRADIENT_GROWTH_FACTOR, so the run may complete.
+    from mcnls.evolution import _Observed
+
+    g = make_grid(2, 128, 8.0)
+    xm = g.x_mesh()
+    f = Field(g, 3.0 * np.exp(-(xm[0] ** 2 + xm[1] ** 2) / 2.0))
+    assert mass(f) > 2.0 * 11.70  # twice the Townes mass 2 pi 1.8622
+    cfg = EvolutionConfig(mu=-1, dt=1e-3, t_end=0.4, stride=50, dealias=True)
+    series, final = evolve(f, cfg)
+    assert series.outcome in ("completed", "blowup-suspected", "nan-abort")
+    assert np.all(np.isfinite(final.values.view(np.float64)))
+    assert max(series.kinetic) > 5.0 * series.kinetic[0]
+    ref = [u for _, u, _, _ in _reference_trajectory(f, cfg)]
+    run = _Observed(f, cfg)
+    got = [s.u for s in run]
+    assert len(got) == len(ref) == 9 and run.outcome == series.outcome
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+def test_trajectory_propagates_an_overflowing_phase_on_the_boxed_path():
+    # |u|^2 overflows at the first nonlinear stage: the phase is NaN there,
+    # and the boxed forward and inverse transforms spread it to every
+    # sample, as the full transforms do (NaN * 0 = NaN in the dropped block)
+    from mcnls.evolution import _trajectory
+
+    g = make_grid(2, 64, 16.0)
+    xm = g.x_mesh()
+    f = Field(g, 1e160 * np.exp(-(xm[0] ** 2 + xm[1] ** 2)))
+    cfg = EvolutionConfig(mu=-1, dt=1e-3, t_end=0.004, stride=2, dealias=True)
+    with np.errstate(all="ignore"):
+        got = list(_trajectory(f, cfg))
+        ref = list(_reference_trajectory(f, cfg))
+    assert len(got) == len(ref) == 3
+    for (_, u, *_), (_, u_ref, *_) in zip(got[1:], ref[1:]):
+        assert np.all(np.isnan(u)) and np.all(np.isnan(u_ref))
+
+
+def test_kicks_cached_read_only_per_grid_dt_and_dealias():
+    from mcnls.evolution import _kicks
+
+    g = make_grid(2, 64, 16.0)
+    half, close, full = _kicks(g, 1e-3, True)
+    assert _kicks(g, 1e-3, True)[2] is full
+    assert _kicks(g, 1e-3, False)[1] is not close
+    assert not any(k.flags.writeable for k in (half, close, full))
+    assert np.array_equal(full, half * close)

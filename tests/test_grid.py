@@ -376,3 +376,33 @@ def test_padded_grid_transforms_match_allocating_forms(d, n):
     fine = np.fft.ifftn(pad_spectrum(np.fft.fftn(f.values))) * (2 ** d)
     zoomed = 0.5 ** (d / 2.0) * fine[(slice(n // 2, n // 2 + n),) * d]
     assert np.array_equal(rescale(f, 0.5).values, zoomed)
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_boxed_transforms_match_plain_pair_inside_the_box(n):
+    from mcnls.grid import boxed_transforms, dealias_mask
+
+    g = make_grid(2, n, 16.0)
+    keep = dealias_mask(g).astype(bool)
+    fwd, inv = boxed_transforms(g, True)
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    ref = np.fft.fftn(x)
+    y = x.copy()
+    assert fwd(y, out=y) is y
+    assert np.array_equal(y[keep], ref[keep])
+    assert np.array_equal(fwd(x, out=np.empty_like(x))[keep], ref[keep])
+    # the inverse takes a masked spectrum and is bit-equal everywhere
+    spec = dealias_mask(g) * x
+    ref = np.fft.ifftn(spec)
+    assert np.array_equal(inv(spec, out=np.full_like(spec, np.nan)), ref)
+    assert inv(spec, out=spec) is spec
+    assert np.array_equal(spec, ref)
+
+
+def test_boxed_transforms_are_the_plain_pair_in_1d_or_without_dealiasing():
+    from mcnls.grid import boxed_transforms, transforms
+
+    assert boxed_transforms(make_grid(1, 512, 16.0), True) == transforms(1)
+    assert boxed_transforms(make_grid(2, 64, 16.0), False) == transforms(2)
+
