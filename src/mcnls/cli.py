@@ -1,7 +1,8 @@
 """Scenario runner: reproducible experiments driven by a JSON config.
 
 Six scenarios: simulate, ground-state, morawetz, smooth-envelope,
-gn-check, weight-check.  Unknown config keys are hard errors.  Every run
+gn-check, weight-check.  The config is parsed once against `_SCHEMA`:
+unknown keys and values of the wrong type are hard errors.  Every run
 writes a JSON manifest (even on failure); CSV output uses 17 significant
 digits, '.' decimals and LF line endings.  Exit codes: 0 all enabled
 checks passed, 1 a check failed, 2 usage or config error.
@@ -54,56 +55,72 @@ class ConfigError(ValueError):
     pass
 
 
-_ALLOWED = {
-    None: {"scenario", "grid", "evolution", "initial", "weights", "envelope", "output"},
-    "grid": {"d", "n", "L"},
-    "evolution": {"mu", "dt", "t_end", "stride", "dealias"},
-    "initial": {"kind", "amplitude", "width", "center", "k0", "xi0", "t0",
-                "path", "tol", "seed"},
-    "weights": {"M", "R"},
-    "envelope": {"J0", "m", "input"},
-    "output": {"dir", "emit_snapshots"},
+# Every config key, per section: its default, or its type when it has none.
+_SCHEMA = {
+    "grid": {"d": int, "n": int, "L": float},
+    "evolution": {"mu": int, "dt": float, "t_end": float, "stride": 1, "dealias": True},
+    "initial": {"kind": str, "amplitude": 1.0, "width": 1.0, "center": list, "k0": list,
+                "xi0": list, "t0": -1.0, "path": str, "tol": 1e-12},
+    "weights": {"M": float, "R": float},
+    "envelope": {"J0": float, "m": 1, "input": str},
+    "output": {"dir": "mcnls-out", "emit_snapshots": False},
 }
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string", list: "a list of numbers"}
+# Morawetz pairings hold several (2n)^d arrays, so a grid is capped well below memory.
+MAX_GRID_POINTS = 2 ** 20
 
 
-def _validate_keys(cfg: dict) -> None:
-    for key in cfg:
-        if key not in _ALLOWED[None]:
-            raise ConfigError(f"unknown config key: {key!r}")
-        sub = cfg[key]
-        if key in _ALLOWED and key is not None and isinstance(sub, dict):
-            for k2 in sub:
-                if k2 not in _ALLOWED[key]:
-                    raise ConfigError(f"unknown config key: {key}.{k2}")
-    if "scenario" not in cfg:
-        raise ConfigError("config must name a scenario")
+def _finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _typed(value, kind, name: str):
+    """value read as kind: 512.0 is an integer, true is not a number, and a list
+    becomes a float array (in 1D a bare number is one)."""
+    ok = {int: _finite(value) and float(value).is_integer(), float: _finite(value),
+          list: _finite(value) or isinstance(value, list) and all(map(_finite, value)),
+          }.get(kind, isinstance(value, kind))
+    if not ok:
+        raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return np.atleast_1d(np.asarray(value, dtype=float)) if kind is list else kind(value)
+
+
+def _parse(raw) -> dict:
+    """raw with every key typed and the defaults filled in.  An absent section is
+    filled in only if all its keys have defaults; runners report what they lack."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    cfg = {"scenario": raw.get("scenario")}
+    for name in raw:
+        if name != "scenario" and name not in _SCHEMA:
+            raise ConfigError(f"unknown config key: {name!r}")
     if cfg["scenario"] not in SCENARIOS:
-        raise ConfigError(
-            f"unknown scenario {cfg['scenario']!r}; choose one of {', '.join(SCENARIOS)}")
-
-
-def _integral(value, name: str) -> int:
-    """An integer-valued config number: 512 and 512.0 pass, 512.7 is rejected."""
-    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _boolean(value, name: str) -> bool:
-    """A config flag: JSON true or false only ("no", 0 and null are rejected)."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
-    return value
+        raise ConfigError(f"unknown scenario {cfg['scenario']!r}; "
+                          f"choose one of {', '.join(SCENARIOS)}")
+    for name, schema in _SCHEMA.items():
+        defaults = {k: v for k, v in schema.items() if not isinstance(v, type)}
+        if name not in raw and len(defaults) < len(schema):
+            continue
+        sec = raw.get(name, {})
+        if not isinstance(sec, dict):
+            raise ConfigError(f"config section {name!r} must be an object, got {sec!r}")
+        for key, value in sec.items():
+            if key not in schema:
+                raise ConfigError(f"unknown config key: {name}.{key}")
+            spec = schema[key]
+            defaults[key] = _typed(value, spec if isinstance(spec, type) else type(spec),
+                                   f"{name}.{key}")
+        cfg[name] = defaults
+    return cfg
 
 
 def _section(cfg: dict, name: str, build):
     """build(cfg[name]), reporting a missing section, key or invalid value as ConfigError."""
-    sec = cfg.get(name)
-    if not isinstance(sec, dict):
+    if name not in cfg:
         raise ConfigError(f"{cfg['scenario']} requires a {name!r} section")
     try:
-        return build(sec)
+        return build(cfg[name])
     except KeyError as exc:
         raise ConfigError(f"{name} section is missing {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -111,15 +128,17 @@ def _section(cfg: dict, name: str, build):
 
 
 def _grid_from(cfg: dict):
-    return _section(cfg, "grid", lambda g: make_grid(
-        _integral(g["d"], "grid.d"), _integral(g["n"], "grid.n"), float(g["L"])))
+    grid = _section(cfg, "grid", lambda g: make_grid(g["d"], g["n"], g["L"]))
+    if grid.npoints > MAX_GRID_POINTS:
+        raise ConfigError(f"grid.n = {grid.n} gives {grid.npoints} points in {grid.d}D, "
+                          f"more than {MAX_GRID_POINTS}")
+    return grid
 
 
 def _evolution_from(cfg: dict) -> EvolutionConfig:
     econf = _section(cfg, "evolution", lambda ev: EvolutionConfig(
-        mu=_integral(ev["mu"], "evolution.mu"), dt=float(ev["dt"]), t_end=float(ev["t_end"]),
-        stride=_integral(ev.get("stride", 1), "evolution.stride"),
-        dealias=_boolean(ev.get("dealias", True), "evolution.dealias")))
+        mu=ev["mu"], dt=ev["dt"], t_end=ev["t_end"], stride=ev["stride"],
+        dealias=ev["dealias"]))
     # the run takes round(t_end/dt) steps: any other t_end would be changed silently
     steps = econf.t_end / econf.dt
     if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
@@ -128,52 +147,43 @@ def _evolution_from(cfg: dict) -> EvolutionConfig:
     return econf
 
 
-def _vector(init: dict, name: str, d: int) -> np.ndarray:
-    """initial.<name> as d floats (a bare number is accepted in 1D)."""
-    v = np.atleast_1d(np.asarray(init.get(name, [0.0] * d), dtype=float))
+def _vector(v: np.ndarray, name: str, d: int) -> np.ndarray:
     if v.shape != (d,):
-        raise ConfigError(f"initial.{name} must have {d} entries, got {init[name]!r}")
+        raise ConfigError(f"initial.{name} must have {d} entries, got {v.tolist()!r}")
     return v
 
 
 def _initial_field(cfg: dict, grid) -> Field:
     f = _section(cfg, "initial", lambda init: _initial_from(init, grid))
+    if f.grid != grid:
+        raise ConfigError(f"initial.path holds a snapshot on {f.grid}, not on the "
+                          f"config grid {grid}")
     if boundary_mass_fraction(f) > BOUNDARY_MASS_WARN:
         raise ConfigError("initial data places too much mass at the box boundary")
     return f
 
 
 def _initial_from(init: dict, grid) -> Field:
-    kind = init.get("kind")
+    kind = init["kind"]
     if kind == "gaussian":
-        amp = float(init.get("amplitude", 1.0))
-        width = float(init.get("width", 1.0))
-        center = _vector(init, "center", grid.d)
-        k0 = _vector(init, "k0", grid.d)
+        # center and k0 default to the zero vector of the grid's dimension
+        center, k0 = (_vector(init.get(k, np.zeros(grid.d)), k, grid.d) for k in ("center", "k0"))
         xm = grid.x_mesh()
         r2 = sum((x - c) ** 2 for x, c in zip(xm, center))
         phase = sum(x * k for x, k in zip(xm, k0))
-        return Field(grid, amp * np.exp(-r2 / (2.0 * width ** 2)) * np.exp(1j * phase))
+        return Field(grid, init["amplitude"] * np.exp(-r2 / (2.0 * init["width"] ** 2))
+                     * np.exp(1j * phase))
     if kind in ("soliton", "boosted-soliton"):
-        if grid.d == 1:
-            q = closed_form_1d(grid)
-        else:
-            q = solve_petviashvili(grid, tol=float(init.get("tol", 1e-12)))
+        q = closed_form_1d(grid) if grid.d == 1 else solve_petviashvili(grid, tol=init["tol"])
         f = q.field
         if kind == "boosted-soliton":
-            if "xi0" not in init:
-                raise ConfigError("boosted-soliton needs xi0")
-            f = galilean_boost(f, _vector(init, "xi0", grid.d), 0.0)
+            f = galilean_boost(f, _vector(init["xi0"], "xi0", grid.d), 0.0)
         return f
     if kind == "pseudoconformal":
         if grid.d != 1:
             raise ConfigError("the pseudoconformal sample is exposed for d = 1")
-        t0 = float(init.get("t0", -1.0))
-        q = closed_form_1d(grid)
-        return pseudoconformal_sample(t0, grid, q)
+        return pseudoconformal_sample(init["t0"], grid, closed_form_1d(grid))
     if kind == "snapshot":
-        if "path" not in init:
-            raise ConfigError("snapshot initial data needs a path")
         return read_snapshot(init["path"])
     raise ConfigError(f"unknown initial kind {kind!r}")
 
@@ -198,7 +208,7 @@ def _scenario_simulate(cfg, outdir: Path, checks: Checks) -> dict:
     grid = _grid_from(cfg)
     f0 = _initial_field(cfg, grid)
     econf = _evolution_from(cfg)
-    emit = _boolean(cfg.get("output", {}).get("emit_snapshots", False), "output.emit_snapshots")
+    emit = cfg["output"]["emit_snapshots"]
     if emit:
         write_snapshot(f0, outdir / "initial.mcnls")
     series, final = evolve(f0, econf)
@@ -264,7 +274,7 @@ def _scenario_gn_check(cfg, outdir: Path, checks: Checks) -> dict:
 def _scenario_morawetz(cfg, outdir: Path, checks: Checks) -> dict:
     grid = _grid_from(cfg)
     f0 = _initial_field(cfg, grid)
-    w = _section(cfg, "weights", lambda s: build_weights(grid.d, float(s["M"]), float(s["R"])))
+    w = _section(cfg, "weights", lambda s: build_weights(grid.d, s["M"], s["R"]))
     econf = _evolution_from(cfg)
     rows = []
     consistent = True
@@ -289,31 +299,23 @@ def _scenario_morawetz(cfg, outdir: Path, checks: Checks) -> dict:
 
 
 def _load_envelope(cfg):
-    env = cfg.get("envelope")
-    if env is None:
-        raise ConfigError("scenario requires an envelope section")
-    src = env.get("input")
-    if src is None:
-        raise ConfigError("envelope section needs an input")
+    src = _section(cfg, "envelope", lambda env: env["input"])
     if src == "bundled:sawtooth":
         from importlib.resources import files
 
         from .envelope import parse_envelope_csv
 
         text = files("mcnls").joinpath("data/sawtooth.csv").read_text()
-        return parse_envelope_csv(text), env
-    return read_envelope_csv(src), env
+        return parse_envelope_csv(text)
+    return read_envelope_csv(src)
 
 
 def _scenario_smooth_envelope(cfg, outdir: Path, checks: Checks) -> dict:
-    e, env = _load_envelope(cfg)
-    j0 = env.get("J0")
-    if j0 is not None:
-        if isinstance(j0, bool) or not isinstance(j0, (int, float)):
-            raise ConfigError(f"envelope.J0 must be a number, got {j0!r}")
-        if abs(j0 - e.j0) > 1e-12:
-            raise ConfigError("envelope J0 conflicts with the input file header")
-    m = _integral(env.get("m", 1), "envelope.m")
+    e = _load_envelope(cfg)
+    env = cfg["envelope"]
+    if "J0" in env and abs(env["J0"] - e.j0) > 1e-12:
+        raise ConfigError("envelope.J0 conflicts with the input file header")
+    m = env["m"]
     if m < 0:
         raise ConfigError(f"envelope.m must be nonnegative, got {m}")
     em = smooth(e, m)
@@ -328,16 +330,12 @@ def _scenario_smooth_envelope(cfg, outdir: Path, checks: Checks) -> dict:
 
 
 def _scenario_weight_check(cfg, outdir: Path, checks: Checks) -> dict:
-    d = _section(cfg, "grid", lambda g: _integral(g["d"], "grid.d")) if "grid" in cfg else 1
-    w = _section(cfg, "weights", lambda s: build_weights(d, float(s["M"]), float(s["R"])))
+    d = _section(cfg, "grid", lambda g: g["d"]) if "grid" in cfg else 1
+    w = _section(cfg, "weights", lambda s: build_weights(d, s["M"], s["R"]))
     fam = weight_family_checks(w)
     for name, (value, bound, ok) in fam.items():
         checks.add(f"family_{name}", ok, value, bound)
-    env_cfg = cfg.get("envelope")
-    if env_cfg is not None and env_cfg.get("input"):
-        env, _ = _load_envelope(cfg)
-    else:
-        env = [(1.0, 0.0)]
+    env = _load_envelope(cfg) if "input" in cfg.get("envelope", ()) else [(1.0, 0.0)]
     rep = weight_conditions_check(w, env)
     checks.add("potential_sup", rep.sup_a_ok, rep.sup_a, rep.sup_a_bound)
     checks.add("potential_xgrad", rep.sup_xgrad_ok, rep.sup_xgrad, rep.sup_xgrad_bound)
@@ -371,12 +369,13 @@ def run_scenario(config_path) -> int:
     checks = Checks()
     try:
         with open(config_path) as fh:
-            cfg = json.load(fh)
-        manifest["config"] = cfg
-        out_cfg = cfg.get("output") if isinstance(cfg, dict) else None
+            raw = json.load(fh)
+        manifest["config"] = raw
+        # the manifest of a config that fails to parse still goes to a usable output.dir
+        out_cfg = raw.get("output") if isinstance(raw, dict) else None
         if isinstance(out_cfg, dict) and isinstance(out_cfg.get("dir"), str):
             outdir = Path(out_cfg["dir"])
-        _validate_keys(cfg)
+        cfg = _parse(raw)
         outdir.mkdir(parents=True, exist_ok=True)
         detail = _RUNNERS[cfg["scenario"]](cfg, outdir, checks)
         manifest["detail"] = detail
@@ -428,11 +427,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run a scenario from a JSON config file")
     runp.add_argument("config", help="path to the JSON config")
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return run_scenario(args.config)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    return run_scenario(parser.parse_args(argv).config)
 
 
 if __name__ == "__main__":

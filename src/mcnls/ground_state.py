@@ -139,17 +139,9 @@ def _radial_profile(q: np.ndarray, grid: GridSpec):
     """Cubic-spline radial interpolant of a centered radial iterate."""
     from scipy.interpolate import CubicSpline
 
-    if grid.d == 1:
-        i0 = int(np.argmax(q))
-        right = np.roll(q, -i0)[: grid.n // 2]
-        r = grid.h * np.arange(right.size)
-        spl = CubicSpline(r, right, bc_type=("clamped", "not-a-knot"))
-        rmax = r[-1]
-        return lambda s, _spl=spl, _m=rmax: np.where(
-            np.abs(s) < _m, _spl(np.abs(np.asarray(s, dtype=float))), 0.0
-        )
-    ij = np.unravel_index(int(np.argmax(q)), q.shape)
-    row = np.roll(np.roll(q, -ij[0], axis=0), -ij[1], axis=1)[0, : grid.n // 2]
+    peak = np.unravel_index(int(np.argmax(q)), q.shape)
+    # the peak moved to index 0; the half row from it runs along the last axis
+    row = np.roll(q, [-i for i in peak], axis=tuple(range(q.ndim))).ravel()[: grid.n // 2]
     r = grid.h * np.arange(row.size)
     spl = CubicSpline(r, row, bc_type=("clamped", "not-a-knot"))
     rmax = r[-1]

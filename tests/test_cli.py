@@ -1,12 +1,17 @@
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcnls import read_snapshot
-from mcnls.cli import main, run_scenario
+from mcnls import Field, make_grid, read_snapshot, write_snapshot
+from mcnls.cli import _SCHEMA, main, run_scenario
 
 
 def _write_config(tmp_path, cfg, name="cfg.json"):
@@ -232,6 +237,7 @@ _DELETE = object()
     ("grid", "n", 256.0, 0),
     ("evolution", "stride", 5.0, 0),
     ("evolution", "t_end", 0.0515, 2),
+    ("grid", "n", 2 ** 40, 2),
 ], ids=lambda v: "missing" if v is _DELETE else None)
 def test_evolution_and_grid_config_values(tmp_path, scenario, section, key, value, code):
     out = tmp_path / "out"
@@ -263,6 +269,16 @@ def _weight_check_config(outdir):
 _GRID_2D = {"d": 2, "n": 64, "L": 8.0}
 
 
+def _on_snapshot(base):
+    """base with its initial data read from a snapshot on a 512-point grid, not on base's 256."""
+    def cfg(outdir):
+        g = make_grid(1, 512, 16.0)
+        path = outdir.parent / "initial.mcnls"
+        write_snapshot(Field(g, np.exp(-g.axis_x ** 2)), path)
+        return dict(base(outdir), initial={"kind": "snapshot", "path": str(path)})
+    return cfg
+
+
 @pytest.mark.parametrize("base, section, changes", [
     (_sim_config, "initial", {"amplitude": "x"}),
     (_sim_config, "initial", {"width": [1.0]}),
@@ -280,10 +296,14 @@ _GRID_2D = {"d": 2, "n": 64, "L": 8.0}
     (_sim_config, "output", {"emit_snapshots": "no"}),
     (_envelope_config, "envelope", {"J0": "x"}),
     (_morawetz_config, "initial", {"center": [15.5]}),
+    (_on_snapshot(_sim_config), "initial", {}),
+    (_on_snapshot(_morawetz_config), "initial", {}),
+    (_sim_config, "grid", {"d": 2, "n": 2048}),
 ], ids=["amplitude-string", "width-list", "k0-length", "xi0-length", "xi0-off-lattice",
         "center-length", "m-fractional", "m-negative", "grid-d-missing", "grid-d-fractional",
         "center-at-boundary", "dealias-string", "dealias-integer", "emit-snapshots-string",
-        "J0-string", "morawetz-center-at-boundary"])
+        "J0-string", "morawetz-center-at-boundary", "snapshot-grid-mismatch",
+        "morawetz-snapshot-grid-mismatch", "grid-2d-too-many-points"])
 def test_initial_envelope_and_weight_check_config_values(tmp_path, base, section, changes):
     out = tmp_path / "out"
     cfg = base(out)
@@ -356,3 +376,107 @@ def test_morawetz_shares_simulate_blowup_abort(tmp_path):
         assert manifest["detail"]["boundary_breach"] is False
         last_t[scenario] = float((out / csv).read_text().splitlines()[-1].split(",")[0])
     assert last_t["morawetz"] == last_t["simulate"] < 0.5
+
+
+def _with(base, **sections):
+    """base with whole sections replaced."""
+    return lambda outdir: dict(base(outdir), **sections)
+
+
+@pytest.mark.parametrize("base, section, changes, named", [
+    (_sim_config, "evolution", {"dt": "1e-3"}, "evolution.dt"),
+    (_sim_config, "initial", {"amplitude": True}, "initial.amplitude"),
+    (_sim_config, "grid", {"L": True}, "grid.L"),
+    (_sim_config, "initial", {"seed": 5}, "initial.seed"),
+    (_with(_envelope_config, envelope=[1]), "envelope", {}, "envelope"),
+    (_envelope_config, "envelope", {"input": 3}, "envelope.input"),
+    (_with(_weight_check_config, envelope={"m": "x"}), "envelope", {}, "envelope.m"),
+    (_sim_config, "grid", {"n": 2 ** 40}, "points"),
+    (_sim_config, "grid", {"d": 2, "n": 2048}, "points"),
+    (_on_snapshot(_sim_config), "initial", {}, "initial.path"),
+    (_on_snapshot(_morawetz_config), "initial", {}, "initial.path"),
+], ids=["dt-string", "amplitude-true", "L-true", "seed", "envelope-list", "input-number",
+        "weight-check-m-string", "n-2**40", "2d-n-2048", "snapshot-grid",
+        "morawetz-snapshot-grid"])
+def test_bad_config_names_its_key(tmp_path, base, section, changes, named):
+    out = tmp_path / "out"
+    cfg = base(out)
+    for key, value in changes.items():
+        cfg[section][key] = value
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure.startswith("config error:")
+    assert named in failure
+
+
+def test_bad_output_dir_writes_manifest_to_default(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = _sim_config(tmp_path)
+    cfg["output"]["dir"] = 5
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    failure = json.loads((tmp_path / "mcnls-out" / "manifest.json").read_text())["failure"]
+    assert failure.startswith("config error: output.dir")
+
+
+def test_snapshot_on_the_config_grid_runs(tmp_path):
+    out = tmp_path / "out"
+    g = make_grid(1, 256, 16.0)
+    path = tmp_path / "initial.mcnls"
+    write_snapshot(Field(g, 0.5 * np.exp(-g.axis_x ** 2 / 2.0)), path)
+    cfg = _sim_config(out, initial={"kind": "snapshot", "path": str(path)})
+    assert run_scenario(_write_config(tmp_path, cfg)) == 0
+    gaussian = _sim_config(tmp_path / "gaussian")
+    assert run_scenario(_write_config(tmp_path, gaussian, "gaussian.json")) == 0
+    assert (out / "diagnostics.csv").read_bytes() == \
+        (tmp_path / "gaussian" / "diagnostics.csv").read_bytes()
+
+
+def _grid_scenario_config(scenario):
+    return lambda outdir: {"scenario": scenario, "grid": {"d": 1, "n": 64, "L": 20.0},
+                           "output": {"dir": str(outdir)}}
+
+
+_SMALL_CONFIGS = [_sim_config, _morawetz_config, _envelope_config, _weight_check_config,
+                  _grid_scenario_config("ground-state"), _grid_scenario_config("gn-check")]
+_KEYS = [(section, key) for section, keys in _SCHEMA.items() for key in keys]
+_TEXT, _BOOL, _NULL = st.text(max_size=4), st.booleans(), st.none()
+_OBJECT = st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+_NUMBER = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+_ANY_LIST = st.lists(st.one_of(_NUMBER, _TEXT, _BOOL, _NULL), max_size=3)
+_NON_NUMBER_LIST = st.lists(st.one_of(_TEXT, _BOOL, _NULL), min_size=1, max_size=3)
+_FRACTIONAL = st.floats(-1e9, 1e9).filter(lambda x: not x.is_integer())
+# JSON values of the wrong kind for a key of each kind
+_WRONG = {
+    int: st.one_of(_TEXT, _BOOL, _NULL, _OBJECT, _ANY_LIST, _FRACTIONAL),
+    float: st.one_of(_TEXT, _BOOL, _NULL, _OBJECT, _ANY_LIST),
+    bool: st.one_of(_TEXT, _NULL, _OBJECT, _ANY_LIST, _NUMBER),
+    str: st.one_of(_BOOL, _NULL, _OBJECT, _ANY_LIST, _NUMBER),
+    list: st.one_of(_TEXT, _BOOL, _NULL, _OBJECT, _NON_NUMBER_LIST),
+}
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_wrong_kind_for_any_schema_key_is_config_error(data):
+    base = data.draw(st.sampled_from(_SMALL_CONFIGS))
+    section, key = data.draw(st.sampled_from(_KEYS))
+    spec = _SCHEMA[section][key]
+    value = data.draw(_WRONG[spec if isinstance(spec, type) else type(spec)])
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # a config without a usable output.dir writes ./mcnls-out
+        try:
+            cfg = base(Path(tmp) / "out")
+            cfg.setdefault(section, {})[key] = value
+            code = run_scenario(_write_config(Path(tmp), cfg))
+        finally:
+            os.chdir(cwd)
+        outdir = "mcnls-out" if (section, key) == ("output", "dir") else "out"
+        failure = json.loads((Path(tmp) / outdir / "manifest.json").read_text())["failure"]
+    assert code == 2
+    assert failure.startswith(f"config error: {section}.{key} must be")
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert [f"{s}.{k}" for s, k in _KEYS if f"`{s}.{k}`" not in readme] == []

@@ -222,3 +222,27 @@ def test_lazy_profile_matches_eager_spline():
     s = np.linspace(-20.0, 20.0, 4001)
     assert np.array_equal(q.profile(s), eager(s))
     assert np.array_equal(q.profile(s), eager(s))  # built once, then reused
+
+
+def _two_branch_profile(q, grid):
+    """The radial profile as built before one roll over all axes served both d."""
+    from scipy.interpolate import CubicSpline
+
+    if grid.d == 1:
+        row = np.roll(q, -int(np.argmax(q)))[: grid.n // 2]
+    else:
+        ij = np.unravel_index(int(np.argmax(q)), q.shape)
+        row = np.roll(np.roll(q, -ij[0], axis=0), -ij[1], axis=1)[0, : grid.n // 2]
+    r = grid.h * np.arange(row.size)
+    spl = CubicSpline(r, row, bc_type=("clamped", "not-a-knot"))
+    return lambda s: np.where(np.abs(s) < r[-1], spl(np.abs(np.asarray(s, dtype=float))), 0.0)
+
+
+@pytest.mark.parametrize("d, n", [(1, 512), (1, 1024), (2, 64), (2, 128)])
+def test_radial_profile_matches_two_branch_reference(d, n):
+    from mcnls.ground_state import _radial_profile
+
+    g = make_grid(d, n, 16.0)
+    q = solve_petviashvili(g).field.values.real
+    s = np.linspace(-20.0, 20.0, 100001)
+    assert np.array_equal(_radial_profile(q, g)(s), _two_branch_profile(q, g)(s))
