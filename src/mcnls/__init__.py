@@ -4,13 +4,10 @@ equation i u_t + Delta u = mu |u|^{4/d} u on a large periodic box."""
 from .grid import (
     Field,
     GridSpec,
-    SpectralField,
     boundary_mass_fraction,
     lp_norm,
     make_grid,
     read_snapshot,
-    to_physical,
-    to_spectral,
     write_snapshot,
 )
 from .observables import energy, kinetic, mass, momentum, potential, variance

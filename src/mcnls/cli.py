@@ -17,7 +17,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .envelope import (
@@ -299,15 +298,16 @@ def _scenario_morawetz(cfg, outdir: Path, checks: Checks) -> dict:
 
 
 def _load_envelope(cfg):
-    src = _section(cfg, "envelope", lambda env: env["input"])
-    if src == "bundled:sawtooth":
-        from importlib.resources import files
+    """The envelope named by envelope.input; a corrupt file is a config error."""
+    def read(env):
+        if env["input"] == "bundled:sawtooth":
+            from importlib.resources import files
 
-        from .envelope import parse_envelope_csv
+            from .envelope import parse_envelope_csv
 
-        text = files("mcnls").joinpath("data/sawtooth.csv").read_text()
-        return parse_envelope_csv(text)
-    return read_envelope_csv(src)
+            return parse_envelope_csv(files("mcnls").joinpath("data/sawtooth.csv").read_text())
+        return read_envelope_csv(env["input"])
+    return _section(cfg, "envelope", read)
 
 
 def _scenario_smooth_envelope(cfg, outdir: Path, checks: Checks) -> dict:
@@ -369,7 +369,10 @@ def run_scenario(config_path) -> int:
     checks = Checks()
     try:
         with open(config_path) as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+                raise ConfigError(f"{config_path} is not valid JSON: {exc}") from exc
         manifest["config"] = raw
         # the manifest of a config that fails to parse still goes to a usable output.dir
         out_cfg = raw.get("output") if isinstance(raw, dict) else None
@@ -411,7 +414,7 @@ def run_scenario(config_path) -> int:
 
 
 def _versions() -> dict:
-    return {"mcnls": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+    return {"mcnls": __version__, "numpy": np.__version__}
 
 
 def main(argv=None) -> int:

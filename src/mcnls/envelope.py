@@ -286,8 +286,9 @@ def envelope_from_series(times, scat_accum, n_est, j0: float = 2.0) -> Piecewise
     Breakpoints are placed where the accumulated space-time norm crosses
     successive integers, interpolated linearly between the samples around
     each crossing; node heights snap the frequency-scale estimate at the
-    later sample (normalized to 1 at the start) down to the lattice,
-    clamped to the one-step-per-interval constraint.
+    later sample, normalized by its largest value over the trajectory
+    (N(t) <= 1), down to the lattice, clamped to the one-step-per-interval
+    constraint and to N = 1 at the first node.
     """
     t = np.asarray(times, dtype=float)
     acc = np.asarray(scat_accum, dtype=float)
@@ -310,7 +311,7 @@ def envelope_from_series(times, scat_accum, n_est, j0: float = 2.0) -> Piecewise
                          "accumulated one unit")
     exps = [0]
     for i in crossings[1:]:
-        raw = np.log(n[i] / n[0]) / np.log(j0)
-        target = min(0, int(np.floor(raw + 1e-9)))
-        exps.append(min(0, max(exps[-1] - 1, min(exps[-1] + 1, target))))
+        # n <= n.max(), so the target and the node stay at or below 0
+        target = int(np.floor(np.log(n[i] / n.max()) / np.log(j0) + 1e-9))
+        exps.append(max(exps[-1] - 1, min(exps[-1] + 1, target)))
     return PiecewiseEnvelope(tuple(bt), tuple(exps), j0)

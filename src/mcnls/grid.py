@@ -1,14 +1,11 @@
 """Periodic spectral grid standing in for R^d (d = 1 or 2).
 
 The box is [-L, L)^d sampled at n points per axis (n a power of two),
-h = 2L/n.  The forward transform is normalized to approximate the
-continuum Fourier transform
-
-    uhat(k) ~ integral of u(x) exp(-i k.x) dx,
-
-so Fourier-side sums with weight (2L)^{-d} approximate (2pi)^{-d}
-integrals in k.  All fields carry their grid; transforms are pure
-functions of immutable inputs.
+h = 2L/n.  Transforms are numpy's unnormalized FFTs of the raw samples:
+h^d fftn(u) approximates the continuum transform integral of
+u(x) exp(-i k.x) dx up to the phase (-1)^index per axis, so a Fourier-side
+sum of |fftn(u)|^2 with weight (2L)^{-d} h^{2d} approximates the
+(2pi)^{-d} integral in k.  All fields carry their grid.
 
 This is the one spectral-operator layer: the complex transform pair
 `transforms` and its pruning to the 2/3 dealias box `boxed_transforms`,
@@ -98,13 +95,6 @@ class GridSpec:
         km = self.k_mesh()
         return sum(k * k for k in km)
 
-    def _phase(self) -> np.ndarray:
-        # e^{i k L} per axis reduces to (-1)^index for the box [-L, L).
-        p = np.where(np.arange(self.n) % 2 == 0, 1.0, -1.0)
-        if self.d == 1:
-            return p
-        return np.outer(p, p)
-
 
 def make_grid(d: int, n: int, L: float) -> GridSpec:
     """Build the periodic spectral grid for the box [-L, L)^d."""
@@ -132,22 +122,6 @@ class Field:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Fourier modes with the continuum normalization (includes h^d)."""
-
-    grid: GridSpec
-    modes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.modes, dtype=np.complex128)
-        if m.shape != self.grid.shape:
-            raise ValueError("modes shape does not match grid")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "modes", m)
 
 
 def transforms(d: int) -> tuple:
@@ -206,23 +180,6 @@ def boxed_transforms(grid: GridSpec, dealias: bool) -> tuple:
     return fwd, inv
 
 
-def to_spectral(f: Field) -> SpectralField:
-    """Forward transform approximating uhat(k) = integral u e^{-ikx} dx."""
-    g = f.grid
-    fwd, _ = transforms(g.d)
-    modes = fwd(f.values, out=np.empty_like(f.values))
-    return SpectralField(g, np.multiply((g.h ** g.d) * g._phase(), modes, out=modes))
-
-
-def to_physical(sf: SpectralField) -> Field:
-    """Inverse of to_spectral."""
-    g = sf.grid
-    _, inv = transforms(g.d)
-    vals = sf.modes * g._phase()
-    inv(vals, out=vals)
-    return Field(g, np.divide(vals, g.h ** g.d, out=vals))
-
-
 def lp_norm(f: Field, p: float) -> float:
     """Rectangle-rule L^p norm, (h^d sum |f|^p)^{1/p}; p = inf gives max modulus."""
     if p != np.inf and p < 1:
@@ -232,13 +189,6 @@ def lp_norm(f: Field, p: float) -> float:
         return float(a.max())
     g = f.grid
     return float((g.h ** g.d * np.sum(a ** p)) ** (1.0 / p))
-
-
-def spectral_l2_sq(sf: SpectralField) -> float:
-    """(2pi)^{-d} integral |uhat|^2 dk by the frequency rectangle rule."""
-    g = sf.grid
-    w = (2.0 * g.L) ** (-g.d)
-    return float(w * np.sum(np.abs(sf.modes) ** 2))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

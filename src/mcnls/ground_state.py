@@ -4,8 +4,8 @@ d = 1 has the closed form 3^{1/4} sech^{1/2}(2x).  For d = 1 and d = 2
 (Townes profile) a spectral renormalization fixed-point iteration
 (Petviashvili; Pelinovsky & Stepanyants, SIAM J. Numer. Anal. 42 (2004))
 computes Q on the grid.  Q is real, so the iteration runs on real-FFT
-half spectra: three half-size transforms per iteration.  The radial
-spline of the converged Q is built on its first use.  The sharp
+half spectra: three half-size transforms per iteration.  The converged
+Q carries its radial profile, a clamped cubic spline.  The sharp
 interpolation constant (d+2)/d * ||Q||_2^{-4/d} and two integral
 identities obtained by multiplying the equation by Q and by x.grad Q
 serve as cross-checks.
@@ -20,6 +20,7 @@ import numpy as np
 
 from .grid import Field, GridSpec, apply_multiplier, half_spectrum_weight, k2_symbol, r2_mesh
 from .observables import _mass, kinetic, mass, potential
+from .piecewise import _clamped_spline
 
 
 class PetviashviliError(RuntimeError):
@@ -118,32 +119,21 @@ def solve_petviashvili(
             raise PetviashviliError("iterate collapsed to zero", _ode_residual(q, grid))
         if diff < tol:
             q = np.abs(q)  # clip sub-roundoff negative tails
-            return _make_state(q.astype(np.complex128), grid, profile=_LazyProfile(q, grid))
+            return _make_state(q.astype(np.complex128), grid, profile=_radial_profile(q, grid))
     raise PetviashviliError(f"no convergence in {max_iter} iterations", _ode_residual(q, grid))
 
 
-class _LazyProfile:
-    """Radial profile Q(|x|) whose spline is built on the first call."""
-
-    def __init__(self, q: np.ndarray, grid: GridSpec):
-        self._q, self._grid = q, grid
-        self._spline = None
-
-    def __call__(self, s):
-        if self._spline is None:
-            self._spline = _radial_profile(self._q, self._grid)
-        return self._spline(s)
-
-
 def _radial_profile(q: np.ndarray, grid: GridSpec):
-    """Cubic-spline radial interpolant of a centered radial iterate."""
-    from scipy.interpolate import CubicSpline
+    """Cubic-spline radial interpolant of a centered radial iterate.
 
+    The spline has zero slope at both ends: Q'(0) = 0 is exact, and at
+    r_max Q's own slope is about -Q(r_max), the size of its tail there.
+    """
     peak = np.unravel_index(int(np.argmax(q)), q.shape)
     # the peak moved to index 0; the half row from it runs along the last axis
     row = np.roll(q, [-i for i in peak], axis=tuple(range(q.ndim))).ravel()[: grid.n // 2]
     r = grid.h * np.arange(row.size)
-    spl = CubicSpline(r, row, bc_type=("clamped", "not-a-knot"))
+    spl = _clamped_spline(r, row)
     rmax = r[-1]
     return lambda s, _spl=spl, _m=rmax: np.where(
         np.abs(s) < _m, _spl(np.abs(np.asarray(s, dtype=float))), 0.0

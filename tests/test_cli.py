@@ -477,6 +477,47 @@ def test_wrong_kind_for_any_schema_key_is_config_error(data):
     assert failure.startswith(f"config error: {section}.{key} must be")
 
 
+def test_every_small_config_runs_without_scipy(tmp_path):
+    paths = []
+    for i, base in enumerate(_SMALL_CONFIGS):
+        paths.append(str(_write_config(tmp_path, base(tmp_path / f"out{i}"), f"cfg{i}.json")))
+    code = ("import json, sys; from mcnls.cli import run_scenario; "
+            f"codes = [run_scenario(p) for p in {paths!r}]; "
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    # every runner ran to its checks (the n = 64 ground states fail theirs, exit 1)
+    assert len(codes) == 6 and 2 not in codes
+    assert loaded == []
+
+
+@pytest.mark.parametrize("content", [b'{"scenario": "simulate",', b'{"scenario": "\xff"}'],
+                         ids=["truncated", "not-utf8"])
+def test_config_that_is_not_json_is_config_error(tmp_path, monkeypatch, content):
+    monkeypatch.chdir(tmp_path)
+    p = tmp_path / "cfg.json"
+    p.write_bytes(content)
+    assert run_scenario(p) == 2
+    failure = json.loads((tmp_path / "mcnls-out" / "manifest.json").read_text())["failure"]
+    assert failure.startswith("config error:")
+
+
+@pytest.mark.parametrize("base", [_envelope_config, _weight_check_config])
+@pytest.mark.parametrize("rows", ["0,0\n1,x\n", "0,0\n1,1\n"], ids=["N-not-integer", "N-positive"])
+def test_corrupt_envelope_csv_is_config_error(tmp_path, base, rows):
+    out = tmp_path / "out"
+    csv = tmp_path / "envelope.csv"
+    csv.write_text("# J0=2.0\nt,N\n" + rows)
+    cfg = base(out)
+    cfg["envelope"] = {"input": str(csv)}
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    assert json.loads((out / "manifest.json").read_text())["failure"].startswith("config error:")
+    cfg["envelope"] = {"input": str(tmp_path / "absent.csv")}
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    assert json.loads((out / "manifest.json").read_text())["failure"].startswith("missing file:")
+
+
 def test_readme_lists_every_config_key():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     assert [f"{s}.{k}" for s, k in _KEYS if f"`{s}.{k}`" not in readme] == []

@@ -262,3 +262,15 @@ def test_envelope_from_concentrating_trajectory():
     em = smooth(e, 1)
     assert em.times == e.times
     assert certify_ratio(e, 1).bound_ok
+
+
+def test_envelope_from_concentrating_trajectory_follows_n_est():
+    # node heights are N_est over its largest value, so the envelope dips
+    # below 1 while the solution concentrates
+    from mcnls import EvolutionConfig, Field, evolve, make_grid
+
+    g = make_grid(1, 1024, 16.0)
+    u0 = Field(g, 1.3 * np.exp(-g.axis_x ** 2 / (2.0 * 1.5 ** 2)))
+    series, _ = evolve(u0, EvolutionConfig(mu=-1, dt=1e-4, t_end=0.5, stride=200))
+    e = envelope_from_series(series.t, series.scat_accum, series.N_est)
+    assert min(e.exponents) <= -2

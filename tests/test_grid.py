@@ -11,11 +11,10 @@ from mcnls import (
     lp_norm,
     make_grid,
     read_snapshot,
-    to_physical,
-    to_spectral,
     write_snapshot,
 )
-from mcnls.grid import spectral_l2_sq
+from mcnls.grid import transforms
+from mcnls.observables import _spectral_weight
 
 from conftest import smooth_random_field
 
@@ -51,32 +50,10 @@ def test_field_rejects_nonfinite():
         Field(g, np.ones(7, dtype=complex))
 
 
-def test_transform_constant_is_dc_only():
-    g = make_grid(1, 64, 8.0)
-    sf = to_spectral(Field(g, np.ones(64)))
-    mags = np.abs(sf.modes)
-    assert mags[0] > 1.0
-    assert np.max(mags[1:]) < 1e-12 * mags[0]
-
-
-def test_transform_plane_wave_single_mode():
-    g = make_grid(1, 64, 8.0)
-    k0 = 3 * g.dk
-    sf = to_spectral(Field(g, np.exp(1j * k0 * g.axis_x)))
-    mags = np.abs(sf.modes)
-    idx = np.argmax(mags)
-    assert abs(g.axis_k[idx] - k0) < 1e-12
-    assert np.sum(mags > 1e-10 * mags[idx]) == 1
-
-
-def test_roundtrip_random_fields():
-    rng = np.random.default_rng(0)
-    for d, n in ((1, 256), (2, 64)):
-        g = make_grid(d, n, 8.0)
-        vals = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
-        f = Field(g, vals)
-        back = to_physical(to_spectral(f))
-        assert np.max(np.abs(back.values - f.values)) < 1e-12 * np.max(np.abs(vals))
+def _parseval_l2_sq(f):
+    """(2pi)^{-d} integral |uhat|^2 dk as the Parseval sum the observables use."""
+    fwd, _ = transforms(f.grid.d)
+    return float(_spectral_weight(f.grid) * np.sum(np.abs(fwd(f.values)) ** 2))
 
 
 def test_plancherel_many_fields():
@@ -87,20 +64,9 @@ def test_plancherel_many_fields():
         vals = rng.normal(size=128) + 1j * rng.normal(size=128)
         f = Field(g, vals)
         a = lp_norm(f, 2) ** 2
-        b = spectral_l2_sq(to_spectral(f))
+        b = _parseval_l2_sq(f)
         worst = max(worst, abs(a - b) / a)
     assert worst < 1e-10
-
-
-def test_transform_linearity():
-    rng = np.random.default_rng(2)
-    g = make_grid(1, 128, 8.0)
-    f1 = rng.normal(size=128) + 1j * rng.normal(size=128)
-    f2 = rng.normal(size=128) + 1j * rng.normal(size=128)
-    a, b = 1.3 - 0.2j, -0.7 + 2.2j
-    lhs = to_spectral(Field(g, a * f1 + b * f2)).modes
-    rhs = a * to_spectral(Field(g, f1)).modes + b * to_spectral(Field(g, f2)).modes
-    assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(lhs))
 
 
 def test_lp_norm_indicator():
@@ -146,7 +112,7 @@ def test_quadrature_consistency_physical_vs_spectral():
     rng = np.random.default_rng(3)
     g = make_grid(1, 256, 16.0)
     f = smooth_random_field(g, rng)
-    assert lp_norm(f, 2) ** 2 == pytest.approx(spectral_l2_sq(to_spectral(f)), rel=1e-10)
+    assert lp_norm(f, 2) ** 2 == pytest.approx(_parseval_l2_sq(f), rel=1e-10)
 
 
 def test_boundary_mass_fraction():
@@ -265,9 +231,8 @@ def test_in_place_fft_matches_allocating_fft(shape):
 
 @pytest.mark.parametrize("shape", [(512,), (64, 64), (256, 256)])
 def test_preallocated_transforms_match_allocating_transforms(shape):
-    # apply_multiplier, to_spectral/to_physical and momentum_density transform
-    # into preallocated arrays; the results stay bit-equal to the allocating form
-    from mcnls import to_physical, to_spectral
+    # apply_multiplier and momentum_density transform into preallocated
+    # arrays; the results stay bit-equal to the allocating form
     from mcnls.observables import momentum_density
     from mcnls.grid import apply_multiplier, derivative_wavenumbers, k2_symbol
 
@@ -286,10 +251,6 @@ def test_preallocated_transforms_match_allocating_transforms(shape):
     assert np.array_equal(apply_multiplier(cplx, phase), ref)
 
     f = Field(g, cplx)
-    modes = to_spectral(f).modes
-    assert np.array_equal(modes, (g.h ** g.d) * g._phase() * np.fft.fftn(cplx))
-    back = np.fft.ifftn(modes * g._phase()) / (g.h ** g.d)
-    assert np.array_equal(to_physical(to_spectral(f)).values, back)
     spec = np.fft.fftn(cplx)
     for pj, k in zip(momentum_density(f), derivative_wavenumbers(g)):
         mult = 1j * k

@@ -213,20 +213,9 @@ def test_petviashvili_error_residual_is_last_iterate_residual(monkeypatch):
     assert exc.value.residual == real(seen[0], g)
 
 
-def test_lazy_profile_matches_eager_spline():
-    from mcnls.ground_state import _radial_profile
-
-    g = make_grid(2, 64, 16.0)
-    q = solve_petviashvili(g)
-    eager = _radial_profile(q.field.values.real, g)
-    s = np.linspace(-20.0, 20.0, 4001)
-    assert np.array_equal(q.profile(s), eager(s))
-    assert np.array_equal(q.profile(s), eager(s))  # built once, then reused
-
-
 def _two_branch_profile(q, grid):
     """The radial profile as built before one roll over all axes served both d."""
-    from scipy.interpolate import CubicSpline
+    from mcnls.piecewise import _clamped_spline
 
     if grid.d == 1:
         row = np.roll(q, -int(np.argmax(q)))[: grid.n // 2]
@@ -234,7 +223,7 @@ def _two_branch_profile(q, grid):
         ij = np.unravel_index(int(np.argmax(q)), q.shape)
         row = np.roll(np.roll(q, -ij[0], axis=0), -ij[1], axis=1)[0, : grid.n // 2]
     r = grid.h * np.arange(row.size)
-    spl = CubicSpline(r, row, bc_type=("clamped", "not-a-knot"))
+    spl = _clamped_spline(r, row)
     return lambda s: np.where(np.abs(s) < r[-1], spl(np.abs(np.asarray(s, dtype=float))), 0.0)
 
 
@@ -246,3 +235,21 @@ def test_radial_profile_matches_two_branch_reference(d, n):
     q = solve_petviashvili(g).field.values.real
     s = np.linspace(-20.0, 20.0, 100001)
     assert np.array_equal(_radial_profile(q, g)(s), _two_branch_profile(q, g)(s))
+
+
+@pytest.mark.parametrize("d, n", [(1, 512), (1, 1024), (2, 64), (2, 128)])
+def test_radial_profile_matches_scipy_not_a_knot_spline(d, n):
+    # zero slope at r_max in place of not-a-knot moves the spline by at most
+    # the size of Q's tail there
+    from scipy.interpolate import CubicSpline
+
+    from mcnls.ground_state import _radial_profile
+
+    g = make_grid(d, n, 16.0)
+    q = solve_petviashvili(g).field.values.real
+    peak = np.unravel_index(int(np.argmax(q)), q.shape)
+    row = np.roll(q, [-i for i in peak], axis=tuple(range(q.ndim))).ravel()[: g.n // 2]
+    r = g.h * np.arange(row.size)
+    ref = CubicSpline(r, row, bc_type=("clamped", "not-a-knot"))
+    s = np.linspace(0.0, r[-1], 100001)[:-1]
+    assert np.max(np.abs(_radial_profile(q, g)(s) - ref(s))) <= row[-1]

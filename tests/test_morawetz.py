@@ -491,7 +491,8 @@ def test_phi2_profile_vs_ellipeinc_oracle(weights, M):
 def test_clamped_spline_matches_scipy_cubic_spline(M):
     from scipy.interpolate import CubicSpline
 
-    from mcnls.morawetz import _clamped_spline, _phi2_profile_points, _phi2_spline
+    from mcnls.morawetz import _phi2_profile_points, _phi2_spline
+    from mcnls.piecewise import _clamped_spline
 
     x = _phi2_spline(M).x
     y = _phi2_profile_points(x, M)

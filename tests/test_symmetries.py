@@ -110,6 +110,16 @@ def test_pseudoconformal_mass(q20):
         assert abs(mass(v) - target) <= 1e-8
 
 
+def test_pseudoconformal_mass_2d_petviashvili():
+    # the sample resamples a Petviashvili Townes profile through its radial spline
+    from mcnls import make_grid, solve_petviashvili
+
+    q = solve_petviashvili(make_grid(2, 128, 16.0))
+    for t in (-1.0, -0.5, 1.0):
+        v = pseudoconformal_sample(t, q.field.grid, q)
+        assert abs(mass(v) - q.mass_sq) <= 1e-4 * q.mass_sq
+
+
 def test_pseudoconformal_rejects_t0(q20):
     with pytest.raises(ValueError):
         pseudoconformal_sample(0.0, q20.field.grid, q20)
