@@ -114,6 +114,26 @@ def _parse(raw) -> dict:
     return cfg
 
 
+def _read_input(read, path, name: str):
+    """read(path) for the input file named by `name`.  A file that does not
+    exist stays FileNotFoundError ('missing file:'); any other failure to
+    open or read it (a directory, no permission) is a config error."""
+    try:
+        return read(path)
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise ConfigError(f"{name} {str(path)!r} cannot be read: {exc.strerror or exc}") from exc
+
+
+def _load_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def _section(cfg: dict, name: str, build):
     """build(cfg[name]), reporting a missing section, key or invalid value as ConfigError."""
     if name not in cfg:
@@ -183,7 +203,7 @@ def _initial_from(init: dict, grid) -> Field:
             raise ConfigError("the pseudoconformal sample is exposed for d = 1")
         return pseudoconformal_sample(init["t0"], grid, closed_form_1d(grid))
     if kind == "snapshot":
-        return read_snapshot(init["path"])
+        return _read_input(read_snapshot, init["path"], "initial.path")
     raise ConfigError(f"unknown initial kind {kind!r}")
 
 
@@ -306,7 +326,7 @@ def _load_envelope(cfg):
             from .envelope import parse_envelope_csv
 
             return parse_envelope_csv(files("mcnls").joinpath("data/sawtooth.csv").read_text())
-        return read_envelope_csv(env["input"])
+        return _read_input(read_envelope_csv, env["input"], "envelope.input")
     return _section(cfg, "envelope", read)
 
 
@@ -368,11 +388,7 @@ def run_scenario(config_path) -> int:
     code = 2
     checks = Checks()
     try:
-        with open(config_path) as fh:
-            try:
-                raw = json.load(fh)
-            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-                raise ConfigError(f"{config_path} is not valid JSON: {exc}") from exc
+        raw = _read_input(_load_json, config_path, "config")
         manifest["config"] = raw
         # the manifest of a config that fails to parse still goes to a usable output.dir
         out_cfg = raw.get("output") if isinstance(raw, dict) else None

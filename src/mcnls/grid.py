@@ -8,11 +8,12 @@ sum of |fftn(u)|^2 with weight (2L)^{-d} h^{2d} approximates the
 (2pi)^{-d} integral in k.  All fields carry their grid.
 
 This is the one spectral-operator layer: the complex transform pair
-`transforms` and its pruning to the 2/3 dealias box `boxed_transforms`,
-per-grid symbols cached read-only (|k|^2, Nyquist-zeroed
-derivative wavenumbers, the 2/3 dealias mask, |x|^2, the boundary
-annulus), `apply_multiplier`, and the 2n-grid zero-padding
-`pad_spectrum` / `truncate_spectrum`.
+`transforms`, its pruning to the 2/3 dealias box `boxed_transforms`, the
+half spectrum of real samples zero-padded to the 2n grid `padded_rfft`
+(the padding rows are not transformed), per-grid symbols cached
+read-only (|k|^2, Nyquist-zeroed derivative wavenumbers, the 2/3 dealias
+mask, |x|^2, the boundary annulus), `apply_multiplier`, and the 2n-grid
+zero-padding `pad_spectrum` / `truncate_spectrum`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -178,6 +180,26 @@ def boxed_transforms(grid: GridSpec, dealias: bool) -> tuple:
         return ifft(out, axis=0, out=out)
 
     return fwd, inv
+
+
+def padded_rfft(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Half spectrum of real samples on an n-grid zero-padded to 2n per axis.
+
+    Bit-equal to `np.fft.rfftn(a, s=(2n,)*d)`, which runs the real
+    transform along the last axis and then the complex one along axis 0.
+    In 2D the real pass runs on the n data rows straight into rows [:n] of
+    `out`; the n padding rows transform to 0, so they are set to 0 and the
+    axis-0 pass runs in place.  `out` has shape (2n,)*(d-1) + (n+1,) and
+    may be reused between calls.
+    """
+    n, d = a.shape[0], a.ndim
+    if out is None:
+        out = np.empty((2 * n,) * (d - 1) + (n + 1,), dtype=np.complex128)
+    if d == 1:
+        return np.fft.rfft(a, n=2 * n, out=out)
+    np.fft.rfft(a, n=2 * n, axis=1, out=out[:n])
+    out[n:] = 0.0
+    return np.fft.fft(out, axis=0, out=out)
 
 
 def lp_norm(f: Field, p: float) -> float:

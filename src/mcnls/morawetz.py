@@ -15,9 +15,11 @@ F = int_0^r phi are its exact antiderivatives.  The 2D radial
 correlation is a polar double integral: the angular part is closed form
 up to an arc length, which a Gauss-Legendre rule integrates where the
 integrand is analytic, and the radial part runs Gauss-Legendre panels.
-It is tabulated once per M into a clamped cubic spline.  Both are
-piecewise polynomials (`piecewise._PiecewisePoly`), so the
-two dimensions share one construction of phi, phi', F and psi.
+It is tabulated once per M into a clamped cubic spline, `_PHI2_BLOCK`
+radii at a time: bit-equal to one call over all radii, at about a tenth
+of its memory.  Both are piecewise polynomials
+(`piecewise._PiecewisePoly`), so the two dimensions share one
+construction of phi, phi', F and psi.
 
 A linear ramp rather than a smooth step is deliberate: a C^1 transition
 of unit width forces int (varphi')^2 > 1 and with it sup|phi''| > 1/M,
@@ -26,12 +28,14 @@ while the ramp attains the bound exactly.
 Every double integral sum_x sum_y A(x) K(x - y) B(y) is one Fourier
 pairing on the doubled grid: the offsets x - y of the n-grid fit a
 circle of 2n points per axis without wraparound, so with A and B
-zero-padded to 2n, Parseval gives Re sum conj(A^) K^ B^ / (2n)^d.  Every
-kernel is even or odd in z, so its spectrum is real or imaginary and is
-kept as one real array; for an odd kernel the pairing is
--Im sum conj(A^) (Im K^) B^, in which a momentum density p = xi rho
-cancels mode by mode.  The kernel spectra are cached per
-(grid, Ntilde, weights).  Direct O(n^{2d})
+zero-padded to 2n (`grid.padded_rfft`), Parseval gives
+Re sum conj(A^) K^ B^ / (2n)^d.  Every kernel is even or odd in z, so
+its spectrum is real or imaginary and is kept as one real array; for an
+odd kernel the pairing is -Im sum conj(A^) (Im K^) B^, in which a
+momentum density p = xi rho cancels mode by mode.  The kernel spectra
+are cached per (grid, Ntilde, weights).  A flux sample keeps rho^ and
+p^ for all its pairings and transforms each other density into one
+reused work spectrum just before its one pairing.  Direct O(n^{2d})
 evaluations of the actions are retained as test oracles.
 """
 
@@ -43,7 +47,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .grid import Field, _read_only, half_spectrum_weight, laplacian
+from .grid import Field, _read_only, half_spectrum_weight, laplacian, padded_rfft
 from .observables import (_gradient, _momentum_density, _spectrum, energy, kinetic, mass,
                           momentum_density, quad_weight)
 from .piecewise import _PiecewisePoly, _clamped_spline
@@ -145,6 +149,11 @@ def _phi2_profile_points(r_vals: np.ndarray, M: float) -> np.ndarray:
     return np.bincount(radius, panels, minlength=r.shape[0]) / (np.pi * M * M)
 
 
+# radii per `_phi2_profile_points` call: each radius's panels are summed alone,
+# so blocks give the one-shot values while bounding the panel temporaries
+_PHI2_BLOCK = 192
+
+
 @lru_cache(maxsize=16)
 def _phi2_spline(M: float) -> _PiecewisePoly:
     """Clamped cubic-spline table of the 2D correlation profile on [0, 2M]."""
@@ -155,7 +164,8 @@ def _phi2_spline(M: float) -> _PiecewisePoly:
         npts = max(16, int(np.ceil((b - a) * 160)))
         pieces.append(np.linspace(a, b, npts, endpoint=False))
     r = np.concatenate(pieces + [np.array([2.0 * M])])
-    return _clamped_spline(r, _phi2_profile_points(r, M))
+    vals = [_phi2_profile_points(r[i:i + _PHI2_BLOCK], M) for i in range(0, r.size, _PHI2_BLOCK)]
+    return _clamped_spline(r, np.concatenate(vals))
 
 
 def _phi1_profile(M: float) -> tuple:
@@ -307,11 +317,6 @@ def _offsets(grid) -> list:
     return np.meshgrid(*([off] * grid.d), indexing="ij")
 
 
-def _density_spectrum(grid, a: np.ndarray) -> np.ndarray:
-    """Half spectrum of real samples zero-padded to the 2n grid."""
-    return np.fft.rfftn(a, s=(2 * grid.n,) * grid.d, axes=tuple(range(grid.d)))
-
-
 def _kernel_spectrum(grid, kern: np.ndarray, odd: bool) -> np.ndarray:
     """Re K^ (Im K^ if odd) of a kernel sampled at `_offsets`, times the Parseval weight.
 
@@ -374,8 +379,8 @@ def interaction_action(f: Field, Ntilde: float, w: WeightFamily) -> float:
     if not Ntilde > 0:
         raise ValueError("Ntilde must be positive")
     g = f.grid
-    p_hat = [_density_spectrum(g, pj) for pj in momentum_density(f)]
-    rho_hat = _density_spectrum(g, np.abs(f.values) ** 2)
+    p_hat = [padded_rfft(pj) for pj in momentum_density(f)]
+    rho_hat = padded_rfft(np.abs(f.values) ** 2)
     kern = _pairing_kernels(g, float(Ntilde), w)
     return quad_weight(f) ** 2 * _action(kern, p_hat, rho_hat)
 
@@ -449,25 +454,27 @@ def _flux_terms(g, u: np.ndarray, spec: np.ndarray, Ntilde: float, Ntilde_prime:
     d = g.d
     w2 = (g.h ** d) ** 2
     kern = _pairing_kernels(g, float(Ntilde), w)
-    pad = lambda a: _density_spectrum(g, a)
     rho = np.abs(u) ** 2
-    rho_hat = pad(rho)
+    rho_hat = padded_rfft(rho)
     du = _gradient(g, spec)
     p = _momentum_density(u, du)
-    p_hat = [pad(pj) for pj in p]
+    p_hat = [padded_rfft(pj) for pj in p]
+    # rho^ and p^ are paired throughout; every other spectrum is paired once,
+    # right after it is transformed into this one work array
+    work = np.empty_like(rho_hat)
 
     t_disp = 0.0
     t_mom = 0.0
     for (j, k), K_jk in kern.K:
         both = 1.0 if j == k else 2.0   # K_jk = K_kj
-        W_hat = pad(np.real(np.conj(du[j]) * du[k]))
+        W_hat = padded_rfft(np.real(np.conj(du[j]) * du[k]), work)
         t_disp += both * 2.0 * w2 * _pair(W_hat, K_jk, rho_hat)
         t_mom += both * -2.0 * w2 * _pair(p_hat[j], K_jk, p_hat[k])
 
     G_rho = kern.G * rho_hat
-    nl_hat = pad(rho ** ((d + 2.0) / d))
-    lap_hat = pad(laplacian(Field(g, rho)).values.real)
+    nl_hat = padded_rfft(rho ** ((d + 2.0) / d), work)
     t_nl = (2.0 * mu / (d + 2.0)) * w2 * float(np.vdot(nl_hat, G_rho).real)
+    lap_hat = padded_rfft(laplacian(Field(g, rho)).values.real, work)
     t_curv = -0.5 * w2 * float(np.vdot(lap_hat, G_rho).real)
 
     t_env = 0.0
@@ -501,8 +508,8 @@ def defocusing_interaction_action(f: Field) -> float:
         raise ValueError("the classical kernel is one dimensional")
     g = f.grid
     kern = _kernel_spectrum(g, np.sign(_offsets(g)[0]), odd=True)
-    p_hat = _density_spectrum(g, momentum_density(f)[0])
-    rho_hat = _density_spectrum(g, np.abs(f.values) ** 2)
+    p_hat = padded_rfft(momentum_density(f)[0])
+    rho_hat = padded_rfft(np.abs(f.values) ** 2)
     return quad_weight(f) ** 2 * _pair_odd(p_hat, kern, rho_hat)
 
 

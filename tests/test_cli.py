@@ -521,3 +521,18 @@ def test_corrupt_envelope_csv_is_config_error(tmp_path, base, rows):
 def test_readme_lists_every_config_key():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     assert [f"{s}.{k}" for s, k in _KEYS if f"`{s}.{k}`" not in readme] == []
+
+
+@pytest.mark.parametrize("input_key", ["config", "envelope.input", "initial.path"])
+def test_input_path_that_is_a_directory_is_config_error(tmp_path, monkeypatch, input_key):
+    monkeypatch.chdir(tmp_path)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    cfg = {"envelope.input": dict(_envelope_config(tmp_path / "mcnls-out"),
+                                  envelope={"input": str(folder)}),
+           "initial.path": _sim_config(tmp_path / "mcnls-out",
+                                       initial={"kind": "snapshot", "path": str(folder)})}
+    path = folder if input_key == "config" else _write_config(tmp_path, cfg[input_key])
+    assert run_scenario(path) == 2
+    failure = json.loads((tmp_path / "mcnls-out" / "manifest.json").read_text())["failure"]
+    assert failure.startswith(f"config error: {input_key} ")

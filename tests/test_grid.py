@@ -367,3 +367,33 @@ def test_boxed_transforms_are_the_plain_pair_in_1d_or_without_dealiasing():
     assert boxed_transforms(make_grid(1, 512, 16.0), True) == transforms(1)
     assert boxed_transforms(make_grid(2, 64, 16.0), False) == transforms(2)
 
+
+@pytest.mark.parametrize("d, n", [(1, 256), (2, 64), (2, 128)])
+def test_padded_rfft_is_bit_equal_to_zero_padded_rfftn(d, n):
+    from mcnls.grid import padded_rfft
+
+    ref = lambda x: np.fft.rfftn(x, s=(2 * n,) * d, axes=tuple(range(d)))
+    a, b = np.random.default_rng(17).standard_normal((2,) + (n,) * d)
+    assert np.array_equal(padded_rfft(a), ref(a))
+    out = np.full_like(ref(a), np.nan)
+    assert padded_rfft(a, out) is out
+    assert np.array_equal(out, ref(a))
+    # a reused work array holds the previous spectrum, zero rows included
+    assert np.array_equal(padded_rfft(b, out), ref(b))
+
+
+def test_padded_rfft_2d_working_memory_is_its_output():
+    # the 2n x (n+1) output is 516 KiB at n = 128; the allocating rfftn peaks at 776 KiB
+    import tracemalloc
+
+    from mcnls.grid import padded_rfft
+
+    a = np.random.default_rng(19).standard_normal((128, 128))
+    padded_rfft(a)
+    tracemalloc.start()
+    try:
+        padded_rfft(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 640 * 1024

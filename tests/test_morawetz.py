@@ -487,6 +487,32 @@ def test_phi2_profile_vs_ellipeinc_oracle(weights, M):
     assert rel(w.dphi(r), dphi) <= 1e-10
 
 
+@pytest.mark.parametrize("M", [4.0, 8.0])
+def test_blocked_phi2_table_is_bit_equal_to_one_shot(M):
+    from mcnls.morawetz import _PHI2_BLOCK, _phi2_profile_points, _phi2_spline
+    from mcnls.piecewise import _clamped_spline
+
+    sp = _phi2_spline(M)
+    assert sp.x.size > _PHI2_BLOCK
+    assert np.array_equal(sp.c, _clamped_spline(sp.x, _phi2_profile_points(sp.x, M)).c)
+
+
+def test_2d_weight_build_working_memory_is_bounded():
+    # tabulating every radius in one call peaked at 17.3 MiB
+    import tracemalloc
+
+    from mcnls.morawetz import _phi2_spline
+
+    _phi2_spline.cache_clear()
+    tracemalloc.start()
+    try:
+        build_weights(2, 8, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
 @pytest.mark.parametrize("M", [4.0, 8.0, 16.0])
 def test_clamped_spline_matches_scipy_cubic_spline(M):
     from scipy.interpolate import CubicSpline
