@@ -67,6 +67,9 @@ NEGLIGIBLE_ANGLE = 2.0 ** -27
 # the full one at 512 points, 1.22x at 1024, 0.94x at 2048 and 0.74x at
 # 4096 (numpy 2.4.6, 2-vCPU x86-64 VM).
 COMPACT_MIN_POINTS = 4096
+# A sample's N_est leaves less than this fraction of its mass outside the
+# ball around xi_est (the eta of `_estimates_from_spec`).
+ESTIMATE_MASS_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -144,11 +147,6 @@ def _kicks(g, dt: float, dealias: bool):
     half = np.exp(-0.5j * k2_symbol(g) * dt)
     close = half * dealias_mask(g) if dealias else half
     return _read_only(half), _read_only(close), _read_only(half * close)
-
-
-def _half_kicks(g, dt: float, dealias: bool):
-    """The half and closing kicks of `_kicks`."""
-    return _kicks(g, dt, dealias)[:2]
 
 
 def step_strang(f: Field, dt: float, mu: int, dealias: bool = False) -> Field:
@@ -304,7 +302,7 @@ class _Observed:
                 return
 
 
-def evolve(f: Field, cfg: EvolutionConfig, eta_frac: float = 0.05):
+def evolve(f: Field, cfg: EvolutionConfig):
     """Run to t_end recording diagnostics every `stride` steps.
 
     Returns (series, final_field).  Aborts with outcome "blowup-suspected"
@@ -318,7 +316,8 @@ def evolve(f: Field, cfg: EvolutionConfig, eta_frac: float = 0.05):
     n_est = None
     for s in run:
         m = _mass(g, s.dens)
-        n_est, xi_est, x_est = _estimates_from_spec(g, s.dens, s.sdens, eta_frac * m, n_est)
+        n_est, xi_est, x_est = _estimates_from_spec(g, s.dens, s.sdens,
+                                                    ESTIMATE_MASS_FRACTION * m, n_est)
         pot = _potential(g, s.dens)
         series.t.append(s.step * cfg.dt)
         series.mass.append(m)

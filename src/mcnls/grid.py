@@ -92,11 +92,6 @@ class GridSpec:
     def k_mesh(self) -> tuple:
         return self._mesh(self.axis_k)
 
-    def k2_mesh(self) -> np.ndarray:
-        """|k|^2 on the frequency lattice, FFT order."""
-        km = self.k_mesh()
-        return sum(k * k for k in km)
-
 
 def make_grid(d: int, n: int, L: float) -> GridSpec:
     """Build the periodic spectral grid for the box [-L, L)^d."""
@@ -221,7 +216,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=16)
 def k2_symbol(grid: GridSpec) -> np.ndarray:
     """|k|^2 on the frequency lattice, FFT order; cached read-only per grid."""
-    return _read_only(grid.k2_mesh())
+    return _read_only(sum(k * k for k in grid.k_mesh()))
 
 
 @lru_cache(maxsize=16)
@@ -310,20 +305,20 @@ def laplacian(f: Field) -> Field:
     return Field(f.grid, apply_multiplier(f.values, -k2_symbol(f.grid)))
 
 
-def boundary_mass_fraction(f: Field, frac: float = 0.05) -> float:
-    """Fraction of the mass in the outermost `frac` annulus of the box."""
-    return density_boundary_fraction(f.grid, np.abs(f.values) ** 2, frac)
+def boundary_mass_fraction(f: Field) -> float:
+    """Fraction of the mass in the outermost `BOUNDARY_ANNULUS` of the box."""
+    return density_boundary_fraction(f.grid, np.abs(f.values) ** 2)
 
 
-def density_boundary_fraction(grid: GridSpec, dens: np.ndarray, frac: float = 0.05) -> float:
+def density_boundary_fraction(grid: GridSpec, dens: np.ndarray) -> float:
     """boundary_mass_fraction from a precomputed density |u|^2."""
     total = dens.sum()
     if total == 0.0:
         return 0.0
-    return float(dens[outer_annulus(grid, frac)].sum() / total)
+    return float(dens[outer_annulus(grid, BOUNDARY_ANNULUS)].sum() / total)
 
 
-BOUNDARY_MASS_BUDGET = 1e-10
+BOUNDARY_ANNULUS = 0.05  # the boundary is max_j |x_j| >= 0.95 L
 BOUNDARY_MASS_WARN = 1e-8
 
 

@@ -19,7 +19,11 @@ It is tabulated once per M into a clamped cubic spline, `_PHI2_BLOCK`
 radii at a time: bit-equal to one call over all radii, at about a tenth
 of its memory.  Both are piecewise polynomials
 (`piecewise._PiecewisePoly`), so the two dimensions share one
-construction of phi, phi', F and psi.
+construction of phi, phi', F and psi.  The certificates are exact too:
+the plateau overlap int chi^{2(d+2)/d} varphi is a closed form in M, and
+the 2D moment int_0^{2M} rho^2 phi of the dt_l1 bound comes by parts from
+the spline's antiderivatives.  The centered profile's x psi is a
+piecewise cubic as well.
 
 A linear ramp rather than a smooth step is deliberate: a C^1 transition
 of unit width forces int (varphi')^2 > 1 and with it sup|phi''| > 1/M,
@@ -47,14 +51,15 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .grid import Field, _read_only, half_spectrum_weight, laplacian, padded_rfft
+from .grid import (Field, _read_only, apply_multiplier, half_spectrum_weight, k2_symbol,
+                   padded_rfft)
 from .observables import (_gradient, _momentum_density, _spectrum, energy, kinetic, mass,
                           momentum_density, quad_weight)
 from .piecewise import _PiecewisePoly, _clamped_spline
 
 
 # ---------------------------------------------------------------------------
-# trapezoid profiles and panel quadrature
+# trapezoid profiles and the removable singularity at r = 0
 # ---------------------------------------------------------------------------
 
 def _trapezoid(plateau: float, support: float) -> Callable:
@@ -64,23 +69,17 @@ def _trapezoid(plateau: float, support: float) -> Callable:
     return value
 
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
-
-
-def _panel_gauss(fn, edges) -> float:
-    """Gauss-Legendre integral of fn over consecutive panel edges."""
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        m, hw = 0.5 * (a + b), 0.5 * (b - a)
-        total += hw * float(np.sum(_GAUSS_W * fn(m + hw * _GAUSS_X)))
-    return total
+def _over_r(num, r, at0):
+    """num / r for r > 1e-14, `at0` (the removable singularity's value) below."""
+    return np.where(r > 1e-14, num / np.where(r > 1e-14, r, 1.0), at0)
 
 
 # ---------------------------------------------------------------------------
 # 2D radial correlation via incomplete elliptic integrals
 # ---------------------------------------------------------------------------
+
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
+
 
 def _theta_of_level(r, rho, c):
     """Angle where sqrt(r^2 + rho^2 - 2 r rho cos th) crosses c (0 on [0,pi])."""
@@ -117,10 +116,6 @@ def _arc_integral(r, rho, th1, th2):
     return out
 
 
-def _varphi_weight(rho, M):
-    return np.clip(M - np.asarray(rho, dtype=float), 0.0, 1.0)
-
-
 def _phi2_profile_points(r_vals: np.ndarray, M: float) -> np.ndarray:
     """phi(r) = (1/(pi M^2)) int varphi(|z - s|) varphi(|s|) ds at radii r (2D).
 
@@ -144,7 +139,7 @@ def _phi2_profile_points(r_vals: np.ndarray, M: float) -> np.ndarray:
     th1 = _theta_of_level(rr, rho, M - 1.0)
     th2 = _theta_of_level(rr, rho, M)
     theta_int = 2.0 * (th1 + M * (th2 - th1) - _arc_integral(rr, rho, th1, th2))
-    vals = rho * _varphi_weight(rho, M) * theta_int
+    vals = rho * _trapezoid(M - 1.0, M)(rho) * theta_int
     panels = hw * np.sum(_GAUSS_W * vals, axis=-1)
     return np.bincount(radius, panels, minlength=r.shape[0]) / (np.pi * M * M)
 
@@ -208,14 +203,12 @@ class WeightFamily:
     def psi(self, r):
         """psi(r) = F(|r|)/|r| with the removable singularity psi(0) = phi(0)."""
         r = np.abs(np.asarray(r, dtype=float))
-        safe = np.where(r > 1e-14, r, 1.0)
-        return np.where(r > 1e-14, self.F(r) / safe, self.phi0)
+        return _over_r(self.F(r), r, self.phi0)
 
     def dpsi(self, r):
         """psi'(r) = (phi(r) - psi(r))/r, zero at r = 0."""
         r = np.abs(np.asarray(r, dtype=float))
-        safe = np.where(r > 1e-14, r, 1.0)
-        return np.where(r > 1e-14, (self.phi(r) - self.psi(r)) / safe, 0.0)
+        return _over_r(self.phi(r) - self.psi(r), r, 0.0)
 
 
 def build_weights(d: int, M: float, R: float) -> WeightFamily:
@@ -229,13 +222,16 @@ def build_weights(d: int, M: float, R: float) -> WeightFamily:
     M = float(M)
     varphi = _trapezoid(M - 1.0, M)
     chi = _trapezoid(M - 2.0, M - 1.0)
+    # plateau_overlap = int chi^{2(d+2)/d} varphi over R^d / |B_M|, exact: varphi = 1
+    # where chi > 0, and chi = t = M - 1 - |x| on its ramp, so the integral is
+    # 2 (M-2) + 2 int_0^1 t^6 in 1D and 2 pi (int_0^{M-2} rho + int_0^1 (M-1-t) t^4) in 2D
     if d == 1:
         phi_pp, dphi_pp, d2phi_pp = _phi1_profile(M)
-        ball, shell = 2.0 * M, lambda rho: 2.0
+        plateau_overlap = (2.0 * (M - 2.0) + 2.0 / 7.0) / (2.0 * M)
     else:
         phi_pp = _phi2_spline(M)
         dphi_pp, d2phi_pp = phi_pp.derivative(), None
-        ball, shell = np.pi * M * M, lambda rho: 2.0 * np.pi * rho
+        plateau_overlap = ((M - 2.0) ** 2 + 2.0 * ((M - 1.0) / 5.0 - 1.0 / 6.0)) / M ** 2
     F_pp = phi_pp.antiderivative()
     F_total = float(F_pp(2.0 * M))
 
@@ -246,10 +242,6 @@ def build_weights(d: int, M: float, R: float) -> WeightFamily:
             return np.where(r <= 2.0 * M, pp(np.minimum(r, 2.0 * M)), outside)
         return value
 
-    # normalized int chi^{2(d+2)/d} varphi over R^d, in polar form
-    power = 2 * (d + 2) // d
-    fn = lambda rho: shell(rho) * chi(rho) ** power * varphi(rho)
-    plateau_overlap = _panel_gauss(fn, [0.0, M - 2.0, M - 1.0]) / ball
     return WeightFamily(d, M, float(R), varphi, chi, radial(phi_pp, 0.0),
                         radial(dphi_pp, 0.0),
                         None if d2phi_pp is None else radial(d2phi_pp, 0.0),
@@ -261,34 +253,28 @@ def build_weights(d: int, M: float, R: float) -> WeightFamily:
 # the centered (one-dimensional) profile with psi = 3/|x| tails
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class CenteredWeights:
     """Even profile with psi = 1 on [0,1] and 3/|x| beyond 2.
 
-    The monotone kernel g(x) = x psi(x) interpolates with the cubic
-    Hermite -3t^3 + 4t^2 + t + 1 (t = x - 1) on (1, 2), whose derivative
-    -(9t+1)(t-1) is nonnegative, so (x psi)' = phi >= 0 holds.
+    The monotone kernel g(x) = x psi(x) is the piecewise cubic x on
+    [0, 1], the Hermite -3t^3 + 4t^2 + t + 1 (t = x - 1) on [1, 2] and 3
+    beyond.  The Hermite's derivative -(9t+1)(t-1) is nonnegative, so
+    phi = (x psi)' = g' >= 0 holds.
     """
 
-    kernel_sup: float = 3.0
-
-    def _g(self, x):
-        x = np.abs(np.asarray(x, dtype=float))
-        t = x - 1.0
-        mid = -3.0 * t ** 3 + 4.0 * t ** 2 + t + 1.0
-        return np.where(x <= 1.0, x, np.where(x >= 2.0, 3.0, mid))
+    # rows: the coefficients of t^3, t^2, t, 1 on [0, 1], [1, 2], [2, inf),
+    # t = x minus the piece's left end
+    g = _PiecewisePoly([[0.0, -3.0, 0.0], [0.0, 4.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 3.0]],
+                       [0.0, 1.0, 2.0, 3.0])
+    dg = g.derivative()
 
     def psi(self, r):
         r = np.abs(np.asarray(r, dtype=float))
-        safe = np.where(r > 1e-14, r, 1.0)
-        return np.where(r > 1e-14, self._g(r) / safe, 1.0)
+        return _over_r(self.g(r), r, 1.0)
 
     def phi(self, r):
         """(x psi(x))' = g'(|x|); nonnegative."""
-        r = np.abs(np.asarray(r, dtype=float))
-        t = r - 1.0
-        mid = -9.0 * t ** 2 + 8.0 * t + 1.0
-        return np.where(r <= 1.0, 1.0, np.where(r >= 2.0, 0.0, mid))
+        return self.dg(np.abs(np.asarray(r, dtype=float)))
 
 
 def build_centered_weights() -> CenteredWeights:
@@ -360,7 +346,7 @@ def _pairing_kernels(grid, Ntilde: float, w: WeightFamily) -> _Kernels:
     psir = w.psi(s)
     phis = w.phi(s)
     gap = phis - psir          # s psi'(s), vanishes at the origin
-    zhat = [np.where(r > 1e-14, z / np.where(r > 1e-14, r, 1.0), 0.0) for z in zm]
+    zhat = [_over_r(z, r, 0.0) for z in zm]
     even = lambda kern: _kernel_spectrum(grid, kern, odd=False)
     odd = lambda kern: _kernel_spectrum(grid, kern, odd=True)
     K = tuple(((j, k), even(Ntilde * (psir * (1.0 if j == k else 0.0) + gap * zhat[j] * zhat[k])))
@@ -474,7 +460,7 @@ def _flux_terms(g, u: np.ndarray, spec: np.ndarray, Ntilde: float, Ntilde_prime:
     G_rho = kern.G * rho_hat
     nl_hat = padded_rfft(rho ** ((d + 2.0) / d), work)
     t_nl = (2.0 * mu / (d + 2.0)) * w2 * float(np.vdot(nl_hat, G_rho).real)
-    lap_hat = padded_rfft(laplacian(Field(g, rho)).values.real, work)
+    lap_hat = padded_rfft(apply_multiplier(rho, -k2_symbol(g)).real, work)
     t_curv = -0.5 * w2 * float(np.vdot(lap_hat, G_rho).real)
 
     t_env = 0.0
@@ -532,8 +518,10 @@ class FreezingWindow:
     dispersive: float         # windowed kinetic term of the boosted field
 
 
-def freezing_diagnostic(f: Field, Ntilde: float, w: WeightFamily,
-                        n_centers: int = 17) -> list:
+FREEZING_CENTERS = 17  # window centers of `freezing_diagnostic`
+
+
+def freezing_diagnostic(f: Field, Ntilde: float, w: WeightFamily) -> list:
     """Window-by-window Galilean freezing of the momentum density.
 
     For each window center s on a coarse lattice, the frequency xi(s)
@@ -551,7 +539,7 @@ def freezing_diagnostic(f: Field, Ntilde: float, w: WeightFamily,
     du = _gradient(g, _spectrum(f))
     p = _momentum_density(f.values, du)
     half_span = g.L * Ntilde / w.R + w.M
-    centers = np.linspace(-half_span, half_span, n_centers)
+    centers = np.linspace(-half_span, half_span, FREEZING_CENTERS)
     out = []
     for s in centers:
         win = w.varphi(np.sqrt(sum((x * Ntilde / w.R - s * (1 if j == 0 else 0)) ** 2
@@ -574,39 +562,31 @@ def weight_family_checks(w: WeightFamily) -> dict:
 
     Returns {name: (value, bound, ok)}.  The profile bounds are checked
     on a fine radial grid; the psi identity is checked through the
-    exposed evaluators.
+    exposed evaluators.  Every value is an upper bound but the plateau
+    overlap, which is a floor.
     """
     M = w.M
     r = np.linspace(0.0, 3.0 * M, 30001)
-    tol = 1e-10
-    checks = {}
-    phi_vals = w.phi(r)
-    checks["phi_bounded"] = (float(np.max(np.abs(phi_vals))), 1.0, None)
-    out = np.abs(w.phi(np.linspace(2.0 * M + 1e-9, 3.0 * M, 2001)))
-    checks["phi_support"] = (float(out.max()), tol, None)
-    kern = np.abs(w.psi(r) * r)
-    checks["kernel_bound"] = (float(max(kern.max(), w.F_total)), 2.0 * M, None)
     rod = r[r > 0]
-    ode = np.abs(rod * w.dpsi(rod) - (w.phi(rod) - w.psi(rod)))
-    checks["psi_ode"] = (float(ode.max()), tol, None)
+    tail = np.linspace(2.0 * M + 1e-9, 3.0 * M, 2001)
+    tol = 1e-10
+    upper = lambda value, bound: (value, bound, value <= bound + 1e-10)
+    phi_vals = w.phi(r)
+    checks = {
+        "phi_bounded": upper(float(np.max(np.abs(phi_vals))), 1.0),
+        "phi_support": upper(float(np.abs(w.phi(tail)).max()), tol),
+        "kernel_bound": upper(float(max(np.abs(w.psi(r) * r).max(), w.F_total)), 2.0 * M),
+        "psi_ode": upper(float(np.abs(rod * w.dpsi(rod) - (w.phi(rod) - w.psi(rod))).max()), tol),
+    }
     if w.d == 1:
-        checks["dphi_bound"] = (float(np.max(np.abs(w.dphi(r)))), 1.0 / M, None)
-        checks["d2phi_bound"] = (float(np.max(np.abs(w.d2phi(r)))), 1.0 / M, None)
-        checks["plateau_overlap"] = (w.plateau_overlap, (M - 2.0) / M, None)
+        checks["dphi_bound"] = upper(float(np.max(np.abs(w.dphi(r)))), 1.0 / M)
+        checks["d2phi_bound"] = upper(float(np.max(np.abs(w.d2phi(r)))), 1.0 / M)
     else:
-        decay = w.psi(rod) * rod / (2.0 * M)
-        checks["psi_decay"] = (float(decay.max()), 1.0, None)
-        mono = float(np.max(np.diff(phi_vals)))
-        checks["phi_monotone"] = (mono, tol, None)
-        checks["plateau_overlap"] = (w.plateau_overlap, ((M - 2.0) / M) ** w.d, None)
-    final = {}
-    for name, (value, bound, _) in checks.items():
-        if name.startswith("plateau"):
-            ok = value >= bound - 1e-12
-        else:
-            ok = value <= bound + 1e-10
-        final[name] = (value, bound, ok)
-    return final
+        checks["psi_decay"] = upper(float((w.psi(rod) * rod / (2.0 * M)).max()), 1.0)
+        checks["phi_monotone"] = upper(float(np.max(np.diff(phi_vals))), tol)
+    floor = ((M - 2.0) / M) ** w.d
+    checks["plateau_overlap"] = (w.plateau_overlap, floor, w.plateau_overlap >= floor - 1e-12)
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -633,15 +613,15 @@ class WeightConditionsReport:
 
 
 def _envelope_segments(env):
-    """(value, slope) per linear segment of an envelope-like object."""
+    """(value, slope) per linear segment of an envelope-like object.
+
+    The value is the segment's lower height: |N'| (R/N)^3 is largest there.
+    """
     if hasattr(env, "times") and hasattr(env, "heights"):
         t = np.asarray(env.times, dtype=float)
         h = np.asarray(env.heights, dtype=float)
-        segs = []
-        for i in range(len(t) - 1):
-            dt = t[i + 1] - t[i]
-            segs.append((0.5 * (h[i] + h[i + 1]), (h[i + 1] - h[i]) / dt))
-        return segs
+        return [(min(h[i], h[i + 1]), (h[i + 1] - h[i]) / (t[i + 1] - t[i]))
+                for i in range(len(t) - 1)]
     return [(float(v), float(s)) for v, s in env]
 
 
@@ -673,9 +653,14 @@ def weight_conditions_check(w: WeightFamily, Ntilde_series,
     dt_l1_bound = None
     dt_l1_ok = True
     if w.d == 2:
-        # ||phi(|x| N/R) x_j N'||_{L^1(R^2)} = |N'| (R/N)^3 int phi(|w|) |w_1| dw
-        fn = lambda rho: rho * rho * w.phi(rho) * 4.0  # angular int of |cos| is 4
-        I_phi = _panel_gauss(fn, list(np.linspace(0.0, 2.0 * M, 64)))
+        # ||phi(|x| N/R) x_j N'||_{L^1(R^2)} = |N'| (R/N)^3 I with
+        # I = int phi(|w|) |w_1| dw = 4 int_0^{2M} rho^2 phi (the angular int of
+        # |cos| is 4).  By parts on the antiderivatives F, G, H of the spline phi
+        # that vanish at 0: I = 4 (b^2 F(b) - 2 b G(b) + 2 H(b)), b = 2M, exact.
+        F = _phi2_spline(M).antiderivative()
+        G = F.antiderivative()
+        b = 2.0 * M
+        I_phi = 4.0 * float(b * b * F(b) - 2.0 * b * G(b) + 2.0 * G.antiderivative()(b))
         worst = 0.0
         bound = 0.0
         for val, slope in _envelope_segments(Ntilde_series):

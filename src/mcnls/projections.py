@@ -7,8 +7,6 @@ Projections act on the Fourier side as radial multipliers phi(|k|/N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import (
@@ -51,7 +49,6 @@ def _bump_raw_derivative(r: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class BumpProfile:
     """Radial multiplier profile: 1 on [0,1], smooth decrease on (1,2), 0 beyond."""
 

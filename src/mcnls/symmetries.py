@@ -30,22 +30,13 @@ def _dyadic_log(lam: float) -> int:
 def _zoom_out_once(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Samples of f(2x) on the same grid, treating f as zero outside the box.
 
-    Only |x| < L/2 maps into the box; the exact index map is restricted
-    there so no periodic image is wrapped to the edges.
+    Sample j takes sample 2j - n/2, so the middle half [n/4, 3n/4) of
+    each axis holds every other sample and no periodic image is wrapped
+    to the edges.
     """
     n = grid.n
-    j = np.arange(n)
-    m = 2 * j - n // 2
-    inside = (m >= 0) & (m < n)
     out = np.zeros_like(vals)
-    sel = np.where(inside, m, 0)
-    gathered = vals.take(sel, axis=0)
-    gathered[~inside] = 0.0
-    out = gathered
-    if grid.d == 2:
-        gathered = out.take(sel, axis=1)
-        gathered[:, ~inside] = 0.0
-        out = gathered
+    out[(slice(n // 4, 3 * n // 4),) * grid.d] = vals[(slice(None, None, 2),) * grid.d]
     return out
 
 

@@ -492,6 +492,20 @@ def test_every_small_config_runs_without_scipy(tmp_path):
     assert loaded == []
 
 
+def test_2d_weight_check_with_envelope_runs_without_scipy(tmp_path):
+    cfg = dict(_weight_check_config(tmp_path / "out"), grid={"d": 2},
+               envelope={"input": "bundled:sawtooth"})
+    p = _write_config(tmp_path, cfg)
+    code = ("import json, sys; from mcnls.cli import run_scenario; "
+            f"code = run_scenario({str(p)!r}); "
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('scipy'))]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
+    checks = json.loads((tmp_path / "out" / "manifest.json").read_text())["checks"]
+    assert checks["potential_dt_l1"]["value"] > 0
+
+
 @pytest.mark.parametrize("content", [b'{"scenario": "simulate",', b'{"scenario": "\xff"}'],
                          ids=["truncated", "not-utf8"])
 def test_config_that_is_not_json_is_config_error(tmp_path, monkeypatch, content):

@@ -349,14 +349,14 @@ def test_potential_matches_generic_power(d):
 def test_scat_accum_matches_per_step_reference(d, n):
     # the loop sums |u|^{2(d+2)/d} element-wise across steps and reduces it at
     # observation points; the reference sums dt h^d sum |u|^q after every step
-    from mcnls.evolution import _half_kicks, _trajectory
+    from mcnls.evolution import _kicks, _trajectory
 
     g = make_grid(d, n, 16.0)
     xm = g.x_mesh()
     r2 = sum(x * x for x in xm)
     u0 = Field(g, 1.2 * np.exp(-r2 / 2.0) * np.exp(1j * 0.6 * xm[0]))
     cfg = EvolutionConfig(mu=-1, dt=1e-3, t_end=0.2, stride=7, dealias=True)
-    half, close = _half_kicks(g, cfg.dt, cfg.dealias)
+    half, close, _ = _kicks(g, cfg.dt, cfg.dealias)
     q = 2.0 * (d + 2) / d
     w = g.h ** d
     u, ref, refs = u0.values, 0.0, [0.0]

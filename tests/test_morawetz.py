@@ -146,6 +146,21 @@ def test_section3_profile():
     assert np.max(np.abs(fd[5:-5] - cw.phi(r)[5:-5])) < 1e-2  # FD resolution
 
 
+def test_section3_profile_hermite_values():
+    cw = build_centered_weights()
+    x = np.array([0.0, 1.0, 1.5, 2.0, 5.0])
+    t = x - 1.0
+    hermite = -3 * t ** 3 + 4 * t ** 2 + t + 1
+    g = np.where(x <= 1, x, np.where(x >= 2, 3.0, hermite))
+    phi = np.where(x <= 1, 1.0, np.where(x >= 2, 0.0, -(9 * t + 1) * (t - 1)))
+    assert list(g) == [0.0, 1.0, 2.125, 3.0, 3.0]
+    assert list(phi) == [1.0, 1.0, 2.75, 0.0, 0.0]
+    assert np.array_equal(cw.g(x), g)
+    assert np.array_equal(cw.phi(x), phi) and np.array_equal(cw.phi(-x), phi)
+    assert np.allclose(cw.psi(-x) * x, g, rtol=1e-15, atol=0.0)
+    assert float(cw.psi(0.0)) == 1.0
+
+
 def test_interaction_action_fast_vs_direct_1d(weights):
     w = weights(1, 8.0, 4.0)
     rng = np.random.default_rng(5)
@@ -422,6 +437,36 @@ def test_weight_conditions_envelope_object(weights):
     rep = weight_conditions_check(w, env)
     assert rep.all_ok
     assert rep.dt_l1 > 0.0
+    # |N'| (R/N)^3 peaks at the lower end of the segment from 1 down to 1/2
+    assert rep.dt_l1 == weight_conditions_check(w, [(0.5, -0.5)]).dt_l1
+
+
+@pytest.mark.parametrize("M", [4.0, 8.0, 16.0])
+def test_dt_l1_moment_is_exact_on_the_spline(weights, M):
+    # 4 int_0^{2M} rho^2 phi: Gauss-Legendre on each knot interval of the
+    # cubic spline is exact for the quintic integrand
+    from mcnls.morawetz import _phi2_spline
+
+    sp = _phi2_spline(M)
+    x, wt = np.polynomial.legendre.leggauss(8)
+    mid, hw = 0.5 * (sp.x[1:] + sp.x[:-1]), 0.5 * np.diff(sp.x)
+    rho = mid[:, None] + hw[:, None] * x
+    oracle = 4.0 * float(np.sum(hw * np.sum(wt * rho ** 2 * sp(rho), axis=1)))
+    R = M / 2.0
+    rep = weight_conditions_check(weights(2, M, R), [(1.0, 1.0)])
+    assert rep.dt_l1 / R ** 3 == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("M", [4.0, 8.0, 16.0])
+def test_plateau_overlap_vs_quad(weights, d, M):
+    varphi = lambda r: min(max(M - r, 0.0), 1.0)
+    chi = lambda r: min(max(M - 1.0 - r, 0.0), 1.0)
+    power = 2 * (d + 2) // d
+    shell, ball = (2.0, 2.0 * M) if d == 1 else (2.0 * np.pi, np.pi * M * M)
+    oracle = quad(lambda r: shell * r ** (d - 1) * chi(r) ** power * varphi(r), 0.0, M,
+                  points=[M - 2.0, M - 1.0], epsabs=0.0, epsrel=1e-13)[0] / ball
+    assert weights(d, M, M / 2.0).plateau_overlap == pytest.approx(oracle, rel=1e-14)
 
 
 def test_freezing_diagnostic(weights):

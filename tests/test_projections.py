@@ -11,6 +11,7 @@ from mcnls import (
     project_high,
     project_low,
 )
+from mcnls.grid import k2_symbol
 from mcnls.projections import nonlinearity
 
 from conftest import smooth_random_field
@@ -98,7 +99,7 @@ def test_multiplier_composition():
     g = make_grid(1, 128, 16.0)
     f = Field(g, rng.normal(size=128) + 1j * rng.normal(size=128))
     twice = project_low(project_low(f, 3.0), 3.0)
-    kabs = np.sqrt(g.k2_mesh())
+    kabs = np.sqrt(k2_symbol(g))
     pred = np.fft.ifftn(BUMP(kabs / 3.0) ** 2 * np.fft.fftn(f.values))
     assert np.max(np.abs(twice.values - pred)) < 1e-12
 
