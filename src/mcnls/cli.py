@@ -5,7 +5,9 @@ gn-check, weight-check.  The config is parsed once against `_SCHEMA`:
 unknown keys and values of the wrong type are hard errors.  Every run
 writes a JSON manifest (even on failure); CSV output uses 17 significant
 digits, '.' decimals and LF line endings.  Exit codes: 0 all enabled
-checks passed, 1 a check failed, 2 usage or config error.
+checks passed, 1 a check failed, 2 usage or config error.  The Morawetz
+and envelope modules are imported by the runners that use them, so a run
+loads only what its scenario needs.
 """
 
 from __future__ import annotations
@@ -19,12 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .envelope import (
-    certify_ratio,
-    read_envelope_csv,
-    smooth,
-    write_envelope_csv,
-)
 from .evolution import EvolutionConfig, _Observed, evolve
 from .grid import (
     BOUNDARY_MASS_WARN,
@@ -36,13 +32,6 @@ from .grid import (
     write_snapshot,
 )
 from .ground_state import closed_form_1d, gn_ratio, pohozaev_check, solve_petviashvili
-from .morawetz import (
-    MORAWETZ_CSV_HEADER,
-    _flux_terms,
-    build_weights,
-    weight_conditions_check,
-    weight_family_checks,
-)
 from .observables import energy, kinetic
 from .symmetries import galilean_boost, pseudoconformal_sample
 
@@ -291,6 +280,8 @@ def _scenario_gn_check(cfg, outdir: Path, checks: Checks) -> dict:
 
 
 def _scenario_morawetz(cfg, outdir: Path, checks: Checks) -> dict:
+    from .morawetz import MORAWETZ_CSV_HEADER, _flux_terms, build_weights
+
     grid = _grid_from(cfg)
     f0 = _initial_field(cfg, grid)
     w = _section(cfg, "weights", lambda s: build_weights(grid.d, s["M"], s["R"]))
@@ -319,11 +310,11 @@ def _scenario_morawetz(cfg, outdir: Path, checks: Checks) -> dict:
 
 def _load_envelope(cfg):
     """The envelope named by envelope.input; a corrupt file is a config error."""
+    from .envelope import parse_envelope_csv, read_envelope_csv
+
     def read(env):
         if env["input"] == "bundled:sawtooth":
             from importlib.resources import files
-
-            from .envelope import parse_envelope_csv
 
             return parse_envelope_csv(files("mcnls").joinpath("data/sawtooth.csv").read_text())
         return _read_input(read_envelope_csv, env["input"], "envelope.input")
@@ -331,6 +322,8 @@ def _load_envelope(cfg):
 
 
 def _scenario_smooth_envelope(cfg, outdir: Path, checks: Checks) -> dict:
+    from .envelope import certify_ratio, smooth, write_envelope_csv
+
     e = _load_envelope(cfg)
     env = cfg["envelope"]
     if "J0" in env and abs(env["J0"] - e.j0) > 1e-12:
@@ -350,6 +343,8 @@ def _scenario_smooth_envelope(cfg, outdir: Path, checks: Checks) -> dict:
 
 
 def _scenario_weight_check(cfg, outdir: Path, checks: Checks) -> dict:
+    from .morawetz import build_weights, weight_conditions_check, weight_family_checks
+
     d = _section(cfg, "grid", lambda g: g["d"]) if "grid" in cfg else 1
     w = _section(cfg, "weights", lambda s: build_weights(d, s["M"], s["R"]))
     fam = weight_family_checks(w)

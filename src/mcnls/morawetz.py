@@ -37,10 +37,11 @@ Re sum conj(A^) K^ B^ / (2n)^d.  Every kernel is even or odd in z, so
 its spectrum is real or imaginary and is kept as one real array; for an
 odd kernel the pairing is -Im sum conj(A^) (Im K^) B^, in which a
 momentum density p = xi rho cancels mode by mode.  The kernel spectra
-are cached per (grid, Ntilde, weights).  A flux sample keeps rho^ and
-p^ for all its pairings and transforms each other density into one
-reused work spectrum just before its one pairing.  Direct O(n^{2d})
-evaluations of the actions are retained as test oracles.
+are cached per (grid, Ntilde, weights); the drift kernels, which only
+the Ntilde' term reads, are built the first time that term is nonzero.
+A flux sample keeps rho^ and p^ for all its pairings and transforms each
+other density into one reused work spectrum just before its one pairing.
+Direct O(n^{2d}) evaluations of the actions are retained as test oracles.
 """
 
 from __future__ import annotations
@@ -78,7 +79,20 @@ def _over_r(num, r, at0):
 # 2D radial correlation via incomplete elliptic integrals
 # ---------------------------------------------------------------------------
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
+# the 16-point Gauss-Legendre rule as exact literals, bit-equal to
+# `np.polynomial.legendre.leggauss(16)`: no LAPACK call at import
+_GAUSS_X = np.array([-0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+                     -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+                     -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
+                     0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+                     0.755404408355003, 0.8656312023878318, 0.9445750230732326,
+                     0.9894009349916499])
+_GAUSS_W = np.array([0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
+                     0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
+                     0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
+                     0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+                     0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
+                     0.027152459411754176])
 
 
 def _theta_of_level(r, rho, c):
@@ -331,18 +345,22 @@ def _pair_odd(outer_hat: np.ndarray, kern_hat: np.ndarray, inner_hat: np.ndarray
 
 class _Kernels(NamedTuple):
     action: tuple   # a_j, one per axis (odd)
-    drift: tuple    # phi(|z| N/R) z_j, one per axis (odd)
     G: np.ndarray   # divergence kernel (even)
     K: tuple        # ((j, k), K_jk) for j <= k; K is symmetric and even
 
 
-@lru_cache(maxsize=16)
-def _pairing_kernels(grid, Ntilde: float, w: WeightFamily) -> _Kernels:
-    """Every kernel spectrum of the action and the flux; cached read-only."""
-    d = grid.d
+def _scaled_offsets(grid, Ntilde: float, w: WeightFamily) -> tuple:
+    """(`_offsets`, |z|, |z| Ntilde / R): where every kernel is sampled."""
     zm = _offsets(grid)
     r = np.sqrt(sum(z * z for z in zm))
-    s = r * Ntilde / w.R
+    return zm, r, r * Ntilde / w.R
+
+
+@lru_cache(maxsize=16)
+def _pairing_kernels(grid, Ntilde: float, w: WeightFamily) -> _Kernels:
+    """Every kernel spectrum of the action and the flux but the drift; cached read-only."""
+    d = grid.d
+    zm, r, s = _scaled_offsets(grid, Ntilde, w)
     psir = w.psi(s)
     phis = w.phi(s)
     gap = phis - psir          # s psi'(s), vanishes at the origin
@@ -352,8 +370,19 @@ def _pairing_kernels(grid, Ntilde: float, w: WeightFamily) -> _Kernels:
     K = tuple(((j, k), even(Ntilde * (psir * (1.0 if j == k else 0.0) + gap * zhat[j] * zhat[k])))
               for j in range(d) for k in range(j, d))
     return _Kernels(action=tuple(odd(psir * z * Ntilde) for z in zm),
-                    drift=tuple(odd(phis * z) for z in zm),
                     G=even(Ntilde * ((d - 1) * psir + phis)), K=K)
+
+
+@lru_cache(maxsize=16)
+def _drift_kernels(grid, Ntilde: float, w: WeightFamily) -> tuple:
+    """Spectra of the odd drift kernels phi(|z| N/R) z_j, one per axis; cached read-only.
+
+    Only the Ntilde' term of the flux reads them, so a flux at Ntilde' = 0
+    never builds them.
+    """
+    zm, _, s = _scaled_offsets(grid, Ntilde, w)
+    phis = w.phi(s)
+    return tuple(_kernel_spectrum(grid, phis * z, odd=True) for z in zm)
 
 
 def _action(kern: _Kernels, p_hat: list, rho_hat: np.ndarray) -> float:
@@ -393,8 +422,7 @@ def interaction_action_direct(f: Field, Ntilde: float, w: WeightFamily) -> float
     return total
 
 
-@dataclass(frozen=True)
-class MorawetzReport:
+class MorawetzReport(NamedTuple):
     """Action, analytic flux and its exact decomposition."""
 
     action: float
@@ -465,8 +493,9 @@ def _flux_terms(g, u: np.ndarray, spec: np.ndarray, Ntilde: float, Ntilde_prime:
 
     t_env = 0.0
     if Ntilde_prime != 0.0:
+        drift = _drift_kernels(g, float(Ntilde), w)
         t_env = Ntilde_prime * w2 * sum(_pair_odd(ph, kd, rho_hat)
-                                        for ph, kd in zip(p_hat, kern.drift))
+                                        for ph, kd in zip(p_hat, drift))
 
     action = w2 * _action(kern, p_hat, rho_hat)
     flux = t_mom + t_disp + t_nl + t_curv + t_env
@@ -510,8 +539,7 @@ def defocusing_interaction_action_direct(f: Field) -> float:
     return float(quad_weight(f) ** 2 * np.sum(kern * p[:, None] * rho[None, :]))
 
 
-@dataclass(frozen=True)
-class FreezingWindow:
+class FreezingWindow(NamedTuple):
     center: float
     xi: np.ndarray            # window-averaged frequency
     residual_momentum: float  # windowed momentum after the boost (should vanish)
@@ -593,8 +621,7 @@ def weight_family_checks(w: WeightFamily) -> dict:
 # weight conditions for the Fourier-truncation potential
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightConditionsReport:
+class WeightConditionsReport(NamedTuple):
     sup_a: float
     sup_a_bound: float
     sup_a_ok: bool

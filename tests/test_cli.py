@@ -492,6 +492,30 @@ def test_every_small_config_runs_without_scipy(tmp_path):
     assert loaded == []
 
 
+# modules a run can do without, and those of them each scenario loads
+_OPTIONAL_MODULES = ("mcnls.morawetz", "mcnls.envelope", "mcnls.projections", "numpy.polynomial")
+_SCENARIO_LOADS = {"simulate": [], "morawetz": ["mcnls.morawetz"],
+                   "smooth-envelope": ["mcnls.envelope"], "weight-check": ["mcnls.morawetz"],
+                   "ground-state": [], "gn-check": []}
+
+
+@pytest.mark.parametrize("base", _SMALL_CONFIGS,
+                         ids=[c(Path("o"))["scenario"] for c in _SMALL_CONFIGS])
+def test_each_scenario_loads_only_its_own_modules(tmp_path, base):
+    # a fresh interpreter per scenario: simulate builds no Morawetz weight and
+    # smooths no envelope, and no scenario imports numpy.polynomial
+    cfg = base(tmp_path / "out")
+    p = _write_config(tmp_path, cfg)
+    code = ("import json, sys; from mcnls.cli import run_scenario; "
+            f"code = run_scenario({str(p)!r}); "
+            f"print(json.dumps([code, [m for m in {_OPTIONAL_MODULES!r} if m in sys.modules]]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code != 2
+    assert loaded == _SCENARIO_LOADS[cfg["scenario"]]
+
+
 def test_2d_weight_check_with_envelope_runs_without_scipy(tmp_path):
     cfg = dict(_weight_check_config(tmp_path / "out"), grid={"d": 2},
                envelope={"input": "bundled:sawtooth"})

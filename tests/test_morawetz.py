@@ -629,3 +629,27 @@ def test_flux_sample_makes_d_plus_2_grid_transforms(weights, monkeypatch):
     monkeypatch.undo()
     assert rep == interaction_flux(u, 1.0, 0.0, -1, w)
     assert all(np.array_equal(a, b) for a, b in zip(p, momentum_density(u)))
+
+
+def test_gauss_table_is_leggauss_bitwise():
+    from mcnls.morawetz import _GAUSS_W, _GAUSS_X
+
+    x, wt = np.polynomial.legendre.leggauss(16)
+    assert _GAUSS_X.tobytes() == x.tobytes()
+    assert _GAUSS_W.tobytes() == wt.tobytes()
+
+
+def test_drift_kernels_built_only_for_a_nonzero_ntilde_prime(weights):
+    from mcnls.morawetz import _drift_kernels, _flux_terms
+    from mcnls.observables import _spectrum
+
+    g = make_grid(1, 64, 16.0)
+    u = smooth_random_field(g, np.random.default_rng(5))
+    w = weights(1, 8.0, 4.0)
+    _drift_kernels.cache_clear()
+    rep, _ = _flux_terms(g, u.values, _spectrum(u), 1.0, 0.0, -1, w)
+    assert rep.envelope_drift == 0.0
+    assert _drift_kernels.cache_info().currsize == 0
+    rep, _ = _flux_terms(g, u.values, _spectrum(u), 1.0, 0.5, -1, w)
+    assert rep.envelope_drift != 0.0
+    assert _drift_kernels.cache_info().currsize == 1
