@@ -5,9 +5,9 @@ gn-check, weight-check.  The config is parsed once against `_SCHEMA`:
 unknown keys and values of the wrong type are hard errors.  Every run
 writes a JSON manifest (even on failure); CSV output uses 17 significant
 digits, '.' decimals and LF line endings.  Exit codes: 0 all enabled
-checks passed, 1 a check failed, 2 usage or config error.  The Morawetz
-and envelope modules are imported by the runners that use them, so a run
-loads only what its scenario needs.
+checks passed, 1 a check failed, 2 usage or config error.  The ground
+state, symmetry, Morawetz and envelope modules are imported where they
+are used, so a run loads only what its scenario needs.
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ from .grid import (
     read_snapshot,
     write_snapshot,
 )
-from .ground_state import closed_form_1d, gn_ratio, pohozaev_check, solve_petviashvili
 from .observables import energy, kinetic
-from .symmetries import galilean_boost, pseudoconformal_sample
 
 SCENARIOS = ("simulate", "ground-state", "morawetz", "smooth-envelope",
              "gn-check", "weight-check")
@@ -48,7 +46,7 @@ _SCHEMA = {
     "grid": {"d": int, "n": int, "L": float},
     "evolution": {"mu": int, "dt": float, "t_end": float, "stride": 1, "dealias": True},
     "initial": {"kind": str, "amplitude": 1.0, "width": 1.0, "center": list, "k0": list,
-                "xi0": list, "t0": -1.0, "path": str, "tol": 1e-12},
+                "xi0": list, "t0": -1.0, "path": str},
     "weights": {"M": float, "R": float},
     "envelope": {"J0": float, "m": 1, "input": str},
     "output": {"dir": "mcnls-out", "emit_snapshots": False},
@@ -182,12 +180,18 @@ def _initial_from(init: dict, grid) -> Field:
         return Field(grid, init["amplitude"] * np.exp(-r2 / (2.0 * init["width"] ** 2))
                      * np.exp(1j * phase))
     if kind in ("soliton", "boosted-soliton"):
-        q = closed_form_1d(grid) if grid.d == 1 else solve_petviashvili(grid, tol=init["tol"])
+        from .ground_state import closed_form_1d, solve_petviashvili
+        from .symmetries import galilean_boost
+
+        q = closed_form_1d(grid) if grid.d == 1 else solve_petviashvili(grid)
         f = q.field
         if kind == "boosted-soliton":
             f = galilean_boost(f, _vector(init["xi0"], "xi0", grid.d), 0.0)
         return f
     if kind == "pseudoconformal":
+        from .ground_state import closed_form_1d
+        from .symmetries import pseudoconformal_sample
+
         if grid.d != 1:
             raise ConfigError("the pseudoconformal sample is exposed for d = 1")
         return pseudoconformal_sample(init["t0"], grid, closed_form_1d(grid))
@@ -239,6 +243,8 @@ def _scenario_simulate(cfg, outdir: Path, checks: Checks) -> dict:
 
 
 def _scenario_ground_state(cfg, outdir: Path, checks: Checks) -> dict:
+    from .ground_state import pohozaev_check, solve_petviashvili
+
     grid = _grid_from(cfg)
     q = solve_petviashvili(grid)
     write_snapshot(q.field, outdir / "ground_state.mcnls")
@@ -257,6 +263,8 @@ def _scenario_ground_state(cfg, outdir: Path, checks: Checks) -> dict:
 
 
 def _scenario_gn_check(cfg, outdir: Path, checks: Checks) -> dict:
+    from .ground_state import gn_ratio, solve_petviashvili
+
     grid = _grid_from(cfg)
     q = solve_petviashvili(grid)
     ratio = gn_ratio(q.field, q)

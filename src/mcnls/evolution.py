@@ -11,9 +11,10 @@ is two in-place FFTs and one phase rotation into preallocated scratch,
 and a diagnostics sample reuses the spectrum the loop already holds.
 With dealiasing in 2D the transforms are the boxed pair of
 `grid.boxed_transforms`, which skips the FFT lines outside the 2/3 box,
-and on larger grids cos and sin run only where the phase angle is not
-negligible (exp(i a) = 1 + i a to the last bit for |a| < 2^-27); both
-leave every output bit-equal.  Blowup is detected, never resolved.
+and on larger grids cos and sin run masked (`where=`) to the points whose
+phase angle is not negligible (exp(i a) = 1 + i a to the last bit for
+|a| < 2^-27); both leave every output bit-equal.  Blowup is detected,
+never resolved.
 """
 
 from __future__ import annotations
@@ -62,10 +63,12 @@ AMPLITUDE_LIMIT = 1e6
 # is 1 + i a to the last bit.
 NEGLIGIBLE_ANGLE = 2.0 ** -27
 # Grids with fewer points evaluate cos and sin everywhere: there the
-# compare, gather and scatter cost more than they save.  On a 1D Gaussian
-# with 16 % of the angles not negligible, the compacted phase took 1.46x
-# the full one at 512 points, 1.22x at 1024, 0.94x at 2048 and 0.74x at
-# 4096 (numpy 2.4.6, 2-vCPU x86-64 VM).
+# compare and the masked loops save little or nothing.  On a 1D Gaussian
+# with 16 % of the angles not negligible, the masked phase alone took
+# 1.08-1.20x the full one at 512 points, 0.74-0.83x at 1024, 0.59-0.67x
+# at 2048 and 0.56-0.64x at 4096; a whole Strang step took 1.04x, 0.98x,
+# 0.96x and 0.98x (medians of 8 alternating pairs; numpy 2.4.6, 2-vCPU
+# x86-64 VM).
 COMPACT_MIN_POINTS = 4096
 # A sample's N_est leaves less than this fraction of its mass outside the
 # ball around xi_est (the eta of `_estimates_from_spec`).
@@ -166,12 +169,11 @@ def _trajectory(f: Field, cfg: EvolutionConfig):
     opening one is masked, so the transforms are the boxed pair of
     `grid.boxed_transforms`.  The phase exp(i a) is 1 + i a to the last bit
     where |a| < NEGLIGIBLE_ANGLE; on grids of at least COMPACT_MIN_POINTS
-    points, cos and sin run only on the other points unless those are more
-    than half of the grid.  Yielded arrays are fresh and never modified
-    afterwards.  scat_accum is the midpoint-rule integral of
-    |u|^{2(d+2)/d} over space-time so far: the integrand at the nonlinear
-    stage is summed element-wise across steps and reduced only at
-    observation points.
+    points, cos and sin run masked (`where=`) on the other points only.
+    Yielded arrays are fresh and never modified afterwards.  scat_accum is
+    the midpoint-rule integral of |u|^{2(d+2)/d} over space-time so far:
+    the integrand at the nonlinear stage is summed element-wise across
+    steps and reduced only at observation points.
     """
     g = f.grid
     dt, stride = cfg.dt, cfg.stride
@@ -189,14 +191,11 @@ def _trajectory(f: Field, cfg: EvolutionConfig):
     c = -cfg.mu * dt
     quintic = g.d == 1
     multiply, add, cos, sin = np.multiply, np.add, np.cos, np.sin
-    compact = g.npoints >= COMPACT_MIN_POINTS
-    if compact:
+    masked = g.npoints >= COMPACT_MIN_POINTS
+    if masked:
         # the phase argument is c x, x = |u|^4 (d = 1) or |u|^2 (d = 2)
         x_min = NEGLIGIBLE_ANGLE / abs(c)
         big = np.empty(g.shape, dtype=bool)
-        big_flat = big.reshape(-1)
-        ph_re_flat, ph_im_flat = ph.reshape(-1).real, ph.reshape(-1).imag
-        max_big = g.npoints // 2
     u = f.values
     spec = fwd(u, out=np.empty_like(buf))
     scat = 0.0
@@ -220,18 +219,13 @@ def _trajectory(f: Field, cfg: EvolutionConfig):
             # phase argument c |u|^2; acc gains |u|^4
             add(acc, arg, out=acc)
             x = amp2
-        compacted = False
-        if compact:
+        if masked:
+            # exp(i a) is 1 + i a except where big
             np.greater_equal(x, x_min, out=big)
-            compacted = np.count_nonzero(big) <= max_big
-        if compacted:
-            # exp(i a) is 1 + i a except at the gathered points
             multiply(c, x, out=ph_im)
             ph_re.fill(1.0)
-            idx = np.flatnonzero(big_flat)
-            a = ph_im_flat[idx]
-            ph_re_flat[idx] = cos(a)
-            ph_im_flat[idx] = sin(a)
+            cos(ph_im, out=ph_re, where=big)
+            sin(ph_im, out=ph_im, where=big)
         else:
             multiply(c, x, out=arg)
             cos(arg, out=ph_re)

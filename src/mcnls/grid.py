@@ -108,12 +108,7 @@ class Field:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
         if v.shape != self.grid.shape:
-            if v.size == self.grid.npoints:
-                v = v.reshape(self.grid.shape)
-            else:
-                raise ValueError(
-                    f"values size {v.size} does not match grid {self.grid.shape}"
-                )
+            raise ValueError(f"values shape {v.shape} does not match grid {self.grid.shape}")
         if not np.all(np.isfinite(v.view(np.float64))):
             raise ValueError("field samples must be finite")
         v = v.copy()
@@ -249,9 +244,9 @@ def r2_mesh(grid: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def outer_annulus(grid: GridSpec, frac: float) -> np.ndarray:
-    """Boolean mask of the outermost `frac` annulus, max_j |x_j| >= L (1 - frac)."""
-    return _read_only(np.max(np.abs(grid.x_mesh()), axis=0) >= grid.L * (1.0 - frac))
+def outer_annulus(grid: GridSpec) -> np.ndarray:
+    """Boolean mask of the boundary annulus, max_j |x_j| >= L (1 - BOUNDARY_ANNULUS)."""
+    return _read_only(np.max(np.abs(grid.x_mesh()), axis=0) >= grid.L * (1.0 - BOUNDARY_ANNULUS))
 
 
 def apply_multiplier(values: np.ndarray, mult) -> np.ndarray:
@@ -315,7 +310,7 @@ def density_boundary_fraction(grid: GridSpec, dens: np.ndarray) -> float:
     total = dens.sum()
     if total == 0.0:
         return 0.0
-    return float(dens[outer_annulus(grid, BOUNDARY_ANNULUS)].sum() / total)
+    return float(dens[outer_annulus(grid)].sum() / total)
 
 
 BOUNDARY_ANNULUS = 0.05  # the boundary is max_j |x_j| >= 0.95 L

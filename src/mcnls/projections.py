@@ -26,13 +26,10 @@ def _bump_raw(r: np.ndarray) -> np.ndarray:
     out[r > 2.0] = 0.0
     mid = (r > 1.0) & (r <= 2.0)
     s = r[mid] - 1.0
-    # exp(1 - 1/(1 - s^2)); vanishing-denominator guard at s -> 1
+    # exp(1 - 1/(1 - s^2)); at r = 2 the denominator is 0 and exp(-inf) = 0
     den = 1.0 - s * s
-    with np.errstate(divide="ignore", over="ignore"):
-        val = np.exp(1.0 - 1.0 / den)
-    val[den <= 0.0] = 0.0
-    out[mid] = val
-    out[r < 0.0] = 1.0  # radial profile, callers pass |.|
+    with np.errstate(divide="ignore"):
+        out[mid] = np.exp(1.0 - 1.0 / den)
     return out
 
 
@@ -41,11 +38,8 @@ def _bump_raw_derivative(r: np.ndarray) -> np.ndarray:
     out = np.zeros_like(r)
     mid = (r > 1.0) & (r < 2.0)
     s = r[mid] - 1.0
-    den = 1.0 - s * s
-    with np.errstate(divide="ignore", over="ignore"):
-        val = np.exp(1.0 - 1.0 / den) * (-2.0 * s / (den * den))
-    val[den <= 0.0] = 0.0
-    out[mid] = val
+    den = 1.0 - s * s  # > 0, since r < 2
+    out[mid] = np.exp(1.0 - 1.0 / den) * (-2.0 * s / (den * den))
     return out
 
 
@@ -86,19 +80,15 @@ def project_band(f: Field, N: float) -> Field:
     return Field(f.grid, apply_multiplier(f.values, mult))
 
 
-def nonlinearity(f: Field, mu: int, dealias: bool = True) -> Field:
-    """F(u) = mu |u|^{4/d} u evaluated pointwise.
+def nonlinearity(f: Field, mu: int) -> Field:
+    """F(u) = mu |u|^{4/d} u, dealiased.
 
-    With dealias=True the product is formed on a grid zero-padded by a
-    factor of two and truncated back, which bounds the aliasing error of
-    the quintic (d=1) / cubic (d=2) product.
+    The product is formed on a grid zero-padded by a factor of two and
+    truncated back, which bounds the aliasing error of the quintic (d=1) /
+    cubic (d=2) product.
     """
-    g = f.grid
-    power = 4 // g.d  # 4 for d=1, 2 for d=2; always an integer here
-    if not dealias:
-        vals = mu * np.abs(f.values) ** power * f.values
-        return Field(g, vals)
-    d = g.d
+    g, d = f.grid, f.grid.d
+    power = 4 // d  # 4 for d=1, 2 for d=2; always an integer here
     fwd, inv = transforms(d)
     big = pad_spectrum(fwd(f.values, out=np.empty_like(f.values)))
     ubig = inv(big, out=big) * (2 ** d)

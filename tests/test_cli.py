@@ -238,6 +238,7 @@ _DELETE = object()
     ("evolution", "stride", 5.0, 0),
     ("evolution", "t_end", 0.0515, 2),
     ("grid", "n", 2 ** 40, 2),
+    ("initial", "tol", 1e-10, 2),
 ], ids=lambda v: "missing" if v is _DELETE else None)
 def test_evolution_and_grid_config_values(tmp_path, scenario, section, key, value, code):
     out = tmp_path / "out"
@@ -493,10 +494,13 @@ def test_every_small_config_runs_without_scipy(tmp_path):
 
 
 # modules a run can do without, and those of them each scenario loads
-_OPTIONAL_MODULES = ("mcnls.morawetz", "mcnls.envelope", "mcnls.projections", "numpy.polynomial")
-_SCENARIO_LOADS = {"simulate": [], "morawetz": ["mcnls.morawetz"],
-                   "smooth-envelope": ["mcnls.envelope"], "weight-check": ["mcnls.morawetz"],
-                   "ground-state": [], "gn-check": []}
+_OPTIONAL_MODULES = ("mcnls.morawetz", "mcnls.envelope", "mcnls.projections", "numpy.polynomial",
+                     "mcnls.ground_state", "mcnls.symmetries", "mcnls.piecewise")
+_SCENARIO_LOADS = {"simulate": [], "morawetz": ["mcnls.morawetz", "mcnls.piecewise"],
+                   "smooth-envelope": ["mcnls.envelope"],
+                   "weight-check": ["mcnls.morawetz", "mcnls.piecewise"],
+                   "ground-state": ["mcnls.ground_state", "mcnls.piecewise"],
+                   "gn-check": ["mcnls.ground_state", "mcnls.piecewise"]}
 
 
 @pytest.mark.parametrize("base", _SMALL_CONFIGS,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcnls import (
     EvolutionConfig,
@@ -434,7 +436,7 @@ def test_warm_started_scale_search_matches_linear_scan(d, n):
 
 
 def _reference_trajectory(f, cfg):
-    # the loop before the boxed transform pair and the compacted phase:
+    # the loop before the boxed transform pair and the masked phase:
     # numpy's full n-d transforms, and cos and sin on every point
     from mcnls.grid import dealias_mask, k2_symbol
 
@@ -486,32 +488,35 @@ def _gaussian(d, n, amplitude=1.2, L=16.0):
     return Field(g, amplitude * np.exp(-r2 / 2.0) * np.exp(1j * 0.6 * xm[0]))
 
 
-def _box_filling(n):
-    # a plane wave over a smooth random field: no angle is negligible
+def _box_filling(d, n):
+    # a plane wave over a smooth random field: almost no angle is negligible
     from conftest import smooth_random_field
 
-    g = make_grid(2, n, 16.0)
+    g = make_grid(d, n, 16.0)
     f = smooth_random_field(g, np.random.default_rng(17), width_frac=0.3)
-    return Field(g, f.values + 0.8 * np.exp(1j * 2 * g.dk * g.x_mesh()[1]))
+    return Field(g, f.values + 0.8 * np.exp(1j * 2 * g.dk * g.x_mesh()[-1]))
 
 
 @pytest.mark.parametrize("case, dealias, mu, compacted", [
-    ("gaussian-2d", True, 1, True),       # boxed pair and compacted phase
-    ("box-filling-2d", True, -1, False),  # boxed pair, full cos/sin fallback
-    ("gaussian-2d", False, -1, True),     # plain pair, compacted phase
-    ("gaussian-1d-8192", True, -1, True),  # compacted phase
+    ("gaussian-2d", True, 1, True),       # boxed pair and masked phase
+    ("box-filling-2d", True, -1, True),   # boxed pair, dense mask
+    ("gaussian-2d", False, -1, True),     # plain pair, masked phase
+    ("gaussian-1d-8192", True, -1, True),  # masked phase
+    ("box-filling-1d-8192", True, -1, True),  # masked phase, dense mask
     ("gaussian-1d-512", True, -1, False),  # neither
 ])
 def test_trajectory_bit_equal_to_full_transform_reference(case, dealias, mu, compacted):
     from mcnls.evolution import COMPACT_MIN_POINTS, _trajectory
 
     f = {"gaussian-2d": lambda: _gaussian(2, 128),
-         "box-filling-2d": lambda: _box_filling(64),
+         "box-filling-2d": lambda: _box_filling(2, 64),
          "gaussian-1d-8192": lambda: _gaussian(1, 8192),
+         "box-filling-1d-8192": lambda: _box_filling(1, 8192),
          "gaussian-1d-512": lambda: _gaussian(1, 512)}[case]()
     cfg = EvolutionConfig(mu=mu, dt=1e-3, t_end=0.023, stride=5, dealias=dealias)
-    frac = _non_negligible_fraction(f, cfg)
-    engaged = f.grid.npoints >= COMPACT_MIN_POINTS and frac <= 0.5
+    if case.startswith("box-filling"):
+        assert _non_negligible_fraction(f, cfg) > 0.9
+    engaged = f.grid.npoints >= COMPACT_MIN_POINTS
     assert engaged == compacted
     got = list(_trajectory(f, cfg))
     ref = list(_reference_trajectory(f, cfg))
@@ -524,7 +529,7 @@ def test_trajectory_bit_equal_to_full_transform_reference(case, dealias, mu, com
 
 def test_negligible_phase_angles_give_exact_cos_and_sin():
     # below NEGLIGIBLE_ANGLE libm's cos is 1.0 and its sin the angle itself,
-    # which the compacted phase relies on to stay bit-equal
+    # which the masked phase relies on to stay bit-equal
     from mcnls.evolution import NEGLIGIBLE_ANGLE
 
     rng = np.random.default_rng(18)
@@ -547,6 +552,28 @@ def test_negligible_phase_angles_give_exact_cos_and_sin():
         for c in (dt, -dt):
             x = np.nextafter(NEGLIGIBLE_ANGLE / abs(c), 0.0)
             assert abs(c * x) < NEGLIGIBLE_ANGLE
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 700),
+       density=st.floats(0.0, 1.0))
+def test_masked_phase_equals_full_cos_and_sin_bitwise(seed, size, density):
+    # the loop's masked phase: cos and sin with where= on the angles at or
+    # above NEGLIGIBLE_ANGLE (and on a random share of the others), 1 + i a
+    # elsewhere, written into the strided halves of a complex array
+    from mcnls.evolution import NEGLIGIBLE_ANGLE
+
+    rng = np.random.default_rng(seed)
+    a = np.exp(rng.uniform(np.log(1e-12), np.log(10.0), size)) * rng.choice([-1.0, 1.0], size)
+    big = (np.abs(a) >= NEGLIGIBLE_ANGLE) | (rng.random(size) < density)
+    ph = np.empty(size, dtype=complex)
+    ph.imag = a
+    ph.real.fill(1.0)
+    np.cos(ph.imag, out=ph.real, where=big)
+    np.sin(ph.imag, out=ph.imag, where=big)
+    assert np.array_equal(ph.real, np.cos(a))
+    assert np.array_equal(ph.imag, np.sin(a))
+    assert np.array_equal(np.signbit(ph.imag), np.signbit(np.sin(a)))
 
 
 def test_concentrating_2d_boxed_trajectory_stays_exact_and_finite():

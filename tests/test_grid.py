@@ -50,6 +50,13 @@ def test_field_rejects_nonfinite():
         Field(g, np.ones(7, dtype=complex))
 
 
+@pytest.mark.parametrize("shape", [(64,), (1, 64), (64, 1)])
+def test_field_rejects_right_size_in_the_wrong_shape(shape):
+    # an 8 x 8 grid takes (8, 8) samples only: flat input of the right size is not reshaped
+    with pytest.raises(ValueError, match="shape"):
+        Field(make_grid(2, 8, 4.0), np.ones(shape, dtype=complex))
+
+
 def _parseval_l2_sq(f):
     """(2pi)^{-d} integral |uhat|^2 dk as the Parseval sum the observables use."""
     fwd, _ = transforms(f.grid.d)
@@ -171,7 +178,7 @@ def test_cached_symbols_read_only_and_shared():
             "k2": k2_symbol,
             "dealias": dealias_mask,
             "r2": r2_mesh,
-            "annulus": lambda grid: outer_annulus(grid, 0.05),
+            "annulus": outer_annulus,
             **{f"k_{j}": (lambda grid, j=j: derivative_wavenumbers(grid)[j]) for j in range(d)},
         }
         for name, build in symbols.items():
@@ -319,7 +326,7 @@ def test_transforms_entry_point_is_bit_equal_to_nd_forms(shape):
 
 @pytest.mark.parametrize("d, n", [(1, 256), (2, 64)])
 def test_padded_grid_transforms_match_allocating_forms(d, n):
-    # nonlinearity(dealias=True) and the zoom-in of rescale transform on the
+    # the dealiased nonlinearity and the zoom-in of rescale transform on the
     # 2n grid through grid.transforms; both stay bit-equal to numpy's
     # allocating n-d transforms
     from mcnls.grid import pad_spectrum, truncate_spectrum
