@@ -77,6 +77,15 @@ ESTIMATE_MASS_FRACTION = 0.05
 
 @dataclass(frozen=True)
 class EvolutionConfig:
+    """Sign mu of the nonlinearity, step dt, end time t_end, steps between
+    samples and the 2/3 dealiasing switch.
+
+    A run takes round(t_end/dt) steps, so its last sample is at that
+    multiple of dt, which is t_end only when t_end is a whole number of
+    steps (the CLI rejects any other t_end; library callers are not held
+    to it).
+    """
+
     mu: int
     dt: float
     t_end: float
@@ -143,13 +152,14 @@ class DiagnosticsSeries:
 
 @lru_cache(maxsize=16)
 def _kicks(g, dt: float, dealias: bool):
-    """(half, close, full), cached read-only per (grid, dt, dealias): the half
-    kick exp(-i|k|^2 dt/2), the closing kick (the half kick times the
-    dealias mask when dealiasing, else the half kick itself) and their
-    product, the merged kick between observation points."""
+    """(half, full), cached read-only per (grid, dt, dealias): the half kick
+    exp(-i|k|^2 dt/2) and the merged kick between observation points, the
+    half kick times the closing one (the half kick times the dealias mask
+    when dealiasing, else the half kick itself).  The closing kick is not
+    kept: an observation step applies the half kick and then the mask."""
     half = np.exp(-0.5j * k2_symbol(g) * dt)
-    close = half * dealias_mask(g) if dealias else half
-    return _read_only(half), _read_only(close), _read_only(half * close)
+    full = half * (half * dealias_mask(g) if dealias else half)
+    return _read_only(half), _read_only(full)
 
 
 def step_strang(f: Field, dt: float, mu: int, dealias: bool = False) -> Field:
@@ -170,14 +180,22 @@ def _trajectory(f: Field, cfg: EvolutionConfig):
     `grid.boxed_transforms`.  The phase exp(i a) is 1 + i a to the last bit
     where |a| < NEGLIGIBLE_ANGLE; on grids of at least COMPACT_MIN_POINTS
     points, cos and sin run masked (`where=`) on the other points only.
-    Yielded arrays are fresh and never modified afterwards.  scat_accum is
+    An observation step closes with the half kick and then the dealias
+    mask.  That spectrum equals the one closed by the masked half kick in
+    value (half * 1.0 is half); outside the 2/3 box only the sign of its
+    zeros can differ, and the samples are bit-equal.
+    Yielded arrays are fresh and never modified afterwards, and the loop
+    drops its references to them when the consumer resumes it (the next
+    step reads the spectrum once, then the work array is the source), so
+    the consumer alone decides how long a sample lives.  scat_accum is
     the midpoint-rule integral of |u|^{2(d+2)/d} over space-time so far:
     the integrand at the nonlinear stage is summed element-wise across
     steps and reduced only at observation points.
     """
     g = f.grid
     dt, stride = cfg.dt, cfg.stride
-    half, close, full = _kicks(g, dt, cfg.dealias)
+    half, full = _kicks(g, dt, cfg.dealias)
+    mask = dealias_mask(g) if cfg.dealias else None
     w = g.h ** g.d
     nsteps = int(round(cfg.t_end / dt))
     fwd, inv = transforms(g.d)
@@ -196,14 +214,16 @@ def _trajectory(f: Field, cfg: EvolutionConfig):
         # the phase argument is c x, x = |u|^4 (d = 1) or |u|^2 (d = 2)
         x_min = NEGLIGIBLE_ANGLE / abs(c)
         big = np.empty(g.shape, dtype=bool)
-    u = f.values
-    spec = fwd(u, out=np.empty_like(buf))
+    spec = fwd(f.values, out=np.empty_like(buf))
     scat = 0.0
-    yield 0, u, spec, scat
+    yield 0, f.values, spec, scat
     # step 1's source spectrum is unmasked, so its inverse is the full one
     kick, src, step_inv = half, spec, inv
+    del spec
     for step in range(1, nsteps + 1):
         multiply(kick, src, out=buf)
+        # the merged kick on the work array until the next observation
+        kick, src = full, buf
         step_inv(buf, out=buf)
         step_inv = binv
         multiply(re, re, out=amp2)
@@ -235,12 +255,13 @@ def _trajectory(f: Field, cfg: EvolutionConfig):
         if step % stride == 0 or step == nsteps:
             scat += dt * float(w * acc.sum())
             acc.fill(0.0)
-            spec = close * buf
+            spec = multiply(half, buf, out=np.empty_like(buf))
+            if mask is not None:
+                multiply(spec, mask, out=spec)
             u = binv(spec, out=np.empty_like(spec))
             yield step, u, spec, scat
             kick, src = half, spec
-        else:
-            kick, src = full, buf
+            del u, spec
 
 
 class _Sample(NamedTuple):
@@ -260,7 +281,11 @@ class _Observed:
     Raises ValueError for initial data with too much mass at the box
     boundary.  Stops after a sample flagged "blowup" with outcome
     "blowup-suspected", or before a non-finite one with "nan-abort".
-    `last` holds the samples of the last yielded field.
+    `last` holds the samples of the last yielded field.  |spec|^2 and |u|^2
+    are squared in place (after the amplitude maximum is read), and the
+    iterator drops its references to a sample once the consumer resumes
+    it, so a consumer that drops the sample before taking the next one
+    holds one sample at a time, plus `last`.
     """
 
     def __init__(self, f: Field, cfg: EvolutionConfig):
@@ -276,33 +301,39 @@ class _Observed:
             if not np.all(np.isfinite(u.view(np.float64))):
                 self.outcome = "nan-abort"
                 return
-            sdens = np.abs(spec) ** 2
-            amp = np.abs(u)
-            dens = amp ** 2
+            # squared in place: bit-equal to np.abs(.) ** 2, one array fewer
+            sdens = np.abs(spec)
+            np.square(sdens, out=sdens)
             kin = _kinetic(g, sdens)
+            if grad0 is None:
+                grad0 = kin
+            dens = np.abs(u)
+            blow = (grad0 > 0 and kin >= GRADIENT_GROWTH_FACTOR * grad0) or dens.max() >= AMPLITUDE_LIMIT
+            np.square(dens, out=dens)
             fl = []
             if density_boundary_fraction(g, dens) > BOUNDARY_MASS_WARN:
                 fl.append("boundary")
                 self.boundary_breach = True
-            if grad0 is None:
-                grad0 = kin
-            blow = (grad0 > 0 and kin >= GRADIENT_GROWTH_FACTOR * grad0) or amp.max() >= AMPLITUDE_LIMIT
             if blow:
                 fl.append("blowup")
             self.last = u
             yield _Sample(step, u, spec, scat, dens, sdens, kin, "|".join(fl))
+            # the consumer holds the sample from here; `last` keeps u for a nan-abort
+            del u, spec, dens, sdens
             if blow:
                 self.outcome = "blowup-suspected"
                 return
 
 
 def evolve(f: Field, cfg: EvolutionConfig):
-    """Run to t_end recording diagnostics every `stride` steps.
+    """Run round(t_end/dt) steps recording diagnostics every `stride` steps.
 
-    Returns (series, final_field).  Aborts with outcome "blowup-suspected"
-    when the gradient energy grows by GRADIENT_GROWTH_FACTOR or the
-    amplitude reaches AMPLITUDE_LIMIT, and with "nan-abort" (returning the
-    last recorded state) if samples stop being finite (see `_Observed`).
+    The last sample is at round(t_end/dt) * dt, the multiple of dt nearest
+    t_end.  Returns (series, final_field).  Aborts with outcome
+    "blowup-suspected" when the gradient energy grows by
+    GRADIENT_GROWTH_FACTOR or the amplitude reaches AMPLITUDE_LIMIT, and
+    with "nan-abort" (returning the last recorded state) if samples stop
+    being finite (see `_Observed`).
     """
     g = f.grid
     series = DiagnosticsSeries(d=g.d)

@@ -217,9 +217,15 @@ def k2_symbol(grid: GridSpec) -> np.ndarray:
 @lru_cache(maxsize=16)
 def derivative_wavenumbers(grid: GridSpec) -> tuple:
     """Per-axis k_j, unpaired Nyquist mode zeroed (d/dx_j is i k_j); cached read-only."""
+    return tuple(_read_only(k) for k in grid._mesh(_derivative_axis(grid)))
+
+
+@lru_cache(maxsize=16)
+def _derivative_axis(grid: GridSpec) -> np.ndarray:
+    """The wavenumbers of `derivative_wavenumbers` along one axis; cached read-only."""
     ak = grid.axis_k
     ak[grid.n // 2] = 0.0
-    return tuple(_read_only(k) for k in grid._mesh(ak))
+    return _read_only(ak)
 
 
 def _dealias_axis(grid: GridSpec) -> np.ndarray:
@@ -320,13 +326,12 @@ BOUNDARY_MASS_WARN = 1e-8
 def write_snapshot(f: Field, path) -> None:
     """Write the bit-exact MCNLS1 binary snapshot."""
     g = f.grid
-    flat = np.ascontiguousarray(f.values).reshape(-1)
-    inter = np.empty(2 * flat.size, dtype="<f8")
-    inter[0::2] = flat.real
-    inter[1::2] = flat.imag
+    # a little-endian complex128 array is the interleaved (re, im) f64 payload;
+    # it goes to the file through the buffer protocol, without a bytes copy
+    payload = np.ascontiguousarray(f.values, dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(_SNAPSHOT_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, g.d, g.n, g.L))
-        fh.write(inter.tobytes())
+        fh.write(payload)
 
 
 def read_snapshot(path) -> Field:
@@ -345,6 +350,6 @@ def read_snapshot(path) -> Field:
         payload = os.fstat(fh.fileno()).st_size - _SNAPSHOT_HEADER.size
         if payload != expected:
             raise ValueError(f"snapshot payload is {payload} bytes, header implies {expected}")
-        raw = np.frombuffer(fh.read(expected), dtype="<f8")
-    vals = raw[0::2] + 1j * raw[1::2]
+        # one view of the interleaved payload: re + 1j*im would turn -0.0 into +0.0
+        vals = np.frombuffer(fh.read(expected), dtype="<c16")
     return Field(grid, vals.reshape(grid.shape))

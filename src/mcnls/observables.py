@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, derivative_wavenumbers, k2_symbol, r2_mesh, transforms
+from .grid import Field, _derivative_axis, derivative_wavenumbers, k2_symbol, r2_mesh, transforms
 
 
 def quad_weight(f: Field) -> float:
@@ -49,9 +49,12 @@ def _variance(g, dens: np.ndarray) -> float:
 
 
 def _momentum(g, sdens: np.ndarray) -> np.ndarray:
-    # Parseval: Im sum conj(u) ifftn(i k_j uhat) = sum k_j |uhat|^2 / n^d
+    # Parseval: Im sum conj(u) ifftn(i k_j uhat) = sum k_j |uhat|^2 / n^d;
+    # k_j broadcasts along axis j, bit-equal to the mesh of derivative_wavenumbers
     wk = _spectral_weight(g)
-    return np.array([wk * np.sum(k * sdens) for k in derivative_wavenumbers(g)])
+    ak = _derivative_axis(g)
+    return np.array([wk * np.sum(ak.reshape((-1,) + (1,) * (g.d - 1 - j)) * sdens)
+                     for j in range(g.d)])
 
 
 def _spectrum(f: Field) -> np.ndarray:

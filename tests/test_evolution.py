@@ -91,6 +91,19 @@ def test_scattering_accumulator_nondecreasing(grid512):
     assert acc[-1] > 0
 
 
+def test_evolve_takes_round_t_end_over_dt_steps():
+    # t_end = 0.0104 is not a whole number of steps: evolve takes 10 and says so
+    g = make_grid(1, 64, 16.0)
+    f = Field(g, np.exp(-g.axis_x ** 2 / 2.0))
+    cfg = EvolutionConfig(mu=1, dt=1e-3, t_end=0.0104)
+    series, _ = evolve(f, cfg)
+    assert series.outcome == "completed"
+    assert series.t == [k * cfg.dt for k in range(11)]
+    assert series.t[-1] == 0.01
+    for doc in (EvolutionConfig.__doc__, evolve.__doc__):
+        assert "round(t_end/dt)" in doc
+
+
 def test_evolve_rejects_boundary_data(grid512):
     g = grid512
     f = Field(g, np.exp(-(np.abs(g.axis_x) - g.L) ** 2))
@@ -352,13 +365,15 @@ def test_scat_accum_matches_per_step_reference(d, n):
     # the loop sums |u|^{2(d+2)/d} element-wise across steps and reduces it at
     # observation points; the reference sums dt h^d sum |u|^q after every step
     from mcnls.evolution import _kicks, _trajectory
+    from mcnls.grid import dealias_mask
 
     g = make_grid(d, n, 16.0)
     xm = g.x_mesh()
     r2 = sum(x * x for x in xm)
     u0 = Field(g, 1.2 * np.exp(-r2 / 2.0) * np.exp(1j * 0.6 * xm[0]))
     cfg = EvolutionConfig(mu=-1, dt=1e-3, t_end=0.2, stride=7, dealias=True)
-    half, close, _ = _kicks(g, cfg.dt, cfg.dealias)
+    half, _ = _kicks(g, cfg.dt, cfg.dealias)
+    close = half * dealias_mask(g)
     q = 2.0 * (d + 2) / d
     w = g.h ** d
     u, ref, refs = u0.values, 0.0, [0.0]
@@ -620,10 +635,74 @@ def test_trajectory_propagates_an_overflowing_phase_on_the_boxed_path():
 
 def test_kicks_cached_read_only_per_grid_dt_and_dealias():
     from mcnls.evolution import _kicks
+    from mcnls.grid import dealias_mask
 
     g = make_grid(2, 64, 16.0)
-    half, close, full = _kicks(g, 1e-3, True)
-    assert _kicks(g, 1e-3, True)[2] is full
-    assert _kicks(g, 1e-3, False)[1] is not close
-    assert not any(k.flags.writeable for k in (half, close, full))
+    half, full = _kicks(g, 1e-3, True)
+    close = half * dealias_mask(g)
+    assert _kicks(g, 1e-3, True)[1] is full
+    assert _kicks(g, 1e-3, False)[1] is not full
+    assert not any(k.flags.writeable for k in (half, full))
     assert np.array_equal(full, half * close)
+
+
+def _traced_peak_in_fields(run, f):
+    # run once to fill the per-grid caches, empty the kick cache, then trace
+    import tracemalloc
+
+    from mcnls.evolution import _kicks
+
+    run()
+    _kicks.cache_clear()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / f.values.nbytes
+
+
+def test_evolve_live_set_is_one_sample_and_two_kicks():
+    # in field units (one n^2 complex array): two kicks, the work spectrum and
+    # phase, three real scratch arrays and one sample (u, spec, |u|^2,
+    # |spec|^2) read 10.2 in evolve, the peak being the estimates'
+    # temporaries, and 7.6 for the loop alone when the consumer drops each
+    # sample.  Caching a third kick and holding the previous sample while the
+    # next is built read 12.1 and 9.6; keeping only the observer's previous
+    # densities reads 10.6, only the loop's previous u and spec 8.6.
+    from mcnls.evolution import _trajectory
+
+    f = _gaussian(2, 128)
+    cfg = EvolutionConfig(mu=1, dt=1e-3, t_end=0.02, stride=5, dealias=True)
+
+    def loop_alone():
+        for s in _trajectory(f, cfg):
+            del s
+
+    assert _traced_peak_in_fields(lambda: evolve(f, cfg), f) < 10.4
+    assert _traced_peak_in_fields(loop_alone, f) < 8.0
+
+
+def test_previous_sample_is_released_once_the_next_is_taken():
+    import weakref
+
+    from mcnls.evolution import _Observed, _trajectory
+
+    f = _gaussian(2, 64)
+    cfg = EvolutionConfig(mu=1, dt=1e-3, t_end=0.005, stride=1, dealias=True)
+    traj = _trajectory(f, cfg)
+    next(traj)
+    _, u, spec, _ = next(traj)
+    refs = [weakref.ref(a) for a in (u, spec)]
+    del u, spec
+    next(traj)
+    assert all(r() is None for r in refs)
+
+    run = iter(_Observed(f, cfg))
+    next(run)
+    s = next(run)
+    refs = [weakref.ref(a) for a in (s.u, s.spec, s.dens, s.sdens)]
+    del s
+    next(run)
+    assert all(r() is None for r in refs)

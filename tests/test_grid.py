@@ -142,6 +142,19 @@ def test_snapshot_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(back.values, f.values)
 
 
+def test_snapshot_keeps_signed_zeros_and_rewrites_byte_identical(tmp_path):
+    g = make_grid(1, 8, 4.0)
+    vals = np.arange(8) + 1j
+    vals[2], vals[5] = complex(-0.0, 1.0), complex(2.0, -0.0)
+    a, b = tmp_path / "a.mcnls", tmp_path / "b.mcnls"
+    write_snapshot(Field(g, vals), a)
+    back = read_snapshot(a)
+    assert np.signbit(back.values[2].real) and np.signbit(back.values[5].imag)
+    assert np.array_equal(np.signbit(back.values.view(np.float64)), np.signbit(vals.view(np.float64)))
+    write_snapshot(back, b)
+    assert b.read_bytes() == a.read_bytes()
+
+
 def test_snapshot_layout(tmp_path):
     g = make_grid(1, 8, 4.0)
     f = Field(g, np.arange(8) + 1j)
