@@ -2,21 +2,31 @@
 
 Six scenarios: simulate, ground-state, morawetz, smooth-envelope,
 gn-check, weight-check.  The config is parsed once against `_SCHEMA`:
-unknown keys and values of the wrong type are hard errors.  Every run
-writes a JSON manifest (even on failure); CSV output uses 17 significant
-digits, '.' decimals and LF line endings.  Exit codes: 0 all enabled
-checks passed, 1 a check failed, 2 usage or config error.  The ground
-state, symmetry, Morawetz and envelope modules are imported where they
-are used, so a run loads only what its scenario needs.
+unknown keys, values of the wrong type and sections the scenario does
+not read (`_READS`) are hard errors.  Every run writes a JSON manifest
+(even on failure); CSV output uses 17 significant digits, '.' decimals
+and LF line endings.  Exit codes: 0 all enabled checks passed, 1 a check
+failed, 2 usage or config error.  The ground state, symmetry, Morawetz
+and envelope modules are imported where they are used, so a run loads
+only what its scenario needs.
+
+BLAS runs one thread unless the environment says otherwise.  The defaults
+are set before numpy loads, so OpenBLAS sees them; threaded, it splits
+the Morawetz pairings' `np.vdot`, which is slower on these sizes and
+changes the sums' rounding with the thread count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 
@@ -33,8 +43,16 @@ from .grid import (
 )
 from .observables import energy, kinetic
 
-SCENARIOS = ("simulate", "ground-state", "morawetz", "smooth-envelope",
-             "gn-check", "weight-check")
+# the config sections each scenario reads, besides "output"
+_READS = {
+    "simulate": ("grid", "evolution", "initial"),
+    "ground-state": ("grid",),
+    "morawetz": ("grid", "evolution", "initial", "weights"),
+    "smooth-envelope": ("envelope",),
+    "gn-check": ("grid",),
+    "weight-check": ("grid", "weights", "envelope"),
+}
+SCENARIOS = tuple(_READS)
 
 
 class ConfigError(ValueError):
@@ -53,7 +71,8 @@ _SCHEMA = {
 }
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
                str: "a string", list: "a list of numbers"}
-# Morawetz pairings hold several (2n)^d arrays, so a grid is capped well below memory.
+# Morawetz pairings work on the doubled grid (at a 2D peak, about ten (2n) x (n+1)
+# complex half spectra), so a grid is capped well below memory.
 MAX_GRID_POINTS = 2 ** 20
 
 
@@ -98,6 +117,9 @@ def _parse(raw) -> dict:
             defaults[key] = _typed(value, spec if isinstance(spec, type) else type(spec),
                                    f"{name}.{key}")
         cfg[name] = defaults
+    for name in raw:
+        if name not in ("scenario", "output", *_READS[cfg["scenario"]]):
+            raise ConfigError(f"the {cfg['scenario']} scenario does not read a {name!r} section")
     return cfg
 
 
@@ -300,7 +322,7 @@ def _scenario_morawetz(cfg, outdir: Path, checks: Checks) -> dict:
     wq = grid.h ** grid.d
     run = _Observed(f0, econf)
     for s in run:
-        rep, p = _flux_terms(grid, s.u, s.spec, 1.0, 0.0, econf.mu, w)
+        rep, p = _flux_terms(grid, s.u, s.spec, 1.0, 0.0, econf.mu, w, s.dens)
         rows.append(rep.csv_row(s.step * econf.dt))
         total = rep.momentum + rep.dispersive + rep.nonlinear + \
             rep.curvature + rep.envelope_drift
@@ -308,6 +330,7 @@ def _scenario_morawetz(cfg, outdir: Path, checks: Checks) -> dict:
         consistent &= abs(total - rep.flux) <= 1e-8 * scale
         p1 = sum(wq * np.sum(np.abs(pj)) for pj in p)
         bound_ok &= abs(rep.action) <= 2.0 * w.M * w.R * p1 * wq * np.sum(s.dens) * (1 + 1e-9)
+        del s, p  # else they stay alive while the observer computes the next sample
     (outdir / "morawetz.csv").write_text(
         MORAWETZ_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
     checks.add("decomposition_consistent", consistent)
@@ -420,6 +443,7 @@ def run_scenario(config_path) -> int:
         code = 1
     manifest["checks"] = checks.results
     manifest["wall_time_s"] = time.monotonic() - t_start
+    manifest["peak_rss_mib"] = _peak_rss_mib()
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         with open(outdir / "manifest.json", "w", newline="\n") as fh:
@@ -430,6 +454,14 @@ def run_scenario(config_path) -> int:
     if manifest["failure"]:
         print(f"mcnls: {manifest['failure']}", file=sys.stderr)
     return code
+
+
+def _peak_rss_mib() -> float:
+    """This process's peak resident set so far, in MiB (ru_maxrss: KiB on Linux, bytes on macOS)."""
+    import resource
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2.0 ** (20 if sys.platform == "darwin" else 10)
 
 
 def _versions() -> dict:

@@ -33,14 +33,18 @@ Every double integral sum_x sum_y A(x) K(x - y) B(y) is one Fourier
 pairing on the doubled grid: the offsets x - y of the n-grid fit a
 circle of 2n points per axis without wraparound, so with A and B
 zero-padded to 2n (`grid.padded_rfft`), Parseval gives
-Re sum conj(A^) K^ B^ / (2n)^d.  Every kernel is even or odd in z, so
-its spectrum is real or imaginary and is kept as one real array; for an
-odd kernel the pairing is -Im sum conj(A^) (Im K^) B^, in which a
-momentum density p = xi rho cancels mode by mode.  The kernel spectra
-are cached per (grid, Ntilde, weights); the drift kernels, which only
-the Ntilde' term reads, are built the first time that term is nonzero.
-A flux sample keeps rho^ and p^ for all its pairings and transforms each
-other density into one reused work spectrum just before its one pairing.
+Re sum conj(A^) K^ B^ / (2n)^d.  Every kernel is even or odd in each
+z_j, so it is sampled once, on the quadrant of offsets h {0..n-1}^d, and
+unfolded by its parity onto the circle just before its transform; its
+spectrum is real or imaginary and is kept as one real array.  For an odd
+kernel the pairing is -Im sum conj(A^) (Im K^) B^, in which a momentum
+density p = xi rho cancels mode by mode.  The kernel spectra are cached
+per (grid, Ntilde, weights); the drift kernels, which only the Ntilde'
+term reads, are built the first time that term is nonzero.  A flux
+sample runs in three stages (the grad u pairs, the p^ pairs, the
+divergence-kernel pairs) and drops each stage's arrays before the next;
+one work spectrum takes each other transformed density, and one buffer
+each kernel product.
 Direct O(n^{2d}) evaluations of the actions are retained as test oracles.
 """
 
@@ -311,36 +315,83 @@ def centered_action(f: Field, Ntilde: float, R: float, w) -> float:
 # interaction action and flux
 # ---------------------------------------------------------------------------
 
-def _offsets(grid) -> list:
-    """Offsets h (0..n-1, -n..-1) per axis: every x_i - x_j on the 2n circle."""
-    off = np.fft.fftfreq(2 * grid.n, 1.0 / (2 * grid.n)) * grid.h
-    return np.meshgrid(*([off] * grid.d), indexing="ij")
+def _quadrant(grid) -> list:
+    """Offsets h (0..n-1) per axis, z_j varying along axis j only.
 
-
-def _kernel_spectrum(grid, kern: np.ndarray, odd: bool) -> np.ndarray:
-    """Re K^ (Im K^ if odd) of a kernel sampled at `_offsets`, times the Parseval weight.
-
-    No x_i - x_j reaches the offset -n h, so that sample is zeroed; a kernel
-    even (odd) in z is then exactly even (odd) on the 2n circle and its
-    spectrum is real (imaginary).  The weight is `half_spectrum_weight`
-    over (2n)^d.
+    Every x_i - x_j of the n-grid is one of these up to a sign per axis.
     """
-    kern = kern.copy()
-    for axis in range(grid.d):
-        kern[(slice(None),) * axis + (grid.n,)] = 0.0
-    spec = np.fft.rfftn(kern)
-    part = spec.imag if odd else spec.real
-    return _read_only(part * (half_spectrum_weight(2 * grid.n) / (2 * grid.n) ** grid.d))
+    off = np.arange(grid.n, dtype=float) * grid.h
+    return [off.reshape((1,) * j + (-1,) + (1,) * (grid.d - 1 - j)) for j in range(grid.d)]
 
 
-def _pair(outer_hat: np.ndarray, kern_hat: np.ndarray, inner_hat: np.ndarray) -> float:
-    """sum_i outer(x_i) sum_j K(x_i - x_j) inner(x_j) for an even K, by Parseval on the 2n grid."""
-    return float(np.vdot(outer_hat, kern_hat * inner_hat).real)
+def _radii(grid, Ntilde: float, w: WeightFamily) -> tuple:
+    """(`_quadrant`, |z|, |z| Ntilde / R): where every weight kernel is sampled."""
+    z = _quadrant(grid)
+    r = np.sqrt(sum(zj * zj for zj in z))
+    return z, r, r * Ntilde / w.R
 
 
-def _pair_odd(outer_hat: np.ndarray, kern_hat: np.ndarray, inner_hat: np.ndarray) -> float:
+def _spectra(grid, kernels) -> tuple:
+    """Re K^ (Im K^ if odd) of each (samples on `_quadrant`, odd axes), times the Parseval weight.
+
+    Each kernel is even or odd in each z_j.  It is unfolded onto the 2n
+    circle in one reused array: the offset -i h takes the sample at +i h,
+    negated once per odd axis.  The offsets +i h and -i h give the same
+    |z| bit for bit, so the circle holds what sampling it whole gives.  No
+    x_i - x_j reaches the offset -n h, so that sample is 0; the kernel is
+    then exactly even (odd) on the circle and its spectrum is real
+    (imaginary).  The weight is `half_spectrum_weight` over (2n)^d.
+    """
+    n, d = grid.n, grid.d
+    circle = np.empty((2 * n,) * d)
+    spec = np.empty((2 * n,) * (d - 1) + (n + 1,), dtype=np.complex128)
+    weight = half_spectrum_weight(2 * n) / (2 * n) ** d
+    out = []
+    for quad, odd_axes in kernels:
+        circle[(slice(n),) * d] = quad
+        for axis in range(d):
+            at = lambda sl: (slice(None),) * axis + (sl,)
+            circle[at(n)] = 0.0
+            mirror, image = circle[at(slice(n - 1, 0, -1))], circle[at(slice(n + 1, None))]
+            if axis in odd_axes:
+                np.negative(mirror, out=image)
+            else:
+                image[...] = mirror
+        np.fft.rfftn(circle, out=spec)
+        part = spec.imag if len(odd_axes) % 2 else spec.real
+        out.append(_read_only(part * weight))
+    return tuple(out)
+
+
+def _times(kern_hat: np.ndarray, inner_hat: np.ndarray,
+           out: Optional[np.ndarray] = None) -> np.ndarray:
+    """kern_hat * inner_hat for a real kern_hat, into `out` (a new array if None).
+
+    The two parts of inner_hat are multiplied apart: a complex product
+    would first cast all of kern_hat to complex, a full-size copy.  The
+    result equals the complex product's, for finite values, up to the sign
+    of its zeros.
+    """
+    if out is None:
+        out = np.empty_like(inner_hat)
+    np.multiply(kern_hat, inner_hat.real, out=out.real)
+    np.multiply(kern_hat, inner_hat.imag, out=out.imag)
+    return out
+
+
+def _pair(outer_hat: np.ndarray, kern_hat: np.ndarray, inner_hat: np.ndarray,
+          out: Optional[np.ndarray] = None) -> float:
+    """sum_i outer(x_i) sum_j K(x_i - x_j) inner(x_j) for an even K, by Parseval on the 2n grid.
+
+    The product K^ B^ goes into `out` if given (`_times`).
+    """
+    return float(np.vdot(outer_hat, _times(kern_hat, inner_hat, out)).real)
+
+
+def _pair_odd(outer_hat: np.ndarray, kern_hat: np.ndarray, inner_hat: np.ndarray,
+              out: Optional[np.ndarray] = None) -> float:
     """The same for an odd K: Re sum conj(A^) i Im(K^) B^ = -Im sum conj(A^) Im(K^) B^."""
-    return -float(np.vdot(outer_hat, kern_hat * inner_hat).imag)
+    return -float(np.vdot(outer_hat, _times(kern_hat, inner_hat, out)).imag)
 
 
 class _Kernels(NamedTuple):
@@ -349,28 +400,28 @@ class _Kernels(NamedTuple):
     K: tuple        # ((j, k), K_jk) for j <= k; K is symmetric and even
 
 
-def _scaled_offsets(grid, Ntilde: float, w: WeightFamily) -> tuple:
-    """(`_offsets`, |z|, |z| Ntilde / R): where every kernel is sampled."""
-    zm = _offsets(grid)
-    r = np.sqrt(sum(z * z for z in zm))
-    return zm, r, r * Ntilde / w.R
-
-
 @lru_cache(maxsize=16)
 def _pairing_kernels(grid, Ntilde: float, w: WeightFamily) -> _Kernels:
     """Every kernel spectrum of the action and the flux but the drift; cached read-only."""
     d = grid.d
-    zm, r, s = _scaled_offsets(grid, Ntilde, w)
+    z, r, s = _radii(grid, Ntilde, w)
     psir = w.psi(s)
     phis = w.phi(s)
     gap = phis - psir          # s psi'(s), vanishes at the origin
-    zhat = [_over_r(z, r, 0.0) for z in zm]
-    even = lambda kern: _kernel_spectrum(grid, kern, odd=False)
-    odd = lambda kern: _kernel_spectrum(grid, kern, odd=True)
-    K = tuple(((j, k), even(Ntilde * (psir * (1.0 if j == k else 0.0) + gap * zhat[j] * zhat[k])))
-              for j in range(d) for k in range(j, d))
-    return _Kernels(action=tuple(odd(psir * z * Ntilde) for z in zm),
-                    G=even(Ntilde * ((d - 1) * psir + phis)), K=K)
+    zhat = [_over_r(zj, r, 0.0) for zj in z]
+    pairs = [(j, k) for j in range(d) for k in range(j, d)]
+
+    def sampled():
+        for j in range(d):
+            yield psir * z[j] * Ntilde, (j,)
+        yield Ntilde * ((d - 1) * psir + phis), ()
+        for j, k in pairs:
+            # off the diagonal K_jk is odd in z_j and in z_k, so even
+            yield (Ntilde * (psir * (1.0 if j == k else 0.0) + gap * zhat[j] * zhat[k]),
+                   () if j == k else (j, k))
+
+    spectra = _spectra(grid, sampled())
+    return _Kernels(action=spectra[:d], G=spectra[d], K=tuple(zip(pairs, spectra[d + 1:])))
 
 
 @lru_cache(maxsize=16)
@@ -380,13 +431,14 @@ def _drift_kernels(grid, Ntilde: float, w: WeightFamily) -> tuple:
     Only the Ntilde' term of the flux reads them, so a flux at Ntilde' = 0
     never builds them.
     """
-    zm, _, s = _scaled_offsets(grid, Ntilde, w)
+    z, _, s = _radii(grid, Ntilde, w)
     phis = w.phi(s)
-    return tuple(_kernel_spectrum(grid, phis * z, odd=True) for z in zm)
+    return _spectra(grid, ((phis * zj, (j,)) for j, zj in enumerate(z)))
 
 
-def _action(kern: _Kernels, p_hat: list, rho_hat: np.ndarray) -> float:
-    return sum(_pair_odd(ph, a, rho_hat) for ph, a in zip(p_hat, kern.action))
+def _action(kern: _Kernels, p_hat: list, rho_hat: np.ndarray,
+            out: Optional[np.ndarray] = None) -> float:
+    return sum(_pair_odd(ph, a, rho_hat, out) for ph, a in zip(p_hat, kern.action))
 
 
 def interaction_action(f: Field, Ntilde: float, w: WeightFamily) -> float:
@@ -461,43 +513,57 @@ def interaction_flux(f: Field, Ntilde: float, Ntilde_prime: float, mu: int,
 
 
 def _flux_terms(g, u: np.ndarray, spec: np.ndarray, Ntilde: float, Ntilde_prime: float,
-                mu: int, w: WeightFamily) -> tuple:
-    """(interaction_flux report, momentum density p) of samples u with raw spectrum spec."""
+                mu: int, w: WeightFamily, rho: Optional[np.ndarray] = None) -> tuple:
+    """(interaction_flux report, momentum density p) of samples u with raw spectrum spec.
+
+    rho is |u|^2, computed here unless given.  The pairings run in three
+    stages, each dropping what the later ones do not read: the dispersive
+    pairs with grad u; the momentum, action and drift pairs with the p^_j;
+    the divergence-kernel pairs.  One n-grid array takes each
+    conj(d_j u) d_k u, one work spectrum each transformed density but rho^
+    and p^_1, ..., p^_{d-1}, and one buffer each kernel product.
+    """
     if not Ntilde > 0:
         raise ValueError("Ntilde must be positive")
     d = g.d
     w2 = (g.h ** d) ** 2
     kern = _pairing_kernels(g, float(Ntilde), w)
-    rho = np.abs(u) ** 2
+    if rho is None:
+        rho = np.abs(u) ** 2
     rho_hat = padded_rfft(rho)
+    work = np.empty_like(rho_hat)
+    prod = np.empty_like(rho_hat)
+
     du = _gradient(g, spec)
     p = _momentum_density(u, du)
-    p_hat = [padded_rfft(pj) for pj in p]
-    # rho^ and p^ are paired throughout; every other spectrum is paired once,
-    # right after it is transformed into this one work array
-    work = np.empty_like(rho_hat)
-
     t_disp = 0.0
-    t_mom = 0.0
+    W = np.empty_like(du[0])
     for (j, k), K_jk in kern.K:
         both = 1.0 if j == k else 2.0   # K_jk = K_kj
-        W_hat = padded_rfft(np.real(np.conj(du[j]) * du[k]), work)
-        t_disp += both * 2.0 * w2 * _pair(W_hat, K_jk, rho_hat)
-        t_mom += both * -2.0 * w2 * _pair(p_hat[j], K_jk, p_hat[k])
+        np.multiply(np.conj(du[j], out=W), du[k], out=W)
+        W_hat = padded_rfft(W.real, work)
+        t_disp += both * 2.0 * w2 * _pair(W_hat, K_jk, rho_hat, prod)
+    del du, W
 
-    G_rho = kern.G * rho_hat
+    p_hat = [padded_rfft(pj, work if j == 0 else None) for j, pj in enumerate(p)]
+    t_mom = 0.0
+    for (j, k), K_jk in kern.K:
+        both = 1.0 if j == k else 2.0
+        t_mom += both * -2.0 * w2 * _pair(p_hat[j], K_jk, p_hat[k], prod)
+    action = w2 * _action(kern, p_hat, rho_hat, prod)
+    t_env = 0.0
+    if Ntilde_prime != 0.0:
+        drift = _drift_kernels(g, float(Ntilde), w)
+        t_env = Ntilde_prime * w2 * sum(_pair_odd(ph, kd, rho_hat, prod)
+                                        for ph, kd in zip(p_hat, drift))
+    del p_hat
+
+    G_rho = _times(kern.G, rho_hat, prod)
     nl_hat = padded_rfft(rho ** ((d + 2.0) / d), work)
     t_nl = (2.0 * mu / (d + 2.0)) * w2 * float(np.vdot(nl_hat, G_rho).real)
     lap_hat = padded_rfft(apply_multiplier(rho, -k2_symbol(g)).real, work)
     t_curv = -0.5 * w2 * float(np.vdot(lap_hat, G_rho).real)
 
-    t_env = 0.0
-    if Ntilde_prime != 0.0:
-        drift = _drift_kernels(g, float(Ntilde), w)
-        t_env = Ntilde_prime * w2 * sum(_pair_odd(ph, kd, rho_hat)
-                                        for ph, kd in zip(p_hat, drift))
-
-    action = w2 * _action(kern, p_hat, rho_hat)
     flux = t_mom + t_disp + t_nl + t_curv + t_env
     return MorawetzReport(action, flux, t_mom, t_disp, t_nl, t_curv, t_env), p
 
@@ -522,7 +588,7 @@ def defocusing_interaction_action(f: Field) -> float:
     if f.grid.d != 1:
         raise ValueError("the classical kernel is one dimensional")
     g = f.grid
-    kern = _kernel_spectrum(g, np.sign(_offsets(g)[0]), odd=True)
+    kern, = _spectra(g, [(np.sign(_quadrant(g)[0]), (0,))])
     p_hat = padded_rfft(momentum_density(f)[0])
     rho_hat = padded_rfft(np.abs(f.values) ** 2)
     return quad_weight(f) ** 2 * _pair_odd(p_hat, kern, rho_hat)

@@ -578,3 +578,82 @@ def test_input_path_that_is_a_directory_is_config_error(tmp_path, monkeypatch, i
     assert run_scenario(path) == 2
     failure = json.loads((tmp_path / "mcnls-out" / "manifest.json").read_text())["failure"]
     assert failure.startswith(f"config error: {input_key} ")
+
+
+@pytest.mark.parametrize("scenario, sections", [
+    ("simulate", {"weights": {"M": 8, "R": 4}, "envelope": {"input": "nope.csv"}}),
+    ("morawetz", {"envelope": {"input": "bundled:sawtooth", "m": 3}}),
+])
+def test_section_the_scenario_does_not_read_is_a_config_error(tmp_path, scenario, sections):
+    # both ran to exit 0, the morawetz one silently at Ntilde = 1
+    out = tmp_path / "out"
+    cfg = _sim_config(out) if scenario == "simulate" else _morawetz_config(out)
+    cfg.update(sections)
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure.startswith("config error:")
+    assert scenario in failure and any(repr(name) in failure for name in sections)
+    assert not (out / ("diagnostics.csv" if scenario == "simulate" else "morawetz.csv")).exists()
+
+
+def test_every_config_section_is_read_by_some_scenario():
+    from mcnls.cli import _READS, SCENARIOS
+
+    assert SCENARIOS == ("simulate", "ground-state", "morawetz", "smooth-envelope",
+                         "gn-check", "weight-check")
+    assert set().union(*_READS.values()) | {"output"} == set(_SCHEMA)
+
+
+# the benchmark's three workload configs (bench/workloads.py), at fixed draws
+_BENCH_CONFIGS = {
+    "soliton-1d": {"scenario": "simulate", "grid": {"d": 1, "n": 512, "L": 16.0},
+                   "evolution": {"mu": -1, "dt": 1e-4, "t_end": 1.0, "stride": 100},
+                   "initial": {"kind": "boosted-soliton", "xi0": [np.pi / 8]},
+                   "output": {"emit_snapshots": True}},
+    "gaussian-2d": {"scenario": "simulate", "grid": {"d": 2, "n": 256, "L": 16.0},
+                    "evolution": {"mu": 1, "dt": 1e-3, "t_end": 0.5, "stride": 10},
+                    "initial": {"kind": "gaussian", "amplitude": 1.1, "width": 1.2,
+                                "center": [0.5, -1.0], "k0": [0.3, -0.6]},
+                    "output": {"emit_snapshots": True}},
+    "morawetz-2d": {"scenario": "morawetz", "grid": {"d": 2, "n": 128, "L": 16.0},
+                    "evolution": {"mu": -1, "dt": 1e-3, "t_end": 0.1, "stride": 10},
+                    "weights": {"M": 8, "R": 4},
+                    "initial": {"kind": "boosted-soliton", "xi0": [np.pi / 16, -np.pi / 8]},
+                    "output": {}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BENCH_CONFIGS))
+def test_bench_configs_run_and_record_peak_memory(tmp_path, name):
+    out = tmp_path / "out"
+    cfg = json.loads(json.dumps(_BENCH_CONFIGS[name]))
+    cfg["output"]["dir"] = str(out)
+    assert run_scenario(_write_config(tmp_path, cfg)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failure"] is None
+    # ru_maxrss of this process, normalized to MiB
+    assert 1.0 < manifest["peak_rss_mib"] < 1e6
+
+
+def test_cli_pins_blas_threads_unless_set(tmp_path):
+    # threaded OpenBLAS splits the pairings' vdot, and the flux's last bits
+    # moved with the thread count
+    cfg = {"scenario": "morawetz", "grid": {"d": 2, "n": 128, "L": 16.0},
+           "evolution": {"mu": -1, "dt": 1e-3, "t_end": 0.01, "stride": 5},
+           "weights": {"M": 8, "R": 4},
+           "initial": {"kind": "boosted-soliton", "xi0": [np.pi / 16, -np.pi / 8]}}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    csv = {}
+    for pinned in (True, False):
+        out = tmp_path / f"pinned-{pinned}"
+        path = _write_config(tmp_path, dict(cfg, output={"dir": str(out)}), f"{pinned}.json")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        if pinned:
+            env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "mcnls.cli", "run", str(path)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        csv[pinned] = (out / "morawetz.csv").read_bytes()
+    assert csv[True] == csv[False]

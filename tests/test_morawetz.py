@@ -653,3 +653,181 @@ def test_drift_kernels_built_only_for_a_nonzero_ntilde_prime(weights):
     rep, _ = _flux_terms(g, u.values, _spectrum(u), 1.0, 0.5, -1, w)
     assert rep.envelope_drift != 0.0
     assert _drift_kernels.cache_info().currsize == 1
+
+
+# ---------------------------------------------------------------------------
+# the quadrant kernel construction and the staged flux sample, against the
+# full-offset construction and the interleaved flux they replaced
+# ---------------------------------------------------------------------------
+
+def _full_offset_spectrum(g, kern, odd):
+    """Re K^ (Im K^ if odd) of a kernel sampled at every offset of the 2n circle."""
+    from mcnls.grid import half_spectrum_weight
+
+    kern = kern.copy()
+    for axis in range(g.d):
+        kern[(slice(None),) * axis + (g.n,)] = 0.0
+    spec = np.fft.rfftn(kern)
+    part = spec.imag if odd else spec.real
+    return part * (half_spectrum_weight(2 * g.n) / (2 * g.n) ** g.d)
+
+
+def _full_offset_kernels(g, Nt, w):
+    """(action, G, K, drift, offsets) spectra, every offset sampled on the whole circle."""
+    from mcnls.morawetz import _over_r
+
+    d = g.d
+    off = np.fft.fftfreq(2 * g.n, 1.0 / (2 * g.n)) * g.h
+    zm = np.meshgrid(*([off] * d), indexing="ij")
+    r = np.sqrt(sum(z * z for z in zm))
+    s = r * Nt / w.R
+    psir, phis = w.psi(s), w.phi(s)
+    gap = phis - psir
+    zhat = [_over_r(z, r, 0.0) for z in zm]
+    even = lambda kern: _full_offset_spectrum(g, kern, odd=False)
+    odd = lambda kern: _full_offset_spectrum(g, kern, odd=True)
+    K = tuple(((j, k), even(Nt * (psir * (1.0 if j == k else 0.0) + gap * zhat[j] * zhat[k])))
+              for j in range(d) for k in range(j, d))
+    return (tuple(odd(psir * z * Nt) for z in zm), even(Nt * ((d - 1) * psir + phis)), K,
+            tuple(odd(phis * z) for z in zm), zm)
+
+
+def _pair(a_hat, kern_hat, b_hat):
+    """Re sum conj(A^) K^ B^ with the complex product K^ B^ (even K)."""
+    return float(np.vdot(a_hat, kern_hat * b_hat).real)
+
+
+def _pair_odd(a_hat, kern_hat, b_hat):
+    """The same for an odd K, whose imaginary spectrum kern_hat holds."""
+    return -float(np.vdot(a_hat, kern_hat * b_hat).imag)
+
+
+def _interleaved_flux_terms(g, u, spec, Nt, Ntp, mu, w):
+    """The flux sample that paired rho^ and every p^_j in one pass, on full-offset kernels."""
+    from mcnls.grid import apply_multiplier, k2_symbol, padded_rfft
+    from mcnls.morawetz import MorawetzReport
+    from mcnls.observables import _gradient, _momentum_density
+
+    d = g.d
+    w2 = (g.h ** d) ** 2
+    action_k, G, K, drift, _ = _full_offset_kernels(g, Nt, w)
+    rho = np.abs(u) ** 2
+    rho_hat = padded_rfft(rho)
+    du = _gradient(g, spec)
+    p = _momentum_density(u, du)
+    p_hat = [padded_rfft(pj) for pj in p]
+    work = np.empty_like(rho_hat)
+    t_disp = 0.0
+    t_mom = 0.0
+    for (j, k), K_jk in K:
+        both = 1.0 if j == k else 2.0
+        W_hat = padded_rfft(np.real(np.conj(du[j]) * du[k]), work)
+        t_disp += both * 2.0 * w2 * _pair(W_hat, K_jk, rho_hat)
+        t_mom += both * -2.0 * w2 * _pair(p_hat[j], K_jk, p_hat[k])
+    G_rho = G * rho_hat
+    nl_hat = padded_rfft(rho ** ((d + 2.0) / d), work)
+    t_nl = (2.0 * mu / (d + 2.0)) * w2 * float(np.vdot(nl_hat, G_rho).real)
+    lap_hat = padded_rfft(apply_multiplier(rho, -k2_symbol(g)).real, work)
+    t_curv = -0.5 * w2 * float(np.vdot(lap_hat, G_rho).real)
+    t_env = 0.0
+    if Ntp != 0.0:
+        t_env = Ntp * w2 * sum(_pair_odd(ph, kd, rho_hat) for ph, kd in zip(p_hat, drift))
+    action = w2 * sum(_pair_odd(ph, a, rho_hat) for ph, a in zip(p_hat, action_k))
+    flux = t_mom + t_disp + t_nl + t_curv + t_env
+    return MorawetzReport(action, flux, t_mom, t_disp, t_nl, t_curv, t_env), p
+
+
+def _chirped_field(g):
+    """An off-centre Gaussian with a boost and a quadratic chirp."""
+    xm = g.x_mesh()
+    centre, k0 = (1.3, -0.7)[:g.d], (0.9, 1.6)[:g.d]
+    r2 = sum((x - c) ** 2 for x, c in zip(xm, centre))
+    phase = sum(k * x for k, x in zip(k0, xm)) + 0.15 * sum(x * x for x in xm)
+    return Field(g, 0.8 * np.exp(-r2 / 2.0) * np.exp(1j * phase))
+
+
+@pytest.mark.parametrize("d, n, L, M, R, Nt", [(1, 64, 12.0, 4.0, 2.0, 1.0),
+                                               (1, 512, 16.0, 8.0, 4.0, 0.7),
+                                               (2, 32, 10.0, 4.0, 3.0, 1.3),
+                                               (2, 64, 16.0, 8.0, 4.0, 1.0),
+                                               (2, 128, 16.0, 8.0, 4.0, 0.6)])
+def test_quadrant_kernels_equal_the_full_offset_construction(weights, d, n, L, M, R, Nt):
+    from mcnls.morawetz import _drift_kernels, _pairing_kernels
+
+    g = make_grid(d, n, L)
+    w = weights(d, M, R)
+    action, G, K, drift, zm = _full_offset_kernels(g, Nt, w)
+    kern = _pairing_kernels(g, Nt, w)
+    assert len(kern.action) == len(action) == d
+    assert all(np.array_equal(a, b) for a, b in zip(kern.action, action))
+    assert np.array_equal(kern.G, G)
+    assert [jk for jk, _ in kern.K] == [jk for jk, _ in K]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(kern.K, K))
+    assert all(np.array_equal(a, b) for a, b in zip(_drift_kernels(g, Nt, w), drift))
+    assert all(not a.flags.writeable for a in (*kern.action, kern.G, *(k for _, k in kern.K)))
+    if d == 1:
+        # the classical sign kernel, through the action that pairs it
+        from mcnls.grid import padded_rfft
+
+        f = _chirped_field(g)
+        sign = _full_offset_spectrum(g, np.sign(zm[0]), odd=True)
+        oracle = quad_weight(f) ** 2 * _pair_odd(padded_rfft(momentum_density(f)[0]), sign,
+                                                 padded_rfft(np.abs(f.values) ** 2))
+        assert defocusing_interaction_action(f) == oracle
+
+
+@pytest.mark.parametrize("d, n, L", [(1, 256, 16.0), (2, 64, 16.0)])
+@pytest.mark.parametrize("mu", [1, -1])
+@pytest.mark.parametrize("Ntp", [0.0, 0.3])
+def test_staged_flux_sample_is_bit_identical_to_the_interleaved_one(weights, d, n, L, mu, Ntp):
+    from mcnls.morawetz import _flux_terms
+    from mcnls.observables import _spectrum
+
+    g = make_grid(d, n, L)
+    w = weights(d, 8.0, 4.0)
+    f = _chirped_field(g)
+    spec = _spectrum(f)
+    oracle, p_oracle = _interleaved_flux_terms(g, f.values, spec, 1.0, Ntp, mu, w)
+    assert oracle.envelope_drift != 0.0 or Ntp == 0.0
+    for rho in (None, np.abs(f.values) ** 2):
+        rep, p = _flux_terms(g, f.values, spec, 1.0, Ntp, mu, w, rho)
+        assert rep == oracle
+        assert len(p) == d and all(np.array_equal(a, b) for a, b in zip(p, p_oracle))
+
+
+def _traced_peak_units(call, n):
+    """Traced peak of call(), in (2n) x (n+1) complex spectra."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (16 * 2 * n * (n + 1))
+
+
+def test_kernel_build_working_memory_is_bounded(weights):
+    # the full-offset construction peaked at 15.4 spectra: the kept 3, the
+    # offset meshes and profiles on the whole circle, and two transforms each
+    from mcnls.morawetz import _pairing_kernels
+
+    g = make_grid(2, 64, 16.0)
+    w = weights(2, 8.0, 4.0)
+    _pairing_kernels.cache_clear()
+    assert _traced_peak_units(lambda: _pairing_kernels(g, 1.0, w), g.n) <= 8.5
+
+
+def test_flux_sample_working_memory_is_bounded(weights):
+    # holding grad u, rho^ and every p^_j through all the pairings peaked at 9.2 spectra
+    from mcnls.morawetz import _flux_terms
+    from mcnls.observables import _spectrum
+
+    g = make_grid(2, 64, 16.0)
+    w = weights(2, 8.0, 4.0)
+    u = smooth_random_field(g, np.random.default_rng(3))
+    spec = _spectrum(u)
+    _flux_terms(g, u.values, spec, 1.0, 0.0, -1, w)  # kernel spectra cached
+    peak = _traced_peak_units(lambda: _flux_terms(g, u.values, spec, 1.0, 0.0, -1, w), g.n)
+    assert peak <= 7.0
