@@ -1,14 +1,14 @@
 """Scenario runner: reproducible experiments driven by a JSON config.
 
-Six scenarios: simulate, ground-state, morawetz, smooth-envelope,
-gn-check, weight-check.  The config is parsed once against `_SCHEMA`:
-unknown keys, values of the wrong type and sections the scenario does
-not read (`_READS`) are hard errors.  Every run writes a JSON manifest
-(even on failure); CSV output uses 17 significant digits, '.' decimals
-and LF line endings.  Exit codes: 0 all enabled checks passed, 1 a check
-failed, 2 usage or config error.  The ground state, symmetry, Morawetz
-and envelope modules are imported where they are used, so a run loads
-only what its scenario needs.
+One table, `_SCENARIOS`, names each scenario's runner and the
+`section.key`s it reads (with `_INITIAL_KINDS` for each initial.kind).
+The config is parsed once: every given key is typed against `_SCHEMA`,
+then a key the scenario does not read and a missing key it needs are hard
+errors, and the runner gets exactly what it reads.  Every run writes a
+JSON manifest (even on failure); CSV output uses 17 significant digits,
+'.' decimals and LF line endings.  Exit codes: 0 all enabled checks
+passed, 1 a check failed, 2 usage or config error.  A run imports only
+the modules its scenario needs.
 
 BLAS runs one thread unless the environment says otherwise.  The defaults
 are set before numpy loads, so OpenBLAS sees them; threaded, it splits
@@ -43,18 +43,6 @@ from .grid import (
 )
 from .observables import energy, kinetic
 
-# the config sections each scenario reads, besides "output"
-_READS = {
-    "simulate": ("grid", "evolution", "initial"),
-    "ground-state": ("grid",),
-    "morawetz": ("grid", "evolution", "initial", "weights"),
-    "smooth-envelope": ("envelope",),
-    "gn-check": ("grid",),
-    "weight-check": ("grid", "weights", "envelope"),
-}
-SCENARIOS = tuple(_READS)
-
-
 class ConfigError(ValueError):
     pass
 
@@ -69,6 +57,9 @@ _SCHEMA = {
     "envelope": {"J0": float, "m": 1, "input": str},
     "output": {"dir": "mcnls-out", "emit_snapshots": False},
 }
+# The initial.<key>s each initial.kind reads ("?" as in `_SCENARIOS`).
+_INITIAL_KINDS = {"gaussian": ("amplitude", "width", "center?", "k0?"), "soliton": (),
+                  "boosted-soliton": ("xi0",), "pseudoconformal": ("t0",), "snapshot": ("path",)}
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
                str: "a string", list: "a list of numbers"}
 # Morawetz pairings work on the doubled grid (at a 2D peak, about ten (2n) x (n+1)
@@ -91,22 +82,30 @@ def _typed(value, kind, name: str):
     return np.atleast_1d(np.asarray(value, dtype=float)) if kind is list else kind(value)
 
 
+def _reads(scenario: str, kind=None) -> dict:
+    """{section.key: may it be omitted} for the keys `scenario` reads: output.dir,
+    those `_SCENARIOS` names and, with initial.kind, that kind's (all kinds' if None)."""
+    keys = ("output.dir", *_SCENARIOS[scenario][1])
+    if "initial.kind" in keys:
+        kinds = [kind] if kind else _INITIAL_KINDS
+        keys += tuple(f"initial.{k}" for kd in kinds for k in _INITIAL_KINDS[kd])
+    return {k.rstrip("?"): k.endswith("?") for k in keys}
+
+
 def _parse(raw) -> dict:
-    """raw with every key typed and the defaults filled in.  An absent section is
-    filled in only if all its keys have defaults; runners report what they lack."""
+    """The keys raw's scenario reads, typed, with the defaults filled in (None for
+    an omitted key that may be omitted).  Types are checked before the scenario's
+    reads, so a wrong kind of value is named as such wherever it stands."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    cfg = {"scenario": raw.get("scenario")}
+    scenario = raw.get("scenario")
     for name in raw:
         if name != "scenario" and name not in _SCHEMA:
             raise ConfigError(f"unknown config key: {name!r}")
-    if cfg["scenario"] not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {cfg['scenario']!r}; "
-                          f"choose one of {', '.join(SCENARIOS)}")
+    if scenario not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {scenario!r}; choose one of {', '.join(SCENARIOS)}")
+    given = {}
     for name, schema in _SCHEMA.items():
-        defaults = {k: v for k, v in schema.items() if not isinstance(v, type)}
-        if name not in raw and len(defaults) < len(schema):
-            continue
         sec = raw.get(name, {})
         if not isinstance(sec, dict):
             raise ConfigError(f"config section {name!r} must be an object, got {sec!r}")
@@ -114,12 +113,30 @@ def _parse(raw) -> dict:
             if key not in schema:
                 raise ConfigError(f"unknown config key: {name}.{key}")
             spec = schema[key]
-            defaults[key] = _typed(value, spec if isinstance(spec, type) else type(spec),
-                                   f"{name}.{key}")
-        cfg[name] = defaults
+            given[f"{name}.{key}"] = _typed(value, spec if isinstance(spec, type) else type(spec),
+                                            f"{name}.{key}")
+    kind = given.get("initial.kind")
+    if kind is not None and kind not in _INITIAL_KINDS:
+        raise ConfigError(f"unknown initial kind {kind!r}; "
+                          f"choose one of {', '.join(_INITIAL_KINDS)}")
+    reads = _reads(scenario, kind)
     for name in raw:
-        if name not in ("scenario", "output", *_READS[cfg["scenario"]]):
-            raise ConfigError(f"the {cfg['scenario']} scenario does not read a {name!r} section")
+        if name != "scenario" and not any(k.startswith(name + ".") for k in reads):
+            raise ConfigError(f"the {scenario} scenario does not read a {name!r} section")
+    for key in given:
+        if key not in reads:
+            raise ConfigError(f"the {scenario} scenario does not read {key}"
+                              + (f" of initial.kind {kind!r}" if key.startswith("initial.") else ""))
+    cfg = {"scenario": scenario}
+    for key, optional in reads.items():
+        name, k = key.split(".")
+        spec = _SCHEMA[name][k]
+        if key not in given and isinstance(spec, type) and not optional:
+            raise ConfigError(f"the {scenario} scenario requires {key}")
+        cfg.setdefault(name, {})[k] = given.get(key, None if isinstance(spec, type) else spec)
+    for name in raw:
+        if raw[name] == {}:
+            raise ConfigError(f"config section {name!r} is empty")
     return cfg
 
 
@@ -143,20 +160,16 @@ def _load_json(path):
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _section(cfg: dict, name: str, build):
-    """build(cfg[name]), reporting a missing section, key or invalid value as ConfigError."""
-    if name not in cfg:
-        raise ConfigError(f"{cfg['scenario']} requires a {name!r} section")
+def _valid(build, *args, **kwargs):
+    """build(*args, **kwargs), reporting an invalid value (TypeError, ValueError) as ConfigError."""
     try:
-        return build(cfg[name])
-    except KeyError as exc:
-        raise ConfigError(f"{name} section is missing {exc}") from exc
+        return build(*args, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _grid_from(cfg: dict):
-    grid = _section(cfg, "grid", lambda g: make_grid(g["d"], g["n"], g["L"]))
+    grid = _valid(make_grid, **cfg["grid"])
     if grid.npoints > MAX_GRID_POINTS:
         raise ConfigError(f"grid.n = {grid.n} gives {grid.npoints} points in {grid.d}D, "
                           f"more than {MAX_GRID_POINTS}")
@@ -164,9 +177,7 @@ def _grid_from(cfg: dict):
 
 
 def _evolution_from(cfg: dict) -> EvolutionConfig:
-    econf = _section(cfg, "evolution", lambda ev: EvolutionConfig(
-        mu=ev["mu"], dt=ev["dt"], t_end=ev["t_end"], stride=ev["stride"],
-        dealias=ev["dealias"]))
+    econf = _valid(EvolutionConfig, **cfg["evolution"])
     # the run takes round(t_end/dt) steps: any other t_end would be changed silently
     steps = econf.t_end / econf.dt
     if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
@@ -182,7 +193,7 @@ def _vector(v: np.ndarray, name: str, d: int) -> np.ndarray:
 
 
 def _initial_field(cfg: dict, grid) -> Field:
-    f = _section(cfg, "initial", lambda init: _initial_from(init, grid))
+    f = _valid(_initial_from, cfg["initial"], grid)
     if f.grid != grid:
         raise ConfigError(f"initial.path holds a snapshot on {f.grid}, not on the "
                           f"config grid {grid}")
@@ -195,7 +206,8 @@ def _initial_from(init: dict, grid) -> Field:
     kind = init["kind"]
     if kind == "gaussian":
         # center and k0 default to the zero vector of the grid's dimension
-        center, k0 = (_vector(init.get(k, np.zeros(grid.d)), k, grid.d) for k in ("center", "k0"))
+        center, k0 = (_vector(np.zeros(grid.d) if init[k] is None else init[k], k, grid.d)
+                      for k in ("center", "k0"))
         xm = grid.x_mesh()
         r2 = sum((x - c) ** 2 for x, c in zip(xm, center))
         phase = sum(x * k for x, k in zip(xm, k0))
@@ -217,9 +229,7 @@ def _initial_from(init: dict, grid) -> Field:
         if grid.d != 1:
             raise ConfigError("the pseudoconformal sample is exposed for d = 1")
         return pseudoconformal_sample(init["t0"], grid, closed_form_1d(grid))
-    if kind == "snapshot":
-        return _read_input(read_snapshot, init["path"], "initial.path")
-    raise ConfigError(f"unknown initial kind {kind!r}")
+    return _read_input(read_snapshot, init["path"], "initial.path")
 
 
 class Checks:
@@ -232,10 +242,6 @@ class Checks:
             "value": value if value is None else float(value),
             "threshold": threshold if threshold is None else float(threshold),
         }
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r["passed"] for r in self.results.values())
 
 
 def _scenario_simulate(cfg, outdir: Path, checks: Checks) -> dict:
@@ -314,7 +320,7 @@ def _scenario_morawetz(cfg, outdir: Path, checks: Checks) -> dict:
 
     grid = _grid_from(cfg)
     f0 = _initial_field(cfg, grid)
-    w = _section(cfg, "weights", lambda s: build_weights(grid.d, s["M"], s["R"]))
+    w = _valid(build_weights, grid.d, **cfg["weights"])
     econf = _evolution_from(cfg)
     rows = []
     consistent = True
@@ -339,29 +345,27 @@ def _scenario_morawetz(cfg, outdir: Path, checks: Checks) -> dict:
     return {"outcome": outcome, "boundary_breach": run.boundary_breach, "samples": len(rows)}
 
 
-def _load_envelope(cfg):
+def _load_envelope(path: str):
     """The envelope named by envelope.input; a corrupt file is a config error."""
     from .envelope import parse_envelope_csv, read_envelope_csv
 
-    def read(env):
-        if env["input"] == "bundled:sawtooth":
-            from importlib.resources import files
+    if path == "bundled:sawtooth":
+        from importlib.resources import files
 
-            return parse_envelope_csv(files("mcnls").joinpath("data/sawtooth.csv").read_text())
-        return _read_input(read_envelope_csv, env["input"], "envelope.input")
-    return _section(cfg, "envelope", read)
+        return parse_envelope_csv(files("mcnls").joinpath("data/sawtooth.csv").read_text())
+    return _valid(_read_input, read_envelope_csv, path, "envelope.input")
 
 
 def _scenario_smooth_envelope(cfg, outdir: Path, checks: Checks) -> dict:
     from .envelope import certify_ratio, smooth, write_envelope_csv
 
-    e = _load_envelope(cfg)
     env = cfg["envelope"]
-    if "J0" in env and abs(env["J0"] - e.j0) > 1e-12:
+    e = _load_envelope(env["input"])
+    if env["J0"] is not None and abs(env["J0"] - e.j0) > 1e-12:
         raise ConfigError("envelope.J0 conflicts with the input file header")
     m = env["m"]
-    if m < 0:
-        raise ConfigError(f"envelope.m must be nonnegative, got {m}")
+    if m < 1:  # the certificate needs a pass
+        raise ConfigError(f"envelope.m must be at least 1, got {m}")
     em = smooth(e, m)
     write_envelope_csv(em, outdir / "envelope_smoothed.csv")
     res = certify_ratio(e, m)
@@ -376,13 +380,12 @@ def _scenario_smooth_envelope(cfg, outdir: Path, checks: Checks) -> dict:
 def _scenario_weight_check(cfg, outdir: Path, checks: Checks) -> dict:
     from .morawetz import build_weights, weight_conditions_check, weight_family_checks
 
-    d = _section(cfg, "grid", lambda g: g["d"]) if "grid" in cfg else 1
-    w = _section(cfg, "weights", lambda s: build_weights(d, s["M"], s["R"]))
+    d, path = cfg["grid"]["d"], cfg["envelope"]["input"]
+    w = _valid(build_weights, 1 if d is None else d, **cfg["weights"])
     fam = weight_family_checks(w)
     for name, (value, bound, ok) in fam.items():
         checks.add(f"family_{name}", ok, value, bound)
-    env = _load_envelope(cfg) if "input" in cfg.get("envelope", ()) else [(1.0, 0.0)]
-    rep = weight_conditions_check(w, env)
+    rep = weight_conditions_check(w, [(1.0, 0.0)] if path is None else _load_envelope(path))
     checks.add("potential_sup", rep.sup_a_ok, rep.sup_a, rep.sup_a_bound)
     checks.add("potential_xgrad", rep.sup_xgrad_ok, rep.sup_xgrad, rep.sup_xgrad_bound)
     checks.add("potential_odd", rep.odd_ok, rep.odd_residual, 1e-10)
@@ -391,26 +394,30 @@ def _scenario_weight_check(cfg, outdir: Path, checks: Checks) -> dict:
     return {"checks": len(checks.results)}
 
 
-_RUNNERS = {
-    "simulate": _scenario_simulate,
-    "ground-state": _scenario_ground_state,
-    "gn-check": _scenario_gn_check,
-    "morawetz": _scenario_morawetz,
-    "smooth-envelope": _scenario_smooth_envelope,
-    "weight-check": _scenario_weight_check,
+_GRID = ("grid.d", "grid.n", "grid.L")
+_TRAJECTORY = (*_GRID, "evolution.mu", "evolution.dt", "evolution.t_end", "evolution.stride",
+               "evolution.dealias", "initial.kind")
+# Each scenario's runner and the section.keys it reads besides output.dir, which
+# every run reads; with initial.kind it reads that kind's keys (`_INITIAL_KINDS`).
+# A trailing "?" marks a key that may be omitted although `_SCHEMA` gives it no
+# default; `_parse` then sets it to None.  Any other key is a config error.
+_SCENARIOS = {
+    "simulate": (_scenario_simulate, (*_TRAJECTORY, "output.emit_snapshots")),
+    "ground-state": (_scenario_ground_state, _GRID),
+    "morawetz": (_scenario_morawetz, (*_TRAJECTORY, "weights.M", "weights.R")),
+    "smooth-envelope": (_scenario_smooth_envelope, ("envelope.J0?", "envelope.m", "envelope.input")),
+    "gn-check": (_scenario_gn_check, _GRID),
+    "weight-check": (_scenario_weight_check,
+                     ("grid.d?", "weights.M", "weights.R", "envelope.input?")),
 }
+SCENARIOS = tuple(_SCENARIOS)
 
 
 def run_scenario(config_path) -> int:
     t_start = time.monotonic()
     outdir = Path("mcnls-out")
-    manifest = {
-        "config_path": str(config_path),
-        "versions": _versions(),
-        "checks": {},
-        "outcome": None,
-        "failure": None,
-    }
+    manifest = {"config_path": str(config_path), "outcome": None, "failure": None,
+                "versions": {"mcnls": __version__, "numpy": np.__version__}}
     code = 2
     checks = Checks()
     try:
@@ -422,22 +429,20 @@ def run_scenario(config_path) -> int:
             outdir = Path(out_cfg["dir"])
         cfg = _parse(raw)
         outdir.mkdir(parents=True, exist_ok=True)
-        detail = _RUNNERS[cfg["scenario"]](cfg, outdir, checks)
+        detail = _SCENARIOS[cfg["scenario"]][0](cfg, outdir, checks)
         manifest["detail"] = detail
         if detail.get("boundary_breach"):
             print("mcnls: warning: outermost 5% annulus held more than 1e-8 "
                   "of the mass during the run", file=sys.stderr)
         manifest["outcome"] = detail.get("outcome", "ok")
-        code = 0 if checks.all_passed else 1
-        if code == 1:
-            failed = [k for k, v in checks.results.items() if not v["passed"]]
+        failed = [k for k, v in checks.results.items() if not v["passed"]]
+        code = 1 if failed else 0
+        if failed:
             manifest["failure"] = f"checks failed: {', '.join(failed)}"
     except ConfigError as exc:
         manifest["failure"] = f"config error: {exc}"
-        code = 2
     except FileNotFoundError as exc:
         manifest["failure"] = f"missing file: {exc}"
-        code = 2
     except Exception as exc:  # noqa: BLE001 - manifest must record any failure
         manifest["failure"] = f"{type(exc).__name__}: {exc}"
         code = 1
@@ -464,18 +469,11 @@ def _peak_rss_mib() -> float:
     return peak / 2.0 ** (20 if sys.platform == "darwin" else 10)
 
 
-def _versions() -> dict:
-    return {"mcnls": __version__, "numpy": np.__version__}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mcnls",
-        description=(
-            "Scenario runner for the mass-critical NLS laboratory. Scenarios: "
-            "simulate | ground-state | morawetz | smooth-envelope | gn-check "
-            "| weight-check."
-        ),
+        description="Scenario runner for the mass-critical NLS laboratory. Scenarios: "
+                    + " | ".join(SCENARIOS) + ".",
     )
     parser.add_argument("--version", action="version", version=f"mcnls {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,8 +12,9 @@ This is the one spectral-operator layer: the complex transform pair
 half spectrum of real samples zero-padded to the 2n grid `padded_rfft`
 (the padding rows are not transformed), per-grid symbols cached
 read-only (|k|^2, Nyquist-zeroed derivative wavenumbers, the 2/3 dealias
-mask, |x|^2, the boundary annulus), `apply_multiplier`, and the 2n-grid
-zero-padding `pad_spectrum` / `truncate_spectrum`.
+mask, |x|^2, the boundary annulus), the real-multiplier product `_times`
+and `apply_multiplier`, and the 2n-grid zero-padding `pad_spectrum` /
+`truncate_spectrum`.
 """
 
 from __future__ import annotations
@@ -255,15 +256,39 @@ def outer_annulus(grid: GridSpec) -> np.ndarray:
     return _read_only(np.max(np.abs(grid.x_mesh()), axis=0) >= grid.L * (1.0 - BOUNDARY_ANNULUS))
 
 
+def _times(kern_hat: np.ndarray, inner_hat: np.ndarray,
+           out: Optional[np.ndarray] = None) -> np.ndarray:
+    """kern_hat * inner_hat for a real kern_hat, into `out` (a new array if None).
+
+    The two parts of inner_hat are multiplied apart: a complex product
+    would first cast all of kern_hat to complex, a full-size copy.  The
+    result equals the complex product's, for finite values, up to the sign
+    of its zeros.
+    """
+    if out is None:
+        out = np.empty_like(inner_hat)
+    np.multiply(kern_hat, inner_hat.real, out=out.real)
+    np.multiply(kern_hat, inner_hat.imag, out=out.imag)
+    return out
+
+
 def apply_multiplier(values: np.ndarray, mult) -> np.ndarray:
     """Fourier multiplier on raw samples: ifftn(mult * fftn(values)).
 
-    Both transforms write into one preallocated array.  The product keeps
-    the operand order mult * spectrum.
+    The samples are copied into one complex array, and both transforms and
+    the product run in place there: numpy would cast real samples, and a
+    complex product a real multiplier, to a full complex copy first.  A
+    real multiplier goes through `_times`; a complex one keeps the operand
+    order mult * spectrum.
     """
     fwd, inv = transforms(np.ndim(values))
-    spec = fwd(values, out=np.empty(np.shape(values), dtype=np.complex128))
-    np.multiply(mult, spec, out=spec)
+    spec = np.empty(np.shape(values), dtype=np.complex128)
+    np.copyto(spec, values)
+    fwd(spec, out=spec)
+    if np.isrealobj(mult):
+        _times(mult, spec, spec)
+    else:
+        np.multiply(mult, spec, out=spec)
     return inv(spec, out=spec)
 
 

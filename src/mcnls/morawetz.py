@@ -56,7 +56,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .grid import (Field, _read_only, apply_multiplier, half_spectrum_weight, k2_symbol,
+from .grid import (Field, _read_only, _times, apply_multiplier, half_spectrum_weight, k2_symbol,
                    padded_rfft)
 from .observables import (_gradient, _momentum_density, _spectrum, energy, kinetic, mass,
                           momentum_density, quad_weight)
@@ -361,22 +361,6 @@ def _spectra(grid, kernels) -> tuple:
         part = spec.imag if len(odd_axes) % 2 else spec.real
         out.append(_read_only(part * weight))
     return tuple(out)
-
-
-def _times(kern_hat: np.ndarray, inner_hat: np.ndarray,
-           out: Optional[np.ndarray] = None) -> np.ndarray:
-    """kern_hat * inner_hat for a real kern_hat, into `out` (a new array if None).
-
-    The two parts of inner_hat are multiplied apart: a complex product
-    would first cast all of kern_hat to complex, a full-size copy.  The
-    result equals the complex product's, for finite values, up to the sign
-    of its zeros.
-    """
-    if out is None:
-        out = np.empty_like(inner_hat)
-    np.multiply(kern_hat, inner_hat.real, out=out.real)
-    np.multiply(kern_hat, inner_hat.imag, out=out.imag)
-    return out
 
 
 def _pair(outer_hat: np.ndarray, kern_hat: np.ndarray, inner_hat: np.ndarray,

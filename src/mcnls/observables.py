@@ -94,8 +94,10 @@ def _gradient(g, spec: np.ndarray) -> list:
 
 
 def _momentum_density(u: np.ndarray, du: list) -> list:
+    # .imag of the product is a view that would keep the complex product alive;
+    # each p_j is a copy that owns its memory
     ub = np.conj(u)
-    return [np.imag(ub * duj) for duj in du]
+    return [(ub * duj).imag.copy() for duj in du]
 
 
 def momentum_density(f: Field) -> list:

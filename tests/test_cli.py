@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -7,11 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcnls import Field, make_grid, read_snapshot, write_snapshot
-from mcnls.cli import _SCHEMA, main, run_scenario
+from mcnls.cli import _INITIAL_KINDS, _SCHEMA, SCENARIOS, _parse, _reads, main, run_scenario
 
 
 def _write_config(tmp_path, cfg, name="cfg.json"):
@@ -157,7 +158,7 @@ def test_smooth_envelope_scenario_bundled(tmp_path):
 
 def test_weight_check_scenario(tmp_path):
     out = tmp_path / "out"
-    cfg = {"scenario": "weight-check", "grid": {"d": 1, "n": 8, "L": 1.0},
+    cfg = {"scenario": "weight-check", "grid": {"d": 1},
            "weights": {"M": 8, "R": 4}, "output": {"dir": str(out)}}
     assert run_scenario(_write_config(tmp_path, cfg)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -263,7 +264,7 @@ def _envelope_config(outdir):
 
 
 def _weight_check_config(outdir):
-    return {"scenario": "weight-check", "grid": {"d": 1, "n": 8, "L": 1.0},
+    return {"scenario": "weight-check", "grid": {"d": 1},
             "weights": {"M": 8, "R": 4}, "output": {"dir": str(outdir)}}
 
 
@@ -560,9 +561,29 @@ def test_corrupt_envelope_csv_is_config_error(tmp_path, base, rows):
     assert json.loads((out / "manifest.json").read_text())["failure"].startswith("missing file:")
 
 
+def _readme():
+    return (Path(__file__).parents[1] / "README.md").read_text()
+
+
 def test_readme_lists_every_config_key():
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    readme = _readme()
     assert [f"{s}.{k}" for s, k in _KEYS if f"`{s}.{k}`" not in readme] == []
+    # each row's "read by" column names the scenarios that read the key
+    read_by = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and re.fullmatch(r"`\w+\.\w+`", cells[0]):
+            read_by[cells[0].strip("`")] = cells[3]
+    assert sorted(read_by) == sorted(f"{s}.{k}" for s, k in _KEYS)
+    for key, cell in read_by.items():
+        named = set(SCENARIOS) if cell == "all" else set(re.findall(r"`([a-z-]+)`", cell))
+        assert named == {s for s in SCENARIOS if key in _reads(s)}, key
+
+
+def test_readme_example_config_parses():
+    example = _readme().split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = _parse(json.loads(example))
+    assert cfg["scenario"] == "simulate" and cfg["output"]["emit_snapshots"] is True
 
 
 @pytest.mark.parametrize("input_key", ["config", "envelope.input", "initial.path"])
@@ -596,12 +617,295 @@ def test_section_the_scenario_does_not_read_is_a_config_error(tmp_path, scenario
     assert not (out / ("diagnostics.csv" if scenario == "simulate" else "morawetz.csv")).exists()
 
 
-def test_every_config_section_is_read_by_some_scenario():
-    from mcnls.cli import _READS, SCENARIOS
-
+def test_every_schema_key_is_read_by_some_scenario_or_kind():
     assert SCENARIOS == ("simulate", "ground-state", "morawetz", "smooth-envelope",
                          "gn-check", "weight-check")
-    assert set().union(*_READS.values()) | {"output"} == set(_SCHEMA)
+    assert set().union(*map(_reads, SCENARIOS)) == {f"{s}.{k}" for s, k in _KEYS}
+
+
+# per initial.kind, an initial section that sets every key the kind reads
+_INITIALS = {"gaussian": {"kind": "gaussian", "amplitude": 0.5, "width": 1.0,
+                          "center": [0.5], "k0": [0.3]},
+             "soliton": {"kind": "soliton"},
+             "boosted-soliton": {"kind": "boosted-soliton", "xi0": [np.pi / 16]},
+             "pseudoconformal": {"kind": "pseudoconformal", "t0": -1.0},
+             "snapshot": {"kind": "snapshot", "path": "initial.mcnls"}}
+
+
+def _full_config(scenario, kind, outdir):
+    """A small config of scenario (with initial.kind kind) that sets every key it reads;
+    a snapshot is read from initial.mcnls next to outdir."""
+    grid = {"d": 1, "n": 256, "L": 16.0}
+    evolution = {"mu": -1, "dt": 1e-3, "t_end": 0.002, "stride": 1, "dealias": True}
+    initial = dict(_INITIALS[kind], path=str(outdir.parent / "initial.mcnls")) \
+        if kind == "snapshot" else _INITIALS.get(kind)
+    cfg = {"simulate": {"grid": grid, "evolution": evolution, "initial": initial,
+                        "output": {"emit_snapshots": False}},
+           "morawetz": {"grid": grid, "evolution": evolution, "initial": initial,
+                        "weights": {"M": 8, "R": 4}},
+           "ground-state": {"grid": {"d": 1, "n": 256, "L": 20.0}},
+           "gn-check": {"grid": {"d": 1, "n": 256, "L": 20.0}},
+           "smooth-envelope": {"envelope": {"J0": 2.0, "m": 3, "input": "bundled:sawtooth"}},
+           "weight-check": {"grid": {"d": 1}, "weights": {"M": 8, "R": 4},
+                            "envelope": {"input": "bundled:sawtooth"}}}[scenario]
+    cfg = json.loads(json.dumps(dict(cfg, scenario=scenario)))
+    cfg.setdefault("output", {})["dir"] = str(outdir)
+    return cfg
+
+
+_CONTRACT = [(s, kind) for s in SCENARIOS
+             for kind in (_INITIAL_KINDS if "initial.kind" in _reads(s) else [None])]
+_CONTRACT_IDS = [f"{s}-{kind}" if kind else s for s, kind in _CONTRACT]
+# a value of the right kind for each kind of key; an initial.kind must be known
+_SAMPLE = {int: 1, float: 1.0, bool: True, str: "soliton", list: [0.0]}
+
+
+def _only_manifest_written(outdir):
+    return sorted(p.name for p in outdir.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("scenario, kind", _CONTRACT, ids=_CONTRACT_IDS)
+def test_contract_configs_set_exactly_what_their_scenario_reads(tmp_path, scenario, kind):
+    cfg = _full_config(scenario, kind, tmp_path / "out")
+    given = {f"{name}.{k}" for name, sec in cfg.items() if name != "scenario" for k in sec}
+    assert given == set(_reads(scenario, kind))
+    parsed = _parse(cfg)
+    assert {f"{name}.{k}" for name, sec in parsed.items() if name != "scenario"
+            for k in sec} == given
+
+
+class _Recording(dict):
+    """A config section that records the keys read from it."""
+
+    def __iter__(self):  # not dict's own, so ** unpacking reads through __getitem__
+        return super().__iter__()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("scenario, kind", _CONTRACT, ids=_CONTRACT_IDS)
+def test_each_runner_reads_every_key_its_table_entry_names(tmp_path, monkeypatch, scenario, kind):
+    from mcnls import cli
+
+    parse, sections = cli._parse, {}
+
+    def recording_parse(raw):
+        cfg = parse(raw)
+        for name in cfg.keys() - {"scenario"}:
+            cfg[name] = sections[name] = _Recording(cfg[name])
+            cfg[name].read = set()
+        return cfg
+
+    monkeypatch.setattr(cli, "_parse", recording_parse)
+    if kind == "snapshot":
+        g = make_grid(1, 256, 16.0)
+        write_snapshot(Field(g, 0.5 * np.exp(-g.axis_x ** 2 / 2.0)), tmp_path / "initial.mcnls")
+    out = tmp_path / "out"
+    assert run_scenario(_write_config(tmp_path, _full_config(scenario, kind, out))) == 0
+    read = {f"{name}.{k}" for name, sec in sections.items() for k in sec.read}
+    # output.dir is read from the raw config, before parsing
+    assert read | {"output.dir"} == set(_reads(scenario, kind))
+
+
+def _key_ids(cases):
+    return [f"{s}-{kind}-{sec}.{k}" if kind else f"{s}-{sec}.{k}" for s, kind, sec, k in cases]
+
+
+_UNREAD = [(s, kind, section, key) for s, kind in _CONTRACT for section, key in _KEYS
+           if f"{section}.{key}" not in _reads(s, kind)]
+
+
+@pytest.mark.parametrize("scenario, kind, section, key", _UNREAD, ids=_key_ids(_UNREAD))
+def test_a_key_the_scenario_does_not_read_is_a_config_error(tmp_path, scenario, kind,
+                                                              section, key):
+    out = tmp_path / "out"
+    cfg = _full_config(scenario, kind, out)
+    spec = _SCHEMA[section][key]
+    cfg.setdefault(section, {})[key] = _SAMPLE[spec] if isinstance(spec, type) else spec
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure.startswith("config error:") and f"the {scenario} scenario" in failure
+    if any(k.startswith(section + ".") for k in _reads(scenario, kind)):
+        assert f"does not read {section}.{key}" in failure
+    else:
+        assert f"does not read a {section!r} section" in failure
+    assert _only_manifest_written(out)
+
+
+_REQUIRED = [(s, kind, section, key) for s, kind in _CONTRACT
+             for section, key in (k.split(".") for k, optional in _reads(s, kind).items()
+                                  if not optional)
+             if isinstance(_SCHEMA[section][key], type)]
+
+
+@pytest.mark.parametrize("scenario, kind, section, key", _REQUIRED, ids=_key_ids(_REQUIRED))
+def test_a_missing_required_key_is_a_config_error(tmp_path, scenario, kind, section, key):
+    out = tmp_path / "out"
+    cfg = _full_config(scenario, kind, out)
+    del cfg[section][key]
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure == f"config error: the {scenario} scenario requires {section}.{key}"
+    assert _only_manifest_written(out)
+
+
+@pytest.mark.parametrize("base, unread", [
+    (lambda out: _sim_config(out, initial={"kind": "soliton"}),
+     {"initial": {"amplitude": 5.0, "k0": [0.3], "t0": -2.0}}),
+    (_weight_check_config,
+     {"grid": {"n": 8, "L": 1.0}, "envelope": {"m": 3, "J0": 2.0},
+      "output": {"emit_snapshots": True}}),
+    (_morawetz_config,
+     {"initial": {"xi0": [0.3], "path": "initial.mcnls"}, "output": {"emit_snapshots": True}}),
+], ids=["soliton-with-amplitude", "weight-check-with-grid-and-envelope",
+        "morawetz-gaussian-with-snapshot-keys"])
+def test_keys_a_run_would_ignore_are_config_errors(tmp_path, base, unread):
+    # each of these ran to exit 0 with the keys ignored: the soliton's
+    # diagnostics.csv was byte-identical to that of plain {"kind": "soliton"}
+    assert run_scenario(_write_config(tmp_path, base(tmp_path / "plain"), "plain.json")) == 0
+    out = tmp_path / "out"
+    cfg = base(out)
+    for section, keys in unread.items():
+        cfg.setdefault(section, {}).update(keys)
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure.startswith("config error:") and cfg["scenario"] in failure
+    assert any(f"{section}.{key}" in failure for section, keys in unread.items() for key in keys)
+    assert _only_manifest_written(out)
+
+
+@pytest.mark.parametrize("section", ["output", "envelope", "grid"])
+def test_an_empty_section_is_a_config_error(tmp_path, monkeypatch, section):
+    # weight-check reads grid.d and envelope.input only when given; an
+    # empty section sets nothing and is not taken for an absent one
+    monkeypatch.chdir(tmp_path)
+    cfg = dict(_weight_check_config(tmp_path / "mcnls-out"), **{section: {}})
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    failure = json.loads((tmp_path / "mcnls-out" / "manifest.json").read_text())["failure"]
+    assert failure == f"config error: config section {section!r} is empty"
+
+
+@pytest.mark.parametrize("xi0, named", [([0.0, 0.0], "initial.xi0 must have 1 entries"),
+                                        ([0.1], "off the lattice")], ids=["length", "off-lattice"])
+def test_boosted_soliton_xi0_is_checked(tmp_path, xi0, named):
+    # the Gaussian fixture's amplitude and width are now unread on a boosted
+    # soliton, so its xi0 cases stop there; here xi0 is the only fault
+    out = tmp_path / "out"
+    cfg = _sim_config(out, initial={"kind": "boosted-soliton", "xi0": xi0})
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure.startswith("config error:") and named in failure
+
+
+def test_smooth_envelope_without_a_pass_is_a_config_error(tmp_path):
+    # m = 0 exited 1: the certificate raised ValueError after the envelope was read
+    out = tmp_path / "out"
+    cfg = _envelope_config(out)
+    cfg["envelope"]["m"] = 0
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure == "config error: envelope.m must be at least 1, got 0"
+
+
+def test_unknown_initial_kind_is_a_config_error(tmp_path):
+    out = tmp_path / "out"
+    cfg = _sim_config(out, initial={"kind": "vortex"})
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure.startswith("config error: unknown initial kind 'vortex'")
+
+
+def test_a_missing_initial_kind_is_named_before_the_kind_keys(tmp_path):
+    out = tmp_path / "out"
+    cfg = _sim_config(out)
+    del cfg["initial"]["kind"]
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure == "config error: the simulate scenario requires initial.kind"
+
+
+# strings of a few letters: never a path outside the working directory
+_WORD = st.text("abxyz", max_size=3)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | _WORD, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_WORD, inner, max_size=3),
+    max_leaves=6)
+# per key, values a run accepts, so that some drawn configs run
+_VECTOR = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=2)
+_PLAUSIBLE = {
+    "grid.d": st.sampled_from([1, 2]), "grid.n": st.sampled_from([8, 16, 32, 64, 128]),
+    "grid.L": st.sampled_from([8.0, 16.0]), "evolution.mu": st.sampled_from([-1, 1]),
+    "evolution.dt": st.sampled_from([1e-3, 1e-2]),
+    "evolution.t_end": st.sampled_from([0.0, 0.01, 0.05, 0.5]),
+    "evolution.stride": st.integers(1, 5), "evolution.dealias": st.booleans(),
+    "initial.kind": st.sampled_from(sorted(_INITIAL_KINDS)),
+    "initial.amplitude": st.floats(0.0, 2.0), "initial.width": st.floats(0.5, 2.0),
+    "initial.center": _VECTOR, "initial.k0": _VECTOR,
+    "initial.xi0": st.lists(st.sampled_from([0.0, np.pi / 16]), min_size=1, max_size=2),
+    "initial.t0": st.floats(-2.0, -0.5), "initial.path": _WORD,
+    "weights.M": st.sampled_from([4, 8]), "weights.R": st.sampled_from([2, 4]),
+    "envelope.J0": st.just(2.0), "envelope.m": st.integers(0, 3),
+    "envelope.input": st.just("bundled:sawtooth"), "output.dir": st.just("out"),
+    "output.emit_snapshots": st.booleans(),
+}
+
+
+@st.composite
+def _configs(draw):
+    """Any JSON value (one draw in ten), else a config of a drawn scenario and
+    initial.kind: each key it reads is there nine times in ten, each other
+    key one time in twenty, and one value or section in twenty is any JSON."""
+    rare = lambda: draw(st.integers(0, 19)) == 0  # noqa: E731
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_JSON)
+    scenario, kind = draw(st.sampled_from(SCENARIOS)), draw(_PLAUSIBLE["initial.kind"])
+    reads = _reads(scenario, kind)
+    raw = {"scenario": draw(_JSON) if rare() else scenario}
+    for name, keys in _SCHEMA.items():
+        sec = {}
+        for k in keys:
+            key = f"{name}.{k}"
+            if draw(st.integers(0, 19)) < (18 if key in reads else 1):
+                sec[k] = draw(_JSON) if rare() else kind if key == "initial.kind" else \
+                    draw(_PLAUSIBLE[key])
+        if rare():
+            raw[name] = draw(_JSON)
+        elif sec:
+            raw[name] = sec
+    return raw
+
+
+def _runs_long(raw) -> bool:
+    """raw asks for more than 64 points per axis, 100 steps or 100 smoothing passes."""
+    def number(sec, key):
+        v = raw.get(sec) if isinstance(raw, dict) else None
+        v = v.get(key) if isinstance(v, dict) else None
+        return float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) \
+            and abs(v) < 1e300 else None
+    n, dt, t_end, m = (number("grid", "n"), number("evolution", "dt"),
+                       number("evolution", "t_end"), number("envelope", "m"))
+    return (n is not None and n > 64) or (m is not None and m > 100) or \
+        (dt is not None and t_end is not None and dt > 0 and t_end > 100 * dt)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(raw=_configs())
+def test_any_json_config_exits_0_1_or_2_and_writes_a_manifest(raw):
+    assume(not _runs_long(raw))
+    out = raw.get("output") if isinstance(raw, dict) else None
+    out = out["dir"] if isinstance(out, dict) and isinstance(out.get("dir"), str) else "mcnls-out"
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            code = run_scenario(_write_config(Path(tmp), raw))
+        finally:
+            os.chdir(cwd)
+        manifest = json.loads((Path(tmp) / out / "manifest.json").read_text())
+    assert code in (0, 1, 2)
+    assert (manifest["failure"] is None) == (code == 0)
 
 
 # the benchmark's three workload configs (bench/workloads.py), at fixed draws
