@@ -1,16 +1,17 @@
 """Piecewise-linear frequency envelopes on a geometric lattice and the
 peak-flattening smoothing algorithm.
 
-An envelope stores breakpoint times a_0 < ... < a_K and node heights
-J0^{e_i} with integer exponents e_i <= 0, e_0 = 0, and consecutive nodes
-moving by at most one lattice step.  Heights live on the exact integer
-lattice so every structural certification is exact; only the integrals
-(total variation, cubic mass) use floating point.
+An envelope stores finite breakpoint times a_0 < ... < a_K and node heights
+J0^{e_i} (1 < J0 < inf) with integer exponents e_i <= 0, e_0 = 0, and
+consecutive nodes moving by at most one lattice step.  Heights live on the
+exact integer lattice so every structural certification is exact; only
+the integrals (total variation, cubic mass) use floating point.
 
-Peaks and valleys are maximal constant runs flanked by descending
-(resp. ascending) small intervals.  A run touching either end of the
-time window has one flank only; it is classified by that flank but never
-flattened, so the normalization N(a_0) = 1 survives smoothing.
+One run table decomposes an envelope: a row per maximal constant run of
+exponents, with the lattice steps into and out of it (0 at a window end).
+A run is a peak when neither flank rises away from it and a valley when
+neither flank falls.  A run touching either end of the window has one
+flank only and is never flattened, so N(a_0) = 1 survives smoothing.
 
 One smoothing pass lowers every interior peak by one lattice step, which
 extends its run across the two adjacent small intervals.  After m passes
@@ -32,24 +33,32 @@ class PiecewiseEnvelope:
     j0: float = 2.0
 
     def __post_init__(self):
-        t = tuple(float(v) for v in self.times)
-        e = tuple(int(v) for v in self.exponents)
-        if len(t) != len(e):
+        t = np.array(self.times, dtype=float)
+        x = np.array(self.exponents)
+        if len(t) != len(x):
             raise ValueError("times and exponents must have equal length")
         if len(t) < 2:
             raise ValueError("an envelope needs at least one small interval")
-        if any(t2 <= t1 for t1, t2 in zip(t, t[1:])):
+        if (t[1:] <= t[:-1]).any():
             raise ValueError("breakpoints must be strictly increasing")
+        if not np.isfinite(t).all():
+            raise ValueError("breakpoint times must be finite")
         if not self.j0 > 1:
             raise ValueError("lattice ratio J0 must exceed 1")
-        if e[0] != 0:
+        if not np.isfinite(self.j0):
+            raise ValueError("lattice ratio J0 must be finite")
+        if x.dtype.kind != "i":  # floats, text or Python ints beyond int64
+            if not all(isinstance(v, int) or float(v).is_integer() for v in x.tolist()):
+                raise ValueError("lattice exponents must be integers")
+            x = np.array([int(v) for v in x.tolist()])
+        if x[0] != 0:
             raise ValueError("envelopes are normalized to N = 1 at the left end")
-        if any(v > 0 for v in e):
+        if (x > 0).any():
             raise ValueError("node heights must not exceed 1")
-        if any(abs(b - a) > 1 for a, b in zip(e, e[1:])):
+        if (abs(x[1:] - x[:-1]) > 1).any():
             raise ValueError("consecutive nodes may move by at most one lattice step")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "exponents", e)
+        object.__setattr__(self, "times", tuple(t.tolist()))
+        object.__setattr__(self, "exponents", tuple(x.tolist()))
         object.__setattr__(self, "j0", float(self.j0))
 
     @property
@@ -73,48 +82,36 @@ class Extremum(NamedTuple):
     boundary: bool     # touches t = a_0 or t = a_K (single flank)
 
 
-def _runs(exponents) -> List[Tuple[int, int]]:
-    runs = []
-    start = 0
-    for i in range(1, len(exponents)):
-        if exponents[i] != exponents[start]:
-            runs.append((start, i - 1))
-            start = i
-    runs.append((start, len(exponents) - 1))
+def _runs(exponents: np.ndarray) -> np.ndarray:
+    """The run table: one row (first node, last node, step in, step out) per
+    maximal constant run; a step is +1 or -1, and 0 at a window end."""
+    step = exponents[1:] - exponents[:-1]
+    cut = step.nonzero()[0]  # the last node of every run but the final one
+    runs = np.zeros((len(cut) + 1, 4), dtype=exponents.dtype)
+    runs[1:, 0] = cut + 1
+    runs[:, 1] = np.append(cut, len(exponents) - 1)
+    runs[1:, 2] = runs[:-1, 3] = step[cut]
     return runs
 
 
 def detect_extrema(e: PiecewiseEnvelope) -> List[Extremum]:
     """Alternating peaks and valleys, starting with the peak at t = a_0.
 
-    A run is a peak when every existing flank descends away from it and a
-    valley when every flank ascends; interior runs with one flank of each
-    kind are shoulders and are not extrema.
+    A run is a peak when no flank rises away from it and a valley when no
+    flank falls; interior runs with one flank of each kind are shoulders
+    and are not extrema.
     """
     exp = e.exponents
-    last = len(exp) - 1
-    j0 = e.j0
     out: List[Extremum] = []
-    for start, end in _runs(exp):
-        v = exp[start]
-        lv = exp[start - 1] if start > 0 else None
-        rv = exp[end + 1] if end < last else None
-        boundary = start == 0 or end == last
-        if lv is None and rv is None:
+    for start, end, into, leave in _runs(np.array(exp)).tolist():
+        if into >= 0 >= leave:
             kind = "peak"
-        elif lv is None:
-            kind = "peak" if rv < v else "valley"
-        elif rv is None:
-            kind = "peak" if lv < v else "valley"
-        elif lv < v and rv < v:
-            kind = "peak"
-        elif lv > v and rv > v:
+        elif into <= 0 <= leave:
             kind = "valley"
         else:
-            kind = None
-        if kind is not None:
-            out.append(Extremum(kind, start, end, end - start,
-                                j0 ** v, boundary))
+            continue
+        out.append(Extremum(kind, start, end, end - start, e.j0 ** exp[start],
+                            into == 0 or leave == 0))
     for a, b in zip(out, out[1:]):
         if a.kind == b.kind:
             raise AssertionError("extrema failed to alternate")
@@ -128,25 +125,23 @@ def interior_peaks(e: PiecewiseEnvelope) -> List[Extremum]:
 
 
 def smooth_once(e: PiecewiseEnvelope) -> PiecewiseEnvelope:
-    """Flatten every interior peak down one lattice step.
-
-    Both flanks of an interior peak already sit one step below, so
-    lowering the run's nodes extends the flat stretch across the two
-    adjacent small intervals; breakpoints are unchanged.
-    """
-    exp = list(e.exponents)
-    for pk in interior_peaks(e):
-        for i in range(pk.start, pk.end + 1):
-            exp[i] -= 1
-    return PiecewiseEnvelope(e.times, tuple(exp), e.j0)
+    """One smoothing pass: `smooth(e, 1)`."""
+    return smooth(e, 1)
 
 
 def smooth(e: PiecewiseEnvelope, m: int) -> PiecewiseEnvelope:
+    """m smoothing passes on the exponent array, then one validated envelope
+    (`e` itself when m = 0).  A pass lowers each run entered by a rise and
+    left by a fall; breakpoints are unchanged."""
     if m < 0:
         raise ValueError("pass count must be nonnegative")
+    if m == 0:
+        return e
+    exp = np.array(e.exponents)
     for _ in range(m):
-        e = smooth_once(e)
-    return e
+        runs = _runs(exp)
+        exp -= np.repeat((runs[:, 2] > 0) & (runs[:, 3] < 0), runs[:, 1] - runs[:, 0] + 1)
+    return PiecewiseEnvelope(e.times, tuple(exp.tolist()), e.j0)
 
 
 def total_variation(e: PiecewiseEnvelope) -> float:
@@ -215,39 +210,42 @@ def standard_durations(exponents, j0: float) -> np.ndarray:
     return 1.0 / sup ** 2
 
 
+def _coupled(exponents, j0: float) -> PiecewiseEnvelope:
+    """The lattice walk `exponents` with the standard duration coupling."""
+    dur = standard_durations(exponents, j0)
+    times = np.concatenate([[0.0], np.cumsum(dur)])
+    if np.any((np.diff(times) <= 0) & (dur > 0)):  # absorbed by the float cumsum
+        raise ValueError("a small interval vanished next to a deep node's duration J0^(-2e) "
+                         "in the float sum of breakpoint times; raise min_exponent")
+    return PiecewiseEnvelope(tuple(times), tuple(exponents), j0)
+
+
 def random_envelope(rng: np.random.Generator, n_intervals: int,
                     j0: float = 2.0, min_exponent: int = -40) -> PiecewiseEnvelope:
-    """Random lattice walk with the standard duration coupling."""
+    """Random lattice walk in [min_exponent, 0] with the standard duration
+    coupling.  A node at exponent e lasts up to J0^(-2e) (2^80 by default),
+    beside which a later unit interval can vanish in the float sum of the
+    breakpoint times; that raises ValueError, and a larger `min_exponent`
+    avoids it."""
     if n_intervals < 1:
         raise ValueError("need at least one interval")
     exp = [0]
     for _ in range(n_intervals):
-        step = int(rng.integers(-1, 2))
-        nxt = min(0, max(min_exponent, exp[-1] + step))
-        exp.append(nxt)
-    dur = standard_durations(exp, j0)
-    times = np.concatenate([[0.0], np.cumsum(dur)])
-    return PiecewiseEnvelope(tuple(times), tuple(exp), j0)
+        exp.append(min(0, max(min_exponent, exp[-1] + int(rng.integers(-1, 2)))))
+    return _coupled(exp, j0)
 
 
 def sawtooth_envelope(n_teeth: int, j0: float = 2.0) -> PiecewiseEnvelope:
     """1, 1/J0, 1, 1/J0, ... with the standard duration coupling."""
     if n_teeth < 1:
         raise ValueError("need at least one tooth")
-    exp = []
-    for _ in range(n_teeth):
-        exp += [0, -1]
-    exp.append(0)
-    dur = standard_durations(exp, j0)
-    times = np.concatenate([[0.0], np.cumsum(dur)])
-    return PiecewiseEnvelope(tuple(times), tuple(exp), j0)
+    return _coupled([0, -1] * n_teeth + [0], j0)
 
 
 def write_envelope_csv(e: PiecewiseEnvelope, path) -> None:
     """Breakpoint CSV with heights stored losslessly as lattice exponents."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"# J0={e.j0!r}\n")
-        fh.write("t,N\n")
+        fh.write(f"# J0={e.j0!r}\nt,N\n")
         for t, ex in zip(e.times, e.exponents):
             fh.write(f"{t:.17g},{ex}\n")
 

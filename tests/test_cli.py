@@ -561,6 +561,80 @@ def test_corrupt_envelope_csv_is_config_error(tmp_path, base, rows):
     assert json.loads((out / "manifest.json").read_text())["failure"].startswith("missing file:")
 
 
+def _sawtooth_rows():
+    from importlib.resources import files
+
+    return files("mcnls").joinpath("data/sawtooth.csv").read_text().splitlines()[2:]
+
+
+_NAN_ROWS = "\n".join(["0,0", "nan,-1", *_sawtooth_rows()[2:]]) + "\n"
+
+
+@pytest.mark.parametrize("base", [_envelope_config, _with(_weight_check_config, grid={"d": 2})],
+                         ids=["smooth-envelope", "weight-check-2d"])
+@pytest.mark.parametrize("text, rule", [
+    ("# J0=2.0\nt,N\n" + _NAN_ROWS, "breakpoint times must be finite"),
+    ("# J0=2.0\nt,N\n0,0\n1,-1\ninf,0\n", "breakpoint times must be finite"),
+    ("# J0=inf\nt,N\n0,0\n1,-1\n2,0\n", "lattice ratio J0 must be finite"),
+], ids=["time-nan", "time-inf", "J0-inf"])
+def test_non_finite_envelope_csv_is_config_error(tmp_path, base, text, rule):
+    # these envelopes used to pass validation: smooth-envelope exited 1 on the
+    # NaN row and 0 on J0 = inf, and a 2D weight-check passed potential_dt_l1
+    # at 0.0 because the NaN slope never compared greater than its maximum
+    out = tmp_path / "out"
+    csv = tmp_path / "envelope.csv"
+    csv.write_text(text)
+    cfg = base(out)
+    cfg["envelope"] = {"input": str(csv)}
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    assert json.loads((out / "manifest.json").read_text())["failure"] == f"config error: {rule}"
+
+
+_NON_FINITE = ["nan", "inf", "-inf", "NaN", "1e999"]
+
+
+@st.composite
+def _mutated_sawtooth(draw):
+    """The bundled sawtooth CSV with a few cells, or J0, made non-finite or
+    non-integer; returns the text and whether a time or J0 is non-finite."""
+    rows = [row.split(",") for row in _sawtooth_rows()[:draw(st.integers(1, 12))]]
+    j0 = "2.0"
+    for _ in range(draw(st.integers(0, 3))):
+        value = draw(st.sampled_from(_NON_FINITE + ["0.5", "1.5", "-1.0", "2.5", "1e-3"]))
+        cell = draw(st.integers(-1, 2 * len(rows) - 1))
+        if cell < 0:
+            j0 = value
+        else:
+            rows[cell // 2][cell % 2] = value
+    non_finite = any(v in _NON_FINITE for v in [j0] + [t for t, _ in rows])
+    return f"# J0={j0}\nt,N\n" + "".join(f"{t},{n}\n" for t, n in rows), non_finite
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(drawn=_mutated_sawtooth())
+def test_any_mutated_envelope_csv_parses_or_is_config_error(drawn):
+    from mcnls.envelope import parse_envelope_csv
+
+    text, non_finite = drawn
+    try:
+        e = parse_envelope_csv(text)
+    except ValueError:
+        e = None
+    if e is not None:
+        assert np.all(np.isfinite(e.times)) and np.all(np.diff(e.times) > 0)
+        assert 1 < e.j0 < np.inf and all(type(v) is int for v in e.exponents)
+    assert e is None or not non_finite
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "envelope.csv").write_text(text)
+        cfg = dict(_envelope_config(tmp / "out"),
+                   envelope={"m": 2, "input": str(tmp / "envelope.csv")})
+        code = run_scenario(_write_config(tmp, cfg))
+        manifest = json.loads((tmp / "out" / "manifest.json").read_text())
+    assert code in ((2,) if e is None else (0, 1))
+    assert (manifest["failure"] is None) == (code == 0)
+
+
 def _readme():
     return (Path(__file__).parents[1] / "README.md").read_text()
 

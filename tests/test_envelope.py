@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from mcnls import (
     write_envelope_csv,
 )
 from mcnls.envelope import (
+    Extremum,
     envelope_from_series,
     interior_peaks,
     random_envelope,
@@ -274,3 +277,125 @@ def test_envelope_from_concentrating_trajectory_follows_n_est():
     series, _ = evolve(u0, EvolutionConfig(mu=-1, dt=1e-4, t_end=0.5, stride=200))
     e = envelope_from_series(series.t, series.scat_accum, series.N_est)
     assert min(e.exponents) <= -2
+
+
+@pytest.mark.parametrize("args, rule", [
+    (((0.0, float("nan"), 2.0), (0, -1, 0)), "breakpoint times must be finite"),
+    (((0.0, 1.0, float("inf")), (0, -1, 0)), "breakpoint times must be finite"),
+    (((0.0, 1.0, 2.0), (0, -1, 0), float("inf")), "lattice ratio J0 must be finite"),
+    (((0.0, 1.0, 2.0), (0, -1, 0), float("nan")), "lattice ratio J0 must exceed 1"),
+    (((0.0, 1.0), (0, -1.7)), "lattice exponents must be integers"),
+    (((0.0, 1.0), (0, float("nan"))), "lattice exponents must be integers"),
+    (((0.0, 1.0), (0, float("inf"))), "lattice exponents must be integers"),
+], ids=["time-nan", "time-inf", "J0-inf", "J0-nan", "exponent-fraction", "exponent-nan",
+        "exponent-inf"])
+def test_envelope_validation_needs_finite_times_and_ratio_and_integral_exponents(args, rule):
+    # the parent accepted the first three and the fractional exponent (truncated to -1)
+    with pytest.raises(ValueError, match=f"^{rule}$"):
+        PiecewiseEnvelope(*args)
+
+
+def test_integral_exponents_of_any_type_are_stored_as_ints():
+    for exps in [(0.0, -1.0), np.array([0, -1]), (np.int8(0), np.int8(-1))]:
+        e = PiecewiseEnvelope((0, 1), exps)
+        assert e.exponents == (0, -1) and all(type(v) is int for v in e.exponents)
+        assert e.times == (0.0, 1.0) and all(type(v) is float for v in e.times)
+    # an integer beyond float range breaks a lattice rule, not the conversion
+    with pytest.raises(ValueError, match="node heights must not exceed 1"):
+        PiecewiseEnvelope((0.0, 1.0), (0, 10 ** 400))
+
+
+def test_random_envelope_names_the_vanished_interval():
+    # at min_exponent = -40 a node lasts up to 2^80, and a later unit
+    # interval vanished in the float sum of the breakpoint times
+    with pytest.raises(ValueError, match="vanished.*min_exponent"):
+        random_envelope(np.random.default_rng(2), 1000)
+    e = random_envelope(np.random.default_rng(2), 1000, min_exponent=-20)
+    assert all(b > a for a, b in zip(e.times, e.times[1:]))
+
+
+# the per-node extrema and per-pass smoothing that the run table replaced,
+# kept as the reference the table is checked against
+
+def _reference_extrema(e):
+    exp, last, out = e.exponents, len(e.exponents) - 1, []
+    start = 0
+    for i in range(1, last + 2):
+        if i <= last and exp[i] == exp[start]:
+            continue
+        end, v = i - 1, exp[start]
+        lv = exp[start - 1] if start > 0 else None
+        rv = exp[end + 1] if end < last else None
+        if lv is None and rv is None:
+            kind = "peak"
+        elif lv is None:
+            kind = "peak" if rv < v else "valley"
+        elif rv is None:
+            kind = "peak" if lv < v else "valley"
+        elif lv < v and rv < v:
+            kind = "peak"
+        elif lv > v and rv > v:
+            kind = "valley"
+        else:
+            kind = None
+        if kind is not None:
+            out.append(Extremum(kind, start, end, end - start, e.j0 ** v,
+                                start == 0 or end == last))
+        start = i
+    return out
+
+
+def _reference_smooth_once(e):
+    exp = list(e.exponents)
+    for pk in _reference_extrema(e):
+        if pk.kind == "peak" and not pk.boundary:
+            for i in range(pk.start, pk.end + 1):
+                exp[i] -= 1
+    return PiecewiseEnvelope(e.times, tuple(exp), e.j0)
+
+
+def _lattice_walks(max_intervals):
+    for n in range(1, max_intervals + 1):
+        for steps in itertools.product((-1, 0, 1), repeat=n):
+            exps = np.concatenate([[0], np.cumsum(steps)])
+            if exps.max() <= 0:
+                yield exps.tolist()
+
+
+def _assert_matches_reference(e):
+    assert detect_extrema(e) == _reference_extrema(e)
+    ref = e
+    for m in range(7):
+        em = smooth(e, m)
+        assert em.exponents == ref.exponents and em.times == e.times
+        assert detect_extrema(em) == _reference_extrema(em)
+        ref = _reference_smooth_once(ref)
+
+
+def test_run_table_matches_the_reference_on_every_short_walk():
+    walks = list(_lattice_walks(6))
+    assert len(walks) == 418
+    for exps in walks:
+        _assert_matches_reference(_walk(exps))
+
+
+def test_run_table_matches_the_reference_on_random_envelopes():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        _assert_matches_reference(random_envelope(rng, 120))
+    _assert_matches_reference(sawtooth_envelope(50, j0=3.0))
+
+
+def test_smooth_builds_one_envelope(monkeypatch):
+    import mcnls.envelope as envelope
+
+    built = []
+    monkeypatch.setattr(envelope.PiecewiseEnvelope, "__post_init__",
+                        lambda self, init=envelope.PiecewiseEnvelope.__post_init__:
+                        (built.append(1), init(self)))
+    e = random_envelope(np.random.default_rng(4), 120)
+    for m in range(1, 7):
+        built.clear()
+        smooth(e, m)
+        assert len(built) == 1
+    assert smooth_once(e) == smooth(e, 1)
