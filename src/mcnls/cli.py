@@ -5,8 +5,9 @@ One table, `_SCENARIOS`, names each scenario's runner and the
 The config is parsed once: every given key is typed against `_SCHEMA`,
 then a key the scenario does not read and a missing key it needs are hard
 errors, and the runner gets exactly what it reads.  Every run writes a
-JSON manifest (even on failure); CSV output uses 17 significant digits,
-'.' decimals and LF line endings.  Exit codes: 0 all enabled checks
+JSON manifest (even on failure).  Each output format has one writer: run
+tables go through `grid.write_csv`, JSON files through `_write_json`,
+snapshots through `grid.write_snapshot`.  Exit codes: 0 all enabled checks
 passed, 1 a check failed, 2 usage or config error.  A run imports only
 the modules its scenario needs.
 
@@ -39,6 +40,7 @@ from .grid import (
     make_grid,
     r2_mesh,
     read_snapshot,
+    write_csv,
     write_snapshot,
 )
 from .observables import energy, kinetic
@@ -278,8 +280,7 @@ def _scenario_ground_state(cfg, outdir: Path, checks: Checks) -> dict:
     write_snapshot(q.field, outdir / "ground_state.mcnls")
     sidecar = {"mass_sq": q.mass_sq, "gn_constant": q.gn_constant,
                "residual": q.residual}
-    (outdir / "ground_state.json").write_text(
-        json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
+    _write_json(outdir / "ground_state.json", sidecar)
     rel_res = q.residual / np.sqrt(q.mass_sq)
     checks.add("ode_residual", rel_res <= 1e-8, rel_res, 1e-8)
     r1, r2 = pohozaev_check(q)
@@ -309,27 +310,25 @@ def _scenario_gn_check(cfg, outdir: Path, checks: Checks) -> dict:
             vals += amp * np.exp(1j * sum(x * kk for x, kk in zip(xm, k0)))
         worst = max(worst, gn_ratio(Field(grid, vals * env), q))
     checks.add("random_field_ratio", worst <= 1.0 + 1e-6, worst, 1.0 + 1e-6)
-    (outdir / "gn_check.json").write_text(
-        json.dumps({"ratio": ratio, "worst_random_ratio": worst},
-                   sort_keys=True, indent=1) + "\n")
+    _write_json(outdir / "gn_check.json", {"ratio": ratio, "worst_random_ratio": worst})
     return {"ratio": ratio}
 
 
 def _scenario_morawetz(cfg, outdir: Path, checks: Checks) -> dict:
-    from .morawetz import MORAWETZ_CSV_HEADER, _flux_terms, build_weights
+    from .morawetz import _flux_terms, build_weights
 
     grid = _grid_from(cfg)
     f0 = _initial_field(cfg, grid)
     w = _valid(build_weights, grid.d, **cfg["weights"])
     econf = _evolution_from(cfg)
-    rows = []
+    samples = []  # (t, MorawetzReport) per sample
     consistent = True
     bound_ok = True
     wq = grid.h ** grid.d
     run = _Observed(f0, econf)
     for s in run:
         rep, p = _flux_terms(grid, s.u, s.spec, 1.0, 0.0, econf.mu, w, s.dens)
-        rows.append(rep.csv_row(s.step * econf.dt))
+        samples.append((s.step * econf.dt, rep))
         total = rep.momentum + rep.dispersive + rep.nonlinear + \
             rep.curvature + rep.envelope_drift
         scale = max(abs(rep.flux), 1e-12)
@@ -337,12 +336,13 @@ def _scenario_morawetz(cfg, outdir: Path, checks: Checks) -> dict:
         p1 = sum(wq * np.sum(np.abs(pj)) for pj in p)
         bound_ok &= abs(rep.action) <= 2.0 * w.M * w.R * p1 * wq * np.sum(s.dens) * (1 + 1e-9)
         del s, p  # else they stay alive while the observer computes the next sample
-    (outdir / "morawetz.csv").write_text(
-        MORAWETZ_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+    cols = ("action", "flux", "coercive", "tail", "curvature", "envelope_drift")
+    write_csv(outdir / "morawetz.csv", ("t", *cols),
+              ([t, *(getattr(rep, c) for c in cols)] for t, rep in samples))
     checks.add("decomposition_consistent", consistent)
     checks.add("action_kernel_bound", bound_ok)
     outcome = "ok" if run.outcome == "completed" else run.outcome
-    return {"outcome": outcome, "boundary_breach": run.boundary_breach, "samples": len(rows)}
+    return {"outcome": outcome, "boundary_breach": run.boundary_breach, "samples": len(samples)}
 
 
 def _load_envelope(path: str):
@@ -385,7 +385,8 @@ def _scenario_weight_check(cfg, outdir: Path, checks: Checks) -> dict:
     fam = weight_family_checks(w)
     for name, (value, bound, ok) in fam.items():
         checks.add(f"family_{name}", ok, value, bound)
-    rep = weight_conditions_check(w, [(1.0, 0.0)] if path is None else _load_envelope(path))
+    rep = _valid(weight_conditions_check, w,
+                 [(1.0, 0.0)] if path is None else _load_envelope(path))
     checks.add("potential_sup", rep.sup_a_ok, rep.sup_a, rep.sup_a_bound)
     checks.add("potential_xgrad", rep.sup_xgrad_ok, rep.sup_xgrad, rep.sup_xgrad_bound)
     checks.add("potential_odd", rep.odd_ok, rep.odd_residual, 1e-10)
@@ -451,14 +452,19 @@ def run_scenario(config_path) -> int:
     manifest["peak_rss_mib"] = _peak_rss_mib()
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "manifest.json", "w", newline="\n") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        _write_json(outdir / "manifest.json", manifest)
     except OSError:
         print("warning: could not write manifest", file=sys.stderr)
     if manifest["failure"]:
         print(f"mcnls: {manifest['failure']}", file=sys.stderr)
     return code
+
+
+def _write_json(path, obj) -> None:
+    """obj as JSON with sorted keys, one-space indent, LF endings and a final newline."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def _peak_rss_mib() -> float:

@@ -20,6 +20,7 @@ every interior peak spans at least 2m small intervals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
 
@@ -193,7 +194,12 @@ def certify_ratio(e: PiecewiseEnvelope, m: int) -> CertifyResult:
     hsum0 = smallinterval_height_sum(e)
     psum = peak_height_sum(em)
     ok_a = var_m <= 2.0 * psum + 2.0 + 1e-12
-    bound_b = m * (1.0 + psum) - m + cubic_mass(e) / (2.0 * e.j0 ** m)
+    half_cubic = cubic_mass(e) / 2.0
+    try:
+        tail = half_cubic / e.j0 ** m
+    except OverflowError:  # J0^m past the float range: the quotient from logarithms
+        tail = math.exp(math.log(half_cubic) - m * math.log(e.j0)) if half_cubic > 0 else 0.0
+    bound_b = m * (1.0 + psum) - m + tail
     ok_b = hsum0 >= bound_b - 1e-12
     return CertifyResult(var_m, hsum0, bool(ok_a and ok_b))
 

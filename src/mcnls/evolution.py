@@ -37,6 +37,7 @@ from .grid import (
     k2_symbol,
     lp_norm,
     transforms,
+    write_csv,
 )
 from .observables import (
     _energy,
@@ -123,31 +124,16 @@ class DiagnosticsSeries:
     outcome: str = "completed"
     boundary_breach: bool = False
 
-    def header(self) -> str:
-        cols = ["t", "mass", "energy", "variance", "kinetic", "potential", "momentum_x"]
-        if self.d == 2:
-            cols.append("momentum_y")
-        cols += ["scat_accum", "N_est", "xi_x"]
-        if self.d == 2:
-            cols.append("xi_y")
-        cols.append("x_x")
-        if self.d == 2:
-            cols.append("x_y")
-        cols.append("flags")
-        return ",".join(cols)
-
-    def rows(self):
-        for i in range(len(self.t)):
-            vals = [self.t[i], self.mass[i], self.energy[i], self.variance[i],
-                    self.kinetic[i], self.potential[i], *self.momentum[i],
-                    self.scat_accum[i], self.N_est[i], *self.xi_est[i], *self.x_est[i]]
-            yield vals, self.flags[i]
-
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(self.header() + "\n")
-            for vals, flags in self.rows():
-                fh.write(",".join(f"{v:.17g}" for v in vals) + f",{flags}\n")
+        """Write the diagnostics CSV with `grid.write_csv`: one row per sample,
+        a vector observable as one column per axis (`_x`, and `_y` in 2D)."""
+        axes = ("_x", "_y")[:self.d]
+        header = ["t", "mass", "energy", "variance", "kinetic", "potential",
+                  *("momentum" + a for a in axes), "scat_accum", "N_est",
+                  *("xi" + a for a in axes), *("x" + a for a in axes), "flags"]
+        scalars = zip(self.t, self.mass, self.energy, self.variance, self.kinetic, self.potential)
+        write_csv(path, header, ([*sc, *p, c, n, *xi, *x, fl] for sc, p, c, n, xi, x, fl in zip(
+            scalars, self.momentum, self.scat_accum, self.N_est, self.xi_est, self.x_est, self.flags)))
 
 
 @lru_cache(maxsize=16)

@@ -14,7 +14,8 @@ half spectrum of real samples zero-padded to the 2n grid `padded_rfft`
 read-only (|k|^2, Nyquist-zeroed derivative wavenumbers, the 2/3 dealias
 mask, |x|^2, the boundary annulus), the real-multiplier product `_times`
 and `apply_multiplier`, and the 2n-grid zero-padding `pad_spectrum` /
-`truncate_spectrum`.
+`truncate_spectrum`.  The run outputs' file formats are here too: the
+MCNLS1 field snapshot and the run tables' CSV (`write_csv`).
 """
 
 from __future__ import annotations
@@ -378,3 +379,16 @@ def read_snapshot(path) -> Field:
         # one view of the interleaved payload: re + 1j*im would turn -0.0 into +0.0
         vals = np.frombuffer(fh.read(expected), dtype="<c16")
     return Field(grid, vals.reshape(grid.shape))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a run table: the column names, then one line per row.
+
+    A number is written at 17 significant digits, so it reads back as the
+    same float; a text cell is written as it is.  Decimals are '.' and
+    every line, the last included, ends in LF.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(c if isinstance(c, str) else f"{c:.17g}" for c in row) + "\n")

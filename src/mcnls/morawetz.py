@@ -325,7 +325,13 @@ def _quadrant(grid) -> list:
 
 
 def _radii(grid, Ntilde: float, w: WeightFamily) -> tuple:
-    """(`_quadrant`, |z|, |z| Ntilde / R): where every weight kernel is sampled."""
+    """(`_quadrant`, |z|, |z| Ntilde / R): where every weight kernel is sampled.
+
+    The family's profiles are those of its own dimension, so a family of
+    another dimension than the grid's raises ValueError.
+    """
+    if w.d != grid.d:
+        raise ValueError(f"a {w.d}D weight family cannot be paired on a {grid.d}D grid")
     z = _quadrant(grid)
     r = np.sqrt(sum(zj * zj for zj in z))
     return z, r, r * Ntilde / w.R
@@ -476,14 +482,6 @@ class MorawetzReport(NamedTuple):
     @property
     def tail(self) -> float:
         return self.momentum
-
-    def csv_row(self, t: float) -> str:
-        vals = [t, self.action, self.flux, self.coercive, self.tail,
-                self.curvature, self.envelope_drift]
-        return ",".join(f"{v:.17g}" for v in vals)
-
-
-MORAWETZ_CSV_HEADER = "t,action,flux,coercive,tail,curvature,envelope_drift"
 
 
 def interaction_flux(f: Field, Ntilde: float, Ntilde_prime: float, mu: int,
@@ -693,13 +691,24 @@ def _envelope_segments(env):
     """(value, slope) per linear segment of an envelope-like object.
 
     The value is the segment's lower height: |N'| (R/N)^3 is largest there.
+    A segment whose value is not finite and positive, or whose slope is not
+    finite (an overflowing slope included), cannot be certified and raises
+    ValueError.
     """
     if hasattr(env, "times") and hasattr(env, "heights"):
         t = np.asarray(env.times, dtype=float)
         h = np.asarray(env.heights, dtype=float)
-        return [(min(h[i], h[i + 1]), (h[i + 1] - h[i]) / (t[i + 1] - t[i]))
-                for i in range(len(t) - 1)]
-    return [(float(v), float(s)) for v, s in env]
+        with np.errstate(over="ignore"):
+            segs = [(min(h[i], h[i + 1]), (h[i + 1] - h[i]) / (t[i + 1] - t[i]))
+                    for i in range(len(t) - 1)]
+    else:
+        segs = [(float(v), float(s)) for v, s in env]
+    for i, (v, s) in enumerate(segs):
+        if not (0.0 < v < np.inf and np.isfinite(s)):
+            raise ValueError(f"envelope segment {i} has value {float(v)!r} and slope "
+                             f"{float(s)!r}; the value must be finite and positive and "
+                             "the slope finite")
+    return segs
 
 
 def weight_conditions_check(w: WeightFamily, Ntilde_series,

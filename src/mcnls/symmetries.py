@@ -111,9 +111,12 @@ def _as_lattice_xi(grid: GridSpec, xi0) -> np.ndarray:
 
 
 def translate(f: Field, shift) -> Field:
-    """f(x - shift) via the spectral phase ramp."""
+    """f(x - shift) via the spectral phase ramp; shift has d components (a
+    bare number is one, in 1D only)."""
     g = f.grid
     sh = np.atleast_1d(np.asarray(shift, dtype=float))
+    if sh.shape != (g.d,):
+        raise ValueError(f"shift needs {g.d} components, got {sh.tolist()!r}")
     km = g.k_mesh()
     phase = np.exp(-1j * sum(k * s for k, s in zip(km, sh)))
     return Field(g, apply_multiplier(f.values, phase))

@@ -1035,3 +1035,54 @@ def test_cli_pins_blas_threads_unless_set(tmp_path):
         assert proc.returncode == 0, proc.stderr
         csv[pinned] = (out / "morawetz.csv").read_bytes()
     assert csv[True] == csv[False]
+
+
+def test_weight_check_on_an_overflowing_envelope_slope_is_config_error(tmp_path):
+    # the second node lies 5e-324 after the first, so the slope overflows; the
+    # 2D weight-check used to pass potential_dt_l1 at inf against inf
+    csv = tmp_path / "envelope.csv"
+    csv.write_text("# J0=2.0\nt,N\n0,0\n5e-324,-1\n1,-1\n")
+    out = tmp_path / "out"
+    cfg = dict(_weight_check_config(out), grid={"d": 2}, envelope={"input": str(csv)})
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure.startswith("config error: envelope segment 0 has value 0.5 and slope -inf")
+    # smoothing forms no slope: the same envelope smooths and certifies
+    smooth = tmp_path / "smooth"
+    cfg = dict(_envelope_config(smooth), envelope={"m": 1, "input": str(csv)})
+    assert run_scenario(_write_config(tmp_path, cfg, "smooth.json")) == 0
+
+
+def test_smooth_envelope_with_a_huge_j0_exits_on_its_certificates(tmp_path):
+    # J0^m = 1e400 used to end the run with OverflowError
+    csv = tmp_path / "envelope.csv"
+    csv.write_text("# J0=1e200\nt,N\n0,0\n1,-1\n2,0\n")
+    out = tmp_path / "out"
+    cfg = dict(_envelope_config(out), envelope={"m": 2, "input": str(csv)})
+    code = run_scenario(_write_config(tmp_path, cfg))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert code in (0, 1)
+    assert set(manifest["checks"]) == {"certify_bound", "pointwise_domination"}
+    assert (manifest["failure"] is None) == (code == 0)
+
+
+def _readme_columns(label):
+    """The column list of README's "File formats" bullet `label`, `[,...]` parts kept."""
+    span = _readme().split(f"* **{label}** - `", 1)[1].split("`", 1)[0]
+    return "".join(span.split())
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_readme_diagnostics_columns_are_the_written_header(tmp_path, d):
+    columns = re.sub(r"\[,([^\]]*)\]", r",\1" if d == 2 else "", _readme_columns("Diagnostics CSV"))
+    out = tmp_path / "out"
+    cfg = _sim_config(out, grid=_GRID_2D if d == 2 else {"d": 1, "n": 256, "L": 16.0})
+    assert run_scenario(_write_config(tmp_path, cfg)) == 0
+    assert (out / "diagnostics.csv").read_text().splitlines()[0] == columns
+
+
+def test_readme_morawetz_columns_are_the_written_header(tmp_path):
+    out = tmp_path / "out"
+    assert run_scenario(_write_config(tmp_path, _morawetz_config(out))) == 0
+    header = (out / "morawetz.csv").read_text().splitlines()[0]
+    assert header == _readme_columns("Morawetz CSV")

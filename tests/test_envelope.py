@@ -399,3 +399,36 @@ def test_smooth_builds_one_envelope(monkeypatch):
         smooth(e, m)
         assert len(built) == 1
     assert smooth_once(e) == smooth(e, 1)
+
+
+def test_certify_ratio_with_a_huge_j0_does_not_overflow():
+    # J0^2 = 1e400 used to raise OverflowError on this valid envelope
+    e = PiecewiseEnvelope((0.0, 1.0, 2.0), (0, -1, 0), 1e200)
+    assert tuple(certify_ratio(e, 2)) == (2.0, 2.0, True)
+    # J0^2 = 1e310 on a window of 2e300 time units: a cubic-mass term of 2.5e-11
+    far = PiecewiseEnvelope((0.0, 1e300, 2e300), (0, -1, 0), 1e155)
+    assert tuple(certify_ratio(far, 2)) == (2.0, 2.0, True)
+
+
+def _certify_direct(e, m):
+    """certify_ratio with cubic_mass / (2 J0^m) formed as written."""
+    em = smooth(e, m)
+    var_m, hsum0, psum = total_variation(em), smallinterval_height_sum(e), peak_height_sum(em)
+    ok_a = var_m <= 2.0 * psum + 2.0 + 1e-12
+    ok_b = hsum0 >= m * (1.0 + psum) - m + cubic_mass(e) / (2.0 * e.j0 ** m) - 1e-12
+    return var_m, hsum0, bool(ok_a and ok_b)
+
+
+def test_certify_ratio_equals_the_direct_bound_on_seeded_suites():
+    from importlib.resources import files
+
+    from mcnls.envelope import parse_envelope_csv
+
+    rng = np.random.default_rng(4)
+    suite = [random_envelope(rng, 120) for _ in range(100)]
+    suite += [random_envelope(rng, 120, j0=3.0, min_exponent=-20) for _ in range(100)]
+    suite += [parse_envelope_csv(files("mcnls").joinpath("data/sawtooth.csv").read_text()),
+              sawtooth_envelope(50, j0=3.0)]
+    for e in suite:
+        for m in range(1, 7):
+            assert tuple(certify_ratio(e, m)) == _certify_direct(e, m)

@@ -456,3 +456,28 @@ def test_momentum_density_arrays_own_their_memory():
     for pj, duj in zip(_momentum_density(u, du), du):
         assert pj.base is None and pj.dtype == np.float64
         assert np.array_equal(pj.view(np.int64), np.imag(np.conj(u) * duj).view(np.int64))
+
+
+def test_write_csv_keeps_text_and_round_trips_numbers(tmp_path):
+    from mcnls.grid import write_csv
+
+    numbers = [1.0 / 3.0, 0.1, -2.5e-300, 5e-324, 1.7976931348623157e308, -0.0, 7,
+               np.float64(np.pi), np.nextafter(1.0, 2.0)]
+    texts = ["boundary", "", "1e5", "nan", "a b;c"]
+    rows = [[v, texts[i % len(texts)]] for i, v in enumerate(numbers)]
+    p = tmp_path / "table.csv"
+    write_csv(p, ("value", "flags"), rows)
+    data = p.read_bytes()
+    assert b"\r" not in data and data.endswith(b"\n")
+    lines = data.decode().split("\n")
+    assert lines[0] == "value,flags" and lines[-1] == ""
+    assert len(lines) == len(rows) + 2
+    for (v, text), line in zip(rows, lines[1:]):
+        cell, written = line.split(",", 1)
+        assert written == text
+        assert cell == format(float(v), ".17g")
+        back = float(cell)
+        assert back == v and np.signbit(back) == np.signbit(v)
+    # 17 significant digits, not the shortest repr
+    assert lines[1].split(",")[0] == "0.33333333333333331"
+    assert lines[2].split(",")[0] == "0.10000000000000001"

@@ -831,3 +831,39 @@ def test_flux_sample_working_memory_is_bounded(weights):
     _flux_terms(g, u.values, spec, 1.0, 0.0, -1, w)  # kernel spectra cached
     peak = _traced_peak_units(lambda: _flux_terms(g, u.values, spec, 1.0, 0.0, -1, w), g.n)
     assert peak <= 7.0
+
+
+@pytest.mark.parametrize("segments, bad", [
+    ([(1.0, 0.0), (0.5, np.nan)], 1),
+    ([(-0.5, 2.0)], 0),
+    ([(0.5, np.inf)], 0),
+    ([(0.0, 1.0)], 0),
+], ids=["slope-nan", "value-negative", "slope-inf", "value-zero"])
+def test_weight_conditions_check_rejects_segments_it_cannot_certify(weights, segments, bad):
+    # these gave dt_l1 0.0 (NaN never compares greater), inf <= inf, a pass on a
+    # negative height and a ZeroDivisionError
+    with pytest.raises(ValueError, match=f"envelope segment {bad} "):
+        weight_conditions_check(weights(2, 8.0, 4.0), segments)
+
+
+def test_weight_conditions_check_rejects_an_overflowing_envelope_slope(weights):
+    from mcnls.envelope import parse_envelope_csv
+
+    # the second node lies 5e-324 after the first: the slope overflows to -inf
+    env = parse_envelope_csv("# J0=2.0\nt,N\n0,0\n5e-324,-1\n1,-1\n")
+    with pytest.raises(ValueError, match="envelope segment 0 has value 0.5 and slope -inf"):
+        weight_conditions_check(weights(2, 8.0, 4.0), env)
+
+
+@pytest.mark.parametrize("d_field, d_family", [(2, 1), (1, 2)])
+def test_pairings_reject_a_weight_family_of_another_dimension(weights, d_field, d_family):
+    # each used to pair one dimension's correlation profile as the other's kernel
+    g = make_grid(d_field, 64 if d_field == 2 else 256, 16.0)
+    f = smooth_random_field(g, np.random.default_rng(5))
+    w = weights(d_family, 8.0, 4.0)
+    match = f"a {d_family}D weight family cannot be paired on a {d_field}D grid"
+    with pytest.raises(ValueError, match=match):
+        interaction_action(f, 1.0, w)
+    for Ntilde_prime in (0.0, 0.5):
+        with pytest.raises(ValueError, match=match):
+            interaction_flux(f, 1.0, Ntilde_prime, -1, w)

@@ -199,3 +199,19 @@ def test_all_transforms_preserve_mass(q_ref):
     assert abs(mass(translate(f, [1.0])) - m0) <= 1e-10 * m0
     v = pseudoconformal_sample(-1.0, g, q_ref)
     assert abs(mass(v) - m0) <= 1e-8
+
+
+@pytest.mark.parametrize("shift", [[1.0], [1.0, 0.5, 7.0], 1.0, [[1.0, 0.5]]],
+                         ids=["one", "three", "bare-number", "nested"])
+def test_translate_needs_one_component_per_axis(shift):
+    from mcnls import make_grid
+
+    # [1.0] shifted along x only and a third component was dropped
+    f = smooth_random_field(make_grid(2, 32, 8.0), np.random.default_rng(1))
+    with pytest.raises(ValueError, match="shift needs 2 components"):
+        translate(f, shift)
+
+
+def test_translate_takes_a_bare_number_in_1d(grid512):
+    f = smooth_random_field(grid512, np.random.default_rng(2))
+    assert np.array_equal(translate(f, 2.5).values, translate(f, [2.5]).values)
