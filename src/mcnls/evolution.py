@@ -132,8 +132,10 @@ class DiagnosticsSeries:
                   *("momentum" + a for a in axes), "scat_accum", "N_est",
                   *("xi" + a for a in axes), *("x" + a for a in axes), "flags"]
         scalars = zip(self.t, self.mass, self.energy, self.variance, self.kinetic, self.potential)
-        write_csv(path, header, ([*sc, *p, c, n, *xi, *x, fl] for sc, p, c, n, xi, x, fl in zip(
-            scalars, self.momentum, self.scat_accum, self.N_est, self.xi_est, self.x_est, self.flags)))
+        samples = zip(scalars, self.momentum, self.scat_accum, self.N_est, self.xi_est,
+                      self.x_est, self.flags)
+        write_csv(path, header,
+                  ([*sc, *p, c, n, *xi, *x, fl] for sc, p, c, n, xi, x, fl in samples))
 
 
 @lru_cache(maxsize=16)
