@@ -8,8 +8,9 @@ errors, and the runner gets exactly what it reads.  Every run writes a
 JSON manifest (even on failure).  Each output format has one writer: run
 tables go through `grid.write_csv`, JSON files through `_write_json`,
 snapshots through `grid.write_snapshot`.  Exit codes: 0 all enabled checks
-passed, 1 a check failed, 2 usage or config error.  A run imports only
-the modules its scenario needs.
+passed, 1 a check failed, 2 usage or config error.  Each manifest check
+certifies one fact by a value that can fail it (README, "Manifest
+checks").  A run imports only the modules its scenario needs.
 
 BLAS runs one thread unless the environment says otherwise.  The defaults
 are set before numpy loads, so OpenBLAS sees them; threaded, it splits
@@ -297,7 +298,8 @@ def _scenario_gn_check(cfg, outdir: Path, checks: Checks) -> dict:
     grid = _grid_from(cfg)
     q = solve_petviashvili(grid)
     ratio = gn_ratio(q.field, q)
-    checks.add("extremizer_ratio", abs(ratio - 1.0) <= 1e-4, ratio, 1e-4)
+    dev = abs(ratio - 1.0)
+    checks.add("extremizer_ratio", dev <= 1e-4, dev, 1e-4)
     rng = np.random.default_rng(20240 + grid.d)
     worst = 0.0
     xm = grid.x_mesh()
@@ -322,25 +324,20 @@ def _scenario_morawetz(cfg, outdir: Path, checks: Checks) -> dict:
     w = _valid(build_weights, grid.d, **cfg["weights"])
     econf = _evolution_from(cfg)
     samples = []  # (t, MorawetzReport) per sample
-    consistent = True
-    bound_ok = True
+    worst = 0.0  # the largest |A| / (2 M R ||p||_1 ||rho||_1); NaN stays NaN
     wq = grid.h ** grid.d
     run = _Observed(f0, econf)
     for s in run:
         rep, p = _flux_terms(grid, s.u, s.spec, 1.0, 0.0, econf.mu, w, s.dens)
         samples.append((s.step * econf.dt, rep))
-        total = rep.momentum + rep.dispersive + rep.nonlinear + \
-            rep.curvature + rep.envelope_drift
-        scale = max(abs(rep.flux), 1e-12)
-        consistent &= abs(total - rep.flux) <= 1e-8 * scale
         p1 = sum(wq * np.sum(np.abs(pj)) for pj in p)
-        bound_ok &= abs(rep.action) <= 2.0 * w.M * w.R * p1 * wq * np.sum(s.dens) * (1 + 1e-9)
+        bound = 2.0 * w.M * w.R * p1 * wq * np.sum(s.dens)
+        worst = np.maximum(worst, abs(rep.action) / bound if rep.action else 0.0)
         del s, p  # else they stay alive while the observer computes the next sample
     cols = ("action", "flux", "coercive", "tail", "curvature", "envelope_drift")
     write_csv(outdir / "morawetz.csv", ("t", *cols),
               ([t, *(getattr(rep, c) for c in cols)] for t, rep in samples))
-    checks.add("decomposition_consistent", consistent)
-    checks.add("action_kernel_bound", bound_ok)
+    checks.add("action_kernel_bound", worst <= 1.0 + 1e-9, worst, 1.0 + 1e-9)
     outcome = "ok" if run.outcome == "completed" else run.outcome
     return {"outcome": outcome, "boundary_breach": run.boundary_breach, "samples": len(samples)}
 
@@ -370,8 +367,8 @@ def _scenario_smooth_envelope(cfg, outdir: Path, checks: Checks) -> dict:
     write_envelope_csv(em, outdir / "envelope_smoothed.csv")
     res = certify_ratio(e, m)
     checks.add("certify_bound", res.bound_ok)
-    checks.add("pointwise_domination",
-               bool(np.all(em.heights <= e.heights + 1e-15)))
+    excess = float(np.max(em.heights - e.heights))
+    checks.add("pointwise_domination", excess <= 1e-15, excess, 1e-15)
     return {"variation_m": res.variation_m,
             "smallinterval_height_sum": res.smallinterval_height_sum,
             "passes": m}
@@ -389,7 +386,6 @@ def _scenario_weight_check(cfg, outdir: Path, checks: Checks) -> dict:
                  [(1.0, 0.0)] if path is None else _load_envelope(path))
     checks.add("potential_sup", rep.sup_a_ok, rep.sup_a, rep.sup_a_bound)
     checks.add("potential_xgrad", rep.sup_xgrad_ok, rep.sup_xgrad, rep.sup_xgrad_bound)
-    checks.add("potential_odd", rep.odd_ok, rep.odd_residual, 1e-10)
     if rep.dt_l1 is not None:
         checks.add("potential_dt_l1", rep.dt_l1_ok, rep.dt_l1, rep.dt_l1_bound)
     return {"checks": len(checks.results)}

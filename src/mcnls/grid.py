@@ -55,6 +55,11 @@ class GridSpec:
             raise ValueError(f"half-width L must be positive, got {self.L}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "L", float(self.L))
+        # h, dk, the largest |x|^2 and the largest |k|^2 must all be finite and positive
+        L, kmax = self.L, np.pi * self.n / (2.0 * self.L)
+        if not all(0.0 < v < np.inf for v in (self.h, self.dk, self.d * L * L, self.d * kmax * kmax)):
+            raise ValueError(f"half-width L = {L!r} leaves h, dk, d L^2 or d (pi n / 2L)^2 "
+                             f"not finite and positive at n = {self.n}")
 
     @property
     def h(self) -> float:

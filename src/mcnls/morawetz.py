@@ -223,11 +223,6 @@ class WeightFamily:
         r = np.abs(np.asarray(r, dtype=float))
         return _over_r(self.F(r), r, self.phi0)
 
-    def dpsi(self, r):
-        """psi'(r) = (phi(r) - psi(r))/r, zero at r = 0."""
-        r = np.abs(np.asarray(r, dtype=float))
-        return _over_r(self.phi(r) - self.psi(r), r, 0.0)
-
 
 def build_weights(d: int, M: float, R: float) -> WeightFamily:
     """Construct the weight family; M >= 4 keeps the inner plateau positive."""
@@ -637,28 +632,25 @@ def weight_family_checks(w: WeightFamily) -> dict:
     """Dense-sampling verification of the weight-family invariants.
 
     Returns {name: (value, bound, ok)}.  The profile bounds are checked
-    on a fine radial grid; the psi identity is checked through the
-    exposed evaluators.  Every value is an upper bound but the plateau
-    overlap, which is a floor.
+    on a fine radial grid.  The support ends at r = 2M, where the last
+    polynomial piece ends, so phi and phi' must vanish there.  The bound
+    on psi(r) r is `weight_conditions_check`'s.  Every value is an upper
+    bound but the plateau overlap, which is a floor.
     """
     M = w.M
     r = np.linspace(0.0, 3.0 * M, 30001)
-    rod = r[r > 0]
-    tail = np.linspace(2.0 * M + 1e-9, 3.0 * M, 2001)
     tol = 1e-10
     upper = lambda value, bound: (value, bound, value <= bound + 1e-10)
     phi_vals = w.phi(r)
+    end = 2.0 * M
     checks = {
         "phi_bounded": upper(float(np.max(np.abs(phi_vals))), 1.0),
-        "phi_support": upper(float(np.abs(w.phi(tail)).max()), tol),
-        "kernel_bound": upper(float(max(np.abs(w.psi(r) * r).max(), w.F_total)), 2.0 * M),
-        "psi_ode": upper(float(np.abs(rod * w.dpsi(rod) - (w.phi(rod) - w.psi(rod))).max()), tol),
+        "phi_support": upper(float(max(abs(w.phi(end)), abs(w.dphi(end)))), tol),
     }
     if w.d == 1:
         checks["dphi_bound"] = upper(float(np.max(np.abs(w.dphi(r)))), 1.0 / M)
         checks["d2phi_bound"] = upper(float(np.max(np.abs(w.d2phi(r)))), 1.0 / M)
     else:
-        checks["psi_decay"] = upper(float((w.psi(rod) * rod / (2.0 * M)).max()), 1.0)
         checks["phi_monotone"] = upper(float(np.max(np.diff(phi_vals))), tol)
     floor = ((M - 2.0) / M) ** w.d
     checks["plateau_overlap"] = (w.plateau_overlap, floor, w.plateau_overlap >= floor - 1e-12)
@@ -676,15 +668,13 @@ class WeightConditionsReport(NamedTuple):
     sup_xgrad: float
     sup_xgrad_bound: float
     sup_xgrad_ok: bool
-    odd_residual: float
-    odd_ok: bool
     dt_l1: Optional[float]
     dt_l1_bound: Optional[float]
     dt_l1_ok: bool
 
     @property
     def all_ok(self) -> bool:
-        return self.sup_a_ok and self.sup_xgrad_ok and self.odd_ok and self.dt_l1_ok
+        return self.sup_a_ok and self.sup_xgrad_ok and self.dt_l1_ok
 
 
 def _envelope_segments(env):
@@ -711,15 +701,15 @@ def _envelope_segments(env):
     return segs
 
 
-def weight_conditions_check(w: WeightFamily, Ntilde_series,
-                            odd_kernel: Optional[Callable] = None) -> WeightConditionsReport:
-    """Certify boundedness, decay, oddness and (d=2) L^1 time-derivative
-    of the truncation potential a_j(t,x) = psi(|x| Ntilde/R) x_j Ntilde.
+def weight_conditions_check(w: WeightFamily, Ntilde_series) -> WeightConditionsReport:
+    """Certify boundedness, decay and (d=2) L^1 time-derivative of the
+    truncation potential a_j(t,x) = psi(|x| Ntilde/R) x_j Ntilde.
 
-    The scale-free profile s -> psi(s) s makes the first three checks
+    The scale-free profile s -> psi(s) s makes the first two checks
     independent of Ntilde; the time-derivative check runs per envelope
-    segment.  `odd_kernel` substitutes a different radial kernel for the
-    oddness check (negative-control hook).
+    segment.  a_j is odd by construction (psi is radial); the parity that
+    can break, the unfolding of sampled kernels in `_spectra`, is checked
+    against the full circle in the tests.
     """
     M, R = w.M, w.R
     s = np.linspace(0.0, 4.0 * M, 20001)
@@ -730,10 +720,6 @@ def weight_conditions_check(w: WeightFamily, Ntilde_series,
     grow = s * (w.psi(s) + np.abs(w.phi(s) - w.psi(s)))
     sup_xgrad = float(max(grow.max(), 2.0 * w.F_total)) * R
     sup_xgrad_bound = 4.0 * M * R
-
-    kern = odd_kernel if odd_kernel is not None else (lambda x: w.psi(np.abs(x)) * x)
-    xs = np.linspace(0.01, 3.0 * M, 500)
-    odd_res = float(np.max(np.abs(kern(xs) + kern(-xs))))
 
     dt_l1 = None
     dt_l1_bound = None
@@ -763,6 +749,5 @@ def weight_conditions_check(w: WeightFamily, Ntilde_series,
         sup_a_ok=sup_a <= sup_a_bound * (1.0 + 1e-12),
         sup_xgrad=sup_xgrad, sup_xgrad_bound=sup_xgrad_bound,
         sup_xgrad_ok=sup_xgrad <= sup_xgrad_bound * (1.0 + 1e-12),
-        odd_residual=odd_res, odd_ok=odd_res <= 1e-10,
         dt_l1=dt_l1, dt_l1_bound=dt_l1_bound, dt_l1_ok=dt_l1_ok,
     )

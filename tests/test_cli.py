@@ -114,7 +114,7 @@ def test_gn_check_scenario(tmp_path):
            "output": {"dir": str(out)}}
     assert run_scenario(_write_config(tmp_path, cfg)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert abs(manifest["checks"]["extremizer_ratio"]["value"] - 1.0) <= 1e-4
+    assert manifest["checks"]["extremizer_ratio"]["value"] <= 1e-4
 
 
 def test_ground_state_scenario(tmp_path):
@@ -239,6 +239,11 @@ _DELETE = object()
     ("evolution", "stride", 5.0, 0),
     ("evolution", "t_end", 0.0515, 2),
     ("grid", "n", 2 ** 40, 2),
+    # L whose h, dk, L^2 or kmax^2 is not finite and positive
+    ("grid", "L", 1e308, 2),
+    ("grid", "L", 1e-160, 2),
+    ("grid", "L", 1e300, 2),
+    ("grid", "L", 5e-324, 2),
     ("initial", "tol", 1e-10, 2),
 ], ids=lambda v: "missing" if v is _DELETE else None)
 def test_evolution_and_grid_config_values(tmp_path, scenario, section, key, value, code):
@@ -1086,3 +1091,117 @@ def test_readme_morawetz_columns_are_the_written_header(tmp_path):
     assert run_scenario(_write_config(tmp_path, _morawetz_config(out))) == 0
     header = (out / "morawetz.csv").read_text().splitlines()[0]
     assert header == _readme_columns("Morawetz CSV")
+
+
+def test_action_kernel_bound_fails_an_inflated_action(tmp_path, monkeypatch):
+    import mcnls.morawetz
+
+    flux_terms = mcnls.morawetz._flux_terms
+
+    def inflated(*args, **kwargs):
+        rep, p = flux_terms(*args, **kwargs)
+        return rep._replace(action=1e6 * rep.action), p
+
+    monkeypatch.setattr(mcnls.morawetz, "_flux_terms", inflated)
+    out = tmp_path / "out"
+    assert run_scenario(_write_config(tmp_path, _morawetz_config(out))) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    check = manifest["checks"]["action_kernel_bound"]
+    assert not check["passed"] and check["value"] > check["threshold"] == 1.0 + 1e-9
+    assert manifest["failure"] == "checks failed: action_kernel_bound"
+
+
+def _readme_checks():
+    """{scenario: {None or d: check names}} from README's "Manifest checks" table
+    (d for a row written only in that dimension), and each row's cells by name."""
+    section = _readme().split("### Manifest checks", 1)[1].split("\n## ", 1)[0]
+    names, rows = {}, {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line.strip().strip("|"))]
+        m = re.fullmatch(r"`([a-z-]+)`(?: \(d = ([12])\))?", cells[0])
+        if m and len(cells) == 5:
+            name = cells[1].strip("`")
+            names.setdefault(m[1], {}).setdefault(m[2] and int(m[2]), set()).add(name)
+            rows[name] = cells
+    return names, rows
+
+
+@pytest.mark.parametrize("scenario, d", [("simulate", 1), ("ground-state", 1), ("gn-check", 1),
+                                         ("morawetz", 1), ("smooth-envelope", None),
+                                         ("weight-check", 1), ("weight-check", 2)])
+def test_readme_manifest_checks_are_each_scenarios_checks(tmp_path, scenario, d):
+    out = tmp_path / "out"
+    grid = {"d": 1, "n": 256, "L": 20.0}  # for ground-state and gn-check
+    cfg = {"simulate": _sim_config(out), "morawetz": _morawetz_config(out),
+           "smooth-envelope": _envelope_config(out),
+           "weight-check": dict(_weight_check_config(out), grid={"d": d},
+                                envelope={"input": "bundled:sawtooth"}),
+           }.get(scenario, {"scenario": scenario, "grid": grid, "output": {"dir": str(out)}})
+    assert run_scenario(_write_config(tmp_path, cfg)) == 0
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    names, rows = _readme_checks()
+    assert set(checks) == names[scenario][None] | names[scenario].get(d, set())
+    for name, check in checks.items():
+        assert (check["value"] is None) == rows[name][2].startswith("none"), name
+        if rows[name][4] == "value <= threshold":
+            assert check["passed"] == (check["value"] <= check["threshold"]), name
+
+
+def _snapshot_bytes(d, n, L):
+    g = make_grid(d, n, L)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.mcnls"
+        write_snapshot(Field(g, 0.5 * np.exp(-sum(x * x for x in g.x_mesh()) / 2.0)), path)
+        return path.read_bytes()
+
+
+_HEADER = 20  # magic (6 bytes), version, d, n (u32), L (f64)
+_BAD_L = st.one_of(st.floats(max_value=0.0), st.floats(min_value=1e155),
+                   st.floats(min_value=0.0, max_value=1e-160), st.just(float("nan")))
+
+
+@st.composite
+def _corrupt_snapshot(draw):
+    """(d, n, L, bytes): a snapshot on that grid, truncated, lengthened, or with
+    its magic, version, d, n or L, or a payload sample, made invalid."""
+    import struct
+
+    d, n = draw(st.sampled_from([1, 2])), draw(st.sampled_from([8, 16, 32, 64]))
+    L = 8.0
+    raw = bytearray(_snapshot_bytes(d, n, L))
+    part = draw(st.sampled_from(["truncate", "lengthen", "magic", "version", "d", "n", "L",
+                                 "payload"]))
+    if part == "truncate":
+        raw = raw[:draw(st.integers(0, len(raw) - 1))]
+    elif part == "lengthen":
+        raw += bytes(draw(st.integers(1, 16 * n ** d)))
+    elif part == "magic":
+        raw[:6] = draw(st.binary(min_size=6, max_size=6).filter(lambda b: b != b"MCNLS1"))
+    elif part in ("version", "d"):
+        raw[6 if part == "version" else 7] = draw(st.integers(0, 255).filter(
+            lambda v: v != (1 if part == "version" else d)))
+    elif part == "n":
+        raw[8:12] = struct.pack("<I", draw(st.integers(0, 2 ** 32 - 1).filter(lambda v: v != n)))
+    elif part == "L":
+        raw[12:20] = struct.pack("<d", draw(_BAD_L))
+    else:  # a payload sample that is not finite
+        at = _HEADER + 8 * draw(st.integers(0, 2 * n ** d - 1))
+        raw[at:at + 8] = struct.pack("<d", draw(st.sampled_from([np.nan, np.inf, -np.inf])))
+    return d, n, L, bytes(raw)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(drawn=_corrupt_snapshot())
+def test_any_corrupt_snapshot_is_value_error_and_config_error(drawn):
+    d, n, L, raw = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "initial.mcnls"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError):
+            read_snapshot(path)
+        cfg = _sim_config(tmp / "out", grid={"d": d, "n": n, "L": L},
+                          initial={"kind": "snapshot", "path": str(path)})
+        assert run_scenario(_write_config(tmp, cfg)) == 2
+        failure = json.loads((tmp / "out" / "manifest.json").read_text())["failure"]
+    assert failure.startswith("config error:")

@@ -33,11 +33,24 @@ def test_make_grid_2d():
     assert g.h * g.n == 2 * g.L
 
 
+# the last four L leave h, dk, L^2 or kmax^2 not finite and positive
 @pytest.mark.parametrize("args", [(1, 7, 4.0), (1, 4, 4.0), (3, 8, 4.0),
-                                  (1, 8, 0.0), (1, 8, -1.0), (1, 96, 4.0)])
+                                  (1, 8, 0.0), (1, 8, -1.0), (1, 96, 4.0),
+                                  (1, 64, 1e308), (1, 64, 1e-160), (1, 64, 1e300),
+                                  (1, 64, 5e-324)])
 def test_make_grid_rejects(args):
     with pytest.raises(ValueError):
         make_grid(*args)
+
+
+def test_snapshot_rejects_an_infinite_half_width(tmp_path):
+    # its Field used to read back with infinite mass
+    import struct
+
+    p = tmp_path / "s.mcnls"
+    p.write_bytes(b"MCNLS1" + struct.pack("<BBId", 1, 1, 8, np.inf) + bytes(16 * 8))
+    with pytest.raises(ValueError, match=r"half-width L = inf"):
+        read_snapshot(p)
 
 
 def test_field_rejects_nonfinite():
