@@ -2,8 +2,8 @@
 
 The weight family starts from a trapezoid mollifier varphi (1 on
 |x| <= M-1, linear ramp to 0 at |x| = M).  Its normalized
-self-correlation phi, the radial average psi(r) = (1/r) int_0^r phi,
-and the inner cutoff chi generate every kernel used here:
+self-correlation phi and the radial average psi(r) = (1/r) int_0^r phi
+generate every kernel used here:
 
     action kernel       a_j(z) = psi(|z| Ntilde / R) z_j Ntilde
     drift kernel        phi(|z| Ntilde / R) z_j
@@ -19,11 +19,10 @@ It is tabulated once per M into a clamped cubic spline, `_PHI2_BLOCK`
 radii at a time: bit-equal to one call over all radii, at about a tenth
 of its memory.  Both are piecewise polynomials
 (`piecewise._PiecewisePoly`), so the two dimensions share one
-construction of phi, phi', F and psi.  The certificates are exact too:
-the plateau overlap int chi^{2(d+2)/d} varphi is a closed form in M, and
-the 2D moment int_0^{2M} rho^2 phi of the dt_l1 bound comes by parts from
-the spline's antiderivatives.  The centered profile's x psi is a
-piecewise cubic as well.
+construction of phi, phi', F and psi.  The 2D moment
+int_0^{2M} rho^2 phi of the dt_l1 certificate is exact too: it comes by
+parts from the spline's antiderivatives.  The centered profile's x psi
+is a piecewise cubic as well.
 
 A linear ramp rather than a smooth step is deliberate: a C^1 transition
 of unit width forces int (varphi')^2 > 1 and with it sup|phi''| > 1/M,
@@ -203,20 +202,18 @@ def _phi1_profile(M: float) -> tuple:
 
 @dataclass(frozen=True)
 class WeightFamily:
-    """Morawetz profiles phi, psi, chi for one (d, M, R), each a function of |r|."""
+    """Morawetz profiles varphi, phi, psi for one (d, M, R), each a function of |r|."""
 
     d: int
     M: float
     R: float
     varphi: Callable
-    chi: Callable
     phi: Callable
     dphi: Callable
     d2phi: Optional[Callable]
     F: Callable              # F(r) = int_0^r phi
     F_total: float
     phi0: float
-    plateau_overlap: float   # normalized int chi^{2(d+2)/d} varphi
 
     def psi(self, r):
         """psi(r) = F(|r|)/|r| with the removable singularity psi(0) = phi(0)."""
@@ -233,18 +230,11 @@ def build_weights(d: int, M: float, R: float) -> WeightFamily:
     if not R > 0:
         raise ValueError("R must be positive")
     M = float(M)
-    varphi = _trapezoid(M - 1.0, M)
-    chi = _trapezoid(M - 2.0, M - 1.0)
-    # plateau_overlap = int chi^{2(d+2)/d} varphi over R^d / |B_M|, exact: varphi = 1
-    # where chi > 0, and chi = t = M - 1 - |x| on its ramp, so the integral is
-    # 2 (M-2) + 2 int_0^1 t^6 in 1D and 2 pi (int_0^{M-2} rho + int_0^1 (M-1-t) t^4) in 2D
     if d == 1:
         phi_pp, dphi_pp, d2phi_pp = _phi1_profile(M)
-        plateau_overlap = (2.0 * (M - 2.0) + 2.0 / 7.0) / (2.0 * M)
     else:
         phi_pp = _phi2_spline(M)
         dphi_pp, d2phi_pp = phi_pp.derivative(), None
-        plateau_overlap = ((M - 2.0) ** 2 + 2.0 * ((M - 1.0) / 5.0 - 1.0 / 6.0)) / M ** 2
     F_pp = phi_pp.antiderivative()
     F_total = float(F_pp(2.0 * M))
 
@@ -255,11 +245,10 @@ def build_weights(d: int, M: float, R: float) -> WeightFamily:
             return np.where(r <= 2.0 * M, pp(np.minimum(r, 2.0 * M)), outside)
         return value
 
-    return WeightFamily(d, M, float(R), varphi, chi, radial(phi_pp, 0.0),
+    return WeightFamily(d, M, float(R), _trapezoid(M - 1.0, M), radial(phi_pp, 0.0),
                         radial(dphi_pp, 0.0),
                         None if d2phi_pp is None else radial(d2phi_pp, 0.0),
-                        radial(F_pp, F_total), F_total, float(phi_pp(0.0)),
-                        plateau_overlap)
+                        radial(F_pp, F_total), F_total, float(phi_pp(0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -635,25 +624,22 @@ def weight_family_checks(w: WeightFamily) -> dict:
     on a fine radial grid.  The support ends at r = 2M, where the last
     polynomial piece ends, so phi and phi' must vanish there.  The bound
     on psi(r) r is `weight_conditions_check`'s.  Every value is an upper
-    bound but the plateau overlap, which is a floor.
+    bound.
     """
     M = w.M
     r = np.linspace(0.0, 3.0 * M, 30001)
     tol = 1e-10
     upper = lambda value, bound: (value, bound, value <= bound + 1e-10)
     phi_vals = w.phi(r)
-    end = 2.0 * M
     checks = {
         "phi_bounded": upper(float(np.max(np.abs(phi_vals))), 1.0),
-        "phi_support": upper(float(max(abs(w.phi(end)), abs(w.dphi(end)))), tol),
+        "phi_support": upper(float(max(abs(w.phi(2.0 * M)), abs(w.dphi(2.0 * M)))), tol),
     }
     if w.d == 1:
         checks["dphi_bound"] = upper(float(np.max(np.abs(w.dphi(r)))), 1.0 / M)
         checks["d2phi_bound"] = upper(float(np.max(np.abs(w.d2phi(r)))), 1.0 / M)
     else:
         checks["phi_monotone"] = upper(float(np.max(np.diff(phi_vals))), tol)
-    floor = ((M - 2.0) / M) ** w.d
-    checks["plateau_overlap"] = (w.plateau_overlap, floor, w.plateau_overlap >= floor - 1e-12)
     return checks
 
 
@@ -665,22 +651,19 @@ class WeightConditionsReport(NamedTuple):
     sup_a: float
     sup_a_bound: float
     sup_a_ok: bool
-    sup_xgrad: float
-    sup_xgrad_bound: float
-    sup_xgrad_ok: bool
     dt_l1: Optional[float]
     dt_l1_bound: Optional[float]
     dt_l1_ok: bool
 
     @property
     def all_ok(self) -> bool:
-        return self.sup_a_ok and self.sup_xgrad_ok and self.dt_l1_ok
+        return self.sup_a_ok and self.dt_l1_ok
 
 
-def _envelope_segments(env):
-    """(value, slope) per linear segment of an envelope-like object.
+def _envelope_segments(env) -> tuple:
+    """(values, slopes) of the linear segments of an envelope-like object.
 
-    The value is the segment's lower height: |N'| (R/N)^3 is largest there.
+    The value is the segment's lower height: |N'| / N^3 is largest there.
     A segment whose value is not finite and positive, or whose slope is not
     finite (an overflowing slope included), cannot be certified and raises
     ValueError.
@@ -689,27 +672,30 @@ def _envelope_segments(env):
         t = np.asarray(env.times, dtype=float)
         h = np.asarray(env.heights, dtype=float)
         with np.errstate(over="ignore"):
-            segs = [(min(h[i], h[i + 1]), (h[i + 1] - h[i]) / (t[i + 1] - t[i]))
-                    for i in range(len(t) - 1)]
+            val, slope = np.minimum(h[:-1], h[1:]), np.diff(h) / np.diff(t)
     else:
-        segs = [(float(v), float(s)) for v, s in env]
-    for i, (v, s) in enumerate(segs):
-        if not (0.0 < v < np.inf and np.isfinite(s)):
-            raise ValueError(f"envelope segment {i} has value {float(v)!r} and slope "
-                             f"{float(s)!r}; the value must be finite and positive and "
-                             "the slope finite")
-    return segs
+        val, slope = np.array([(v, s) for v, s in env], dtype=float).reshape(-1, 2).T
+    bad = ~((val > 0.0) & (val < np.inf) & np.isfinite(slope))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"envelope segment {i} has value {float(val[i])!r} and slope "
+                         f"{float(slope[i])!r}; the value must be finite and positive and "
+                         "the slope finite")
+    return val, slope
 
 
 def weight_conditions_check(w: WeightFamily, Ntilde_series) -> WeightConditionsReport:
-    """Certify boundedness, decay and (d=2) L^1 time-derivative of the
+    """Certify boundedness and (d=2) L^1 time-derivative of the
     truncation potential a_j(t,x) = psi(|x| Ntilde/R) x_j Ntilde.
 
-    The scale-free profile s -> psi(s) s makes the first two checks
-    independent of Ntilde; the time-derivative check runs per envelope
-    segment.  a_j is odd by construction (psi is radial); the parity that
-    can break, the unfolding of sampled kernels in `_spectra`, is checked
-    against the full circle in the tests.
+    The scale-free profile s -> psi(s) s makes the sup bound independent
+    of Ntilde; it bounds |x| |grad a| = R (F + |s phi - F|) too, by twice
+    itself, as |phi| <= 1.  The time-derivative value and threshold both
+    scale with the envelope's worst rate |N'| / N^3, so the verdict
+    depends on M alone; a rate, value or threshold that is not finite
+    raises ValueError naming the segment.  a_j is odd by construction (psi
+    is radial); the parity that can break, the unfolding of sampled kernels
+    in `_spectra`, is checked against the full circle in the tests.
     """
     M, R = w.M, w.R
     s = np.linspace(0.0, 4.0 * M, 20001)
@@ -717,12 +703,7 @@ def weight_conditions_check(w: WeightFamily, Ntilde_series) -> WeightConditionsR
     sup_a = float(max(a_prof.max(), w.F_total)) * R
     sup_a_bound = 2.0 * M * R
 
-    grow = s * (w.psi(s) + np.abs(w.phi(s) - w.psi(s)))
-    sup_xgrad = float(max(grow.max(), 2.0 * w.F_total)) * R
-    sup_xgrad_bound = 4.0 * M * R
-
-    dt_l1 = None
-    dt_l1_bound = None
+    dt_l1 = dt_l1_bound = None
     dt_l1_ok = True
     if w.d == 2:
         # ||phi(|x| N/R) x_j N'||_{L^1(R^2)} = |N'| (R/N)^3 I with
@@ -733,21 +714,23 @@ def weight_conditions_check(w: WeightFamily, Ntilde_series) -> WeightConditionsR
         G = F.antiderivative()
         b = 2.0 * M
         I_phi = 4.0 * float(b * b * F(b) - 2.0 * b * G(b) + 2.0 * G.antiderivative()(b))
-        worst = 0.0
-        bound = 0.0
-        for val, slope in _envelope_segments(Ntilde_series):
-            cur = abs(slope) * (R / val) ** 3 * I_phi
-            curb = (32.0 / 3.0) * (M * R) ** 3 * abs(slope) / val ** 3
-            if cur > worst:
-                worst, bound = cur, curb
-        dt_l1 = worst
-        dt_l1_bound = bound if bound > 0 else (32.0 / 3.0) * (M * R) ** 3
+        val, slope = _envelope_segments(Ntilde_series)
+        # in numpy scalars an overflow is inf, which the guard below rejects
+        with np.errstate(all="ignore"):
+            rates = np.abs(slope) / val ** 3
+            rate = rates.max(initial=0.0)
+            dt_l1 = rate * np.float64(R) ** 3 * I_phi
+            dt_l1_bound = (32.0 / 3.0) * np.float64(M * R) ** 3 * (rate if rate > 0 else 1.0)
+        if not np.isfinite([rate, dt_l1, dt_l1_bound]).all():
+            raise ValueError(f"envelope segment {np.argmax(rates)} has |N'|/N^3 = "
+                             f"{float(rate)!r}, so potential_dt_l1 reads {float(dt_l1)!r} "
+                             f"against {float(dt_l1_bound)!r}; double precision cannot "
+                             "certify it")
+        dt_l1, dt_l1_bound = float(dt_l1), float(dt_l1_bound)
         dt_l1_ok = dt_l1 <= dt_l1_bound * (1.0 + 1e-9) + 1e-30
 
     return WeightConditionsReport(
         sup_a=sup_a, sup_a_bound=sup_a_bound,
         sup_a_ok=sup_a <= sup_a_bound * (1.0 + 1e-12),
-        sup_xgrad=sup_xgrad, sup_xgrad_bound=sup_xgrad_bound,
-        sup_xgrad_ok=sup_xgrad <= sup_xgrad_bound * (1.0 + 1e-12),
         dt_l1=dt_l1, dt_l1_bound=dt_l1_bound, dt_l1_ok=dt_l1_ok,
     )

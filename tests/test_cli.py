@@ -385,6 +385,11 @@ def test_morawetz_shares_simulate_blowup_abort(tmp_path):
     assert last_t["morawetz"] == last_t["simulate"] < 0.5
 
 
+def _grid_scenario_config(scenario):
+    return lambda outdir: {"scenario": scenario, "grid": {"d": 1, "n": 64, "L": 20.0},
+                           "output": {"dir": str(outdir)}}
+
+
 def _with(base, **sections):
     """base with whole sections replaced."""
     return lambda outdir: dict(base(outdir), **sections)
@@ -402,9 +407,11 @@ def _with(base, **sections):
     (_sim_config, "grid", {"d": 2, "n": 2048}, "points"),
     (_on_snapshot(_sim_config), "initial", {}, "initial.path"),
     (_on_snapshot(_morawetz_config), "initial", {}, "initial.path"),
+    (_grid_scenario_config("ground-state"), "grid", {"L": 1e-20}, "grid.L = 1e-20"),
+    (_grid_scenario_config("gn-check"), "grid", {"L": 1e-20}, "grid.L = 1e-20"),
 ], ids=["dt-string", "amplitude-true", "L-true", "seed", "envelope-list", "input-number",
         "weight-check-m-string", "n-2**40", "2d-n-2048", "snapshot-grid",
-        "morawetz-snapshot-grid"])
+        "morawetz-snapshot-grid", "ground-state-box-too-small", "gn-check-box-too-small"])
 def test_bad_config_names_its_key(tmp_path, base, section, changes, named):
     out = tmp_path / "out"
     cfg = base(out)
@@ -436,11 +443,6 @@ def test_snapshot_on_the_config_grid_runs(tmp_path):
     assert run_scenario(_write_config(tmp_path, gaussian, "gaussian.json")) == 0
     assert (out / "diagnostics.csv").read_bytes() == \
         (tmp_path / "gaussian" / "diagnostics.csv").read_bytes()
-
-
-def _grid_scenario_config(scenario):
-    return lambda outdir: {"scenario": scenario, "grid": {"d": 1, "n": 64, "L": 20.0},
-                           "output": {"dir": str(outdir)}}
 
 
 _SMALL_CONFIGS = [_sim_config, _morawetz_config, _envelope_config, _weight_check_config,
@@ -1056,6 +1058,16 @@ def test_weight_check_on_an_overflowing_envelope_slope_is_config_error(tmp_path)
     smooth = tmp_path / "smooth"
     cfg = dict(_envelope_config(smooth), envelope={"m": 1, "input": str(csv)})
     assert run_scenario(_write_config(tmp_path, cfg, "smooth.json")) == 0
+
+
+def test_weight_check_on_a_deep_envelope_is_config_error(tmp_path):
+    # N^3 underflows to 0 from N = 2^-359 on; this used to fail potential_dt_l1 at inf
+    csv = tmp_path / "envelope.csv"
+    csv.write_text("# J0=2\nt,N\n" + "".join(f"{i},{-i}\n" for i in range(401)))
+    cfg = dict(_weight_check_config(tmp_path / "out"), grid={"d": 2}, envelope={"input": str(csv)})
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    failure = json.loads((tmp_path / "out" / "manifest.json").read_text())["failure"]
+    assert failure.startswith("config error: envelope segment 358 has |N'|/N^3 = inf")
 
 
 def test_smooth_envelope_with_a_huge_j0_exits_on_its_certificates(tmp_path):

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mcnls import (
@@ -462,16 +464,16 @@ def test_dt_l1_moment_is_exact_on_the_spline(weights, M):
     assert rep.dt_l1 / R ** 3 == pytest.approx(oracle, rel=1e-12)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("M", [4.0, 8.0, 16.0])
-def test_plateau_overlap_vs_quad(weights, d, M):
-    varphi = lambda r: min(max(M - r, 0.0), 1.0)
-    chi = lambda r: min(max(M - 1.0 - r, 0.0), 1.0)
-    power = 2 * (d + 2) // d
-    shell, ball = (2.0, 2.0 * M) if d == 1 else (2.0 * np.pi, np.pi * M * M)
-    oracle = quad(lambda r: shell * r ** (d - 1) * chi(r) ** power * varphi(r), 0.0, M,
-                  points=[M - 2.0, M - 1.0], epsabs=0.0, epsrel=1e-13)[0] / ball
-    assert weights(d, M, M / 2.0).plateau_overlap == pytest.approx(oracle, rel=1e-14)
+@settings(max_examples=100, deadline=None)
+@given(M=st.sampled_from([4.0, 8.0, 16.0]), R=st.floats(0.5, 64.0), segs=st.lists(
+    st.tuples(st.floats(1e-3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=8))
+def test_dt_l1_verdict_depends_on_M_alone(weights, M, R, segs):
+    # value and threshold both scale with the worst |N'| / N^3 and with R^3
+    assume(any(slope != 0.0 for _, slope in segs))
+    ref = weight_conditions_check(weights(2, M, M / 2.0), [(1.0, 1.0)])
+    rep = weight_conditions_check(weights(2, M, R), segs)
+    assert rep.dt_l1 / rep.dt_l1_bound == pytest.approx(ref.dt_l1 / ref.dt_l1_bound, rel=1e-12)
+    assert rep.dt_l1_ok == ref.dt_l1_ok
 
 
 def test_freezing_diagnostic(weights):
