@@ -12,7 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcnls import Field, make_grid, read_snapshot, write_snapshot
-from mcnls.cli import _INITIAL_KINDS, _SCHEMA, SCENARIOS, _parse, _reads, main, run_scenario
+from mcnls.cli import (
+    _INITIAL_KINDS, _SCHEMA, SCENARIOS, Checks, _parse, _reads, main, run_scenario,
+)
 
 
 def _write_config(tmp_path, cfg, name="cfg.json"):
@@ -1058,6 +1060,20 @@ def test_weight_check_on_an_overflowing_envelope_slope_is_config_error(tmp_path)
     smooth = tmp_path / "smooth"
     cfg = dict(_envelope_config(smooth), envelope={"m": 1, "input": str(csv)})
     assert run_scenario(_write_config(tmp_path, cfg, "smooth.json")) == 0
+
+
+@pytest.mark.parametrize("value, threshold, passed, expected", [
+    (0.5, 1.0, None, True),
+    (1.0, 1.0, None, True),
+    (1.5, 1.0, None, False),
+    (float("nan"), 1.0, None, False),
+    (1.5, 1.0, True, True),
+], ids=["below", "equal", "above", "nan", "own-verdict"])
+def test_checks_pass_when_value_is_within_threshold(value, threshold, passed, expected):
+    checks = Checks()
+    checks.add("c", value, threshold, passed)
+    assert checks["c"]["passed"] is expected
+    assert checks["c"]["threshold"] == threshold
 
 
 def test_weight_check_on_a_deep_envelope_is_config_error(tmp_path):

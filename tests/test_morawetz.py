@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -860,6 +861,17 @@ def test_weight_conditions_check_rejects_an_overflowing_envelope_slope(weights):
     env = parse_envelope_csv("# J0=2.0\nt,N\n0,0\n5e-324,-1\n1,-1\n")
     with pytest.raises(ValueError, match="envelope segment 0 has value 0.5 and slope -inf"):
         weight_conditions_check(weights(2, 8.0, 4.0), env)
+
+
+@pytest.mark.parametrize("segments, message", [
+    ([(1.0, 0.0), (1e-110, 1.0)], "envelope segment 1 has |N'|/N^3 = inf"),
+    ([(1e-102, 1.0)], "envelope segment 0 has |N'|/N^3 = 1.0000000000000003e+306, "
+                      "so potential_dt_l1 reads inf against inf"),
+], ids=["rate-underflow", "value-overflow"])
+def test_weight_conditions_check_rejects_a_rate_it_cannot_certify(weights, segments, message):
+    # N^3 underflows to 0 (rate inf), or rate R^3 I overflows past a finite rate
+    with pytest.raises(ValueError, match=re.escape(message)):
+        weight_conditions_check(weights(2, 8.0, 4.0), segments)
 
 
 @pytest.mark.parametrize("d_field, d_family", [(2, 1), (1, 2)])
