@@ -26,6 +26,8 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
+_CERTIFY_SLACK = 1e-12  # rounding allowance of both smoothing inequalities
+
 
 @dataclass(frozen=True)
 class PiecewiseEnvelope:
@@ -176,6 +178,21 @@ class CertifyResult(NamedTuple):
     bound_ok: bool
 
 
+def _certify(e: PiecewiseEnvelope, m: int) -> tuple:
+    """`certify_ratio`'s two sums and the larger excess of its (a) and (b)."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    em = smooth(e, m)
+    var_m, hsum0, psum = total_variation(em), smallinterval_height_sum(e), peak_height_sum(em)
+    half_cubic = cubic_mass(e) / 2.0
+    try:
+        tail = half_cubic / e.j0 ** m
+    except OverflowError:  # J0^m past the float range: the quotient from logarithms
+        tail = math.exp(math.log(half_cubic) - m * math.log(e.j0)) if half_cubic > 0 else 0.0
+    bound_b = m * (1.0 + psum) - m + tail
+    return var_m, hsum0, max(var_m - 2.0 * psum - 2.0, bound_b - hsum0)
+
+
 def certify_ratio(e: PiecewiseEnvelope, m: int) -> CertifyResult:
     """Certify the two smoothing inequalities after m passes.
 
@@ -185,23 +202,10 @@ def certify_ratio(e: PiecewiseEnvelope, m: int) -> CertifyResult:
         m * (peak height sum of N_m including the unit-height peak at
         t = a_0) - m + cubic_mass / (2 J0^m).
     A run cut off by the right end of the window is a truncation artifact
-    and is excluded from the sum in (b).
+    and is excluded from the sum in (b).  Both hold up to 1e-12.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    em = smooth(e, m)
-    var_m = total_variation(em)
-    hsum0 = smallinterval_height_sum(e)
-    psum = peak_height_sum(em)
-    ok_a = var_m <= 2.0 * psum + 2.0 + 1e-12
-    half_cubic = cubic_mass(e) / 2.0
-    try:
-        tail = half_cubic / e.j0 ** m
-    except OverflowError:  # J0^m past the float range: the quotient from logarithms
-        tail = math.exp(math.log(half_cubic) - m * math.log(e.j0)) if half_cubic > 0 else 0.0
-    bound_b = m * (1.0 + psum) - m + tail
-    ok_b = hsum0 >= bound_b - 1e-12
-    return CertifyResult(var_m, hsum0, bool(ok_a and ok_b))
+    var_m, hsum0, excess = _certify(e, m)
+    return CertifyResult(var_m, hsum0, excess <= _CERTIFY_SLACK)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +301,7 @@ def envelope_from_series(times, scat_accum, n_est, j0: float = 2.0) -> Piecewise
     t = np.asarray(times, dtype=float)
     acc = np.asarray(scat_accum, dtype=float)
     n = np.asarray(n_est, dtype=float)
-    if n[0] <= 0:
+    if not np.all((n > 0.0) & (n < np.inf)):
         raise ValueError("frequency-scale estimates must be positive")
     if acc[0] >= 1.0:
         raise ValueError("the space-time norm must start below one unit")

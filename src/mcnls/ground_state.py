@@ -74,6 +74,11 @@ def closed_form_1d(grid: GridSpec) -> GroundState:
     return _make_state(vals.astype(np.complex128), grid, profile=closed_form_profile_1d)
 
 
+def _start(grid: GridSpec) -> np.ndarray:
+    """The iteration's default start, a Gaussian narrower than Q."""
+    return 1.5 * np.exp(-r2_mesh(grid) / 2.0)
+
+
 def solve_petviashvili(
     grid: GridSpec,
     tol: float = 1e-12,
@@ -100,10 +105,7 @@ def solve_petviashvili(
     sym_weight = sym * weight
     axes = tuple(range(grid.d))
 
-    if initial is None:
-        q = 1.5 * np.exp(-r2_mesh(grid) / 2.0)
-    else:
-        q = initial.values.real.copy()
+    q = _start(grid) if initial is None else initial.values.real.copy()
 
     for _ in range(max_iter):
         qhat = np.fft.rfftn(q)

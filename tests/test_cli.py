@@ -411,9 +411,16 @@ def _with(base, **sections):
     (_on_snapshot(_morawetz_config), "initial", {}, "initial.path"),
     (_grid_scenario_config("ground-state"), "grid", {"L": 1e-20}, "grid.L = 1e-20"),
     (_grid_scenario_config("gn-check"), "grid", {"L": 1e-20}, "grid.L = 1e-20"),
+    # the solver's iterate collapses to zero before Q exists
+    (_grid_scenario_config("ground-state"), "grid", {"L": 1e-150}, "grid.L = 1e-150"),
+    (_grid_scenario_config("gn-check"), "grid", {"L": 1e-150}, "grid.L = 1e-150"),
+    (_grid_scenario_config("ground-state"), "grid", {"d": 2, "n": 32, "L": 1e-20}, "grid.L = 1e-20"),
+    (_grid_scenario_config("gn-check"), "grid", {"d": 2, "n": 32, "L": 1e-20}, "grid.L = 1e-20"),
 ], ids=["dt-string", "amplitude-true", "L-true", "seed", "envelope-list", "input-number",
         "weight-check-m-string", "n-2**40", "2d-n-2048", "snapshot-grid",
-        "morawetz-snapshot-grid", "ground-state-box-too-small", "gn-check-box-too-small"])
+        "morawetz-snapshot-grid", "ground-state-box-too-small", "gn-check-box-too-small",
+        "ground-state-collapse", "gn-check-collapse", "ground-state-2d-collapse",
+        "gn-check-2d-collapse"])
 def test_bad_config_names_its_key(tmp_path, base, section, changes, named):
     out = tmp_path / "out"
     cfg = base(out)
@@ -1062,18 +1069,48 @@ def test_weight_check_on_an_overflowing_envelope_slope_is_config_error(tmp_path)
     assert run_scenario(_write_config(tmp_path, cfg, "smooth.json")) == 0
 
 
-@pytest.mark.parametrize("value, threshold, passed, expected", [
-    (0.5, 1.0, None, True),
-    (1.0, 1.0, None, True),
-    (1.5, 1.0, None, False),
-    (float("nan"), 1.0, None, False),
-    (1.5, 1.0, True, True),
-], ids=["below", "equal", "above", "nan", "own-verdict"])
-def test_checks_pass_when_value_is_within_threshold(value, threshold, passed, expected):
+@pytest.mark.parametrize("value, threshold, expected", [
+    (0.5, 1.0, True),
+    (1.0, 1.0, True),
+    (1.5, 1.0, False),
+    (float("nan"), 1.0, False),
+], ids=["below", "equal", "above", "nan"])
+def test_checks_pass_when_value_is_within_threshold(value, threshold, expected):
     checks = Checks()
-    checks.add("c", value, threshold, passed)
+    checks.add("c", value, threshold)
     assert checks["c"]["passed"] is expected
     assert checks["c"]["threshold"] == threshold
+
+
+@pytest.mark.parametrize("d, R, csv, failure", [
+    (1, 1e308, None, "config error: potential_sup reads inf against inf"),
+    (2, 4, "# J0=1.0000001\nt,N\n0,0\n1e308,-1\n", "config error: envelope segment 0 has "),
+], ids=["sup-overflow", "rate-subnormal"])
+def test_weight_check_beyond_double_precision_is_config_error(tmp_path, d, R, csv, failure):
+    # 2 M R overflowed and potential_sup passed at inf against inf; a subnormal
+    # |N'|/N^3 kept only some digits of potential_dt_l1's value-to-threshold ratio
+    out = tmp_path / "out"
+    cfg = dict(_weight_check_config(out), grid={"d": d}, weights={"M": 8, "R": R})
+    if csv is not None:
+        (tmp_path / "envelope.csv").write_text(csv)
+        cfg["envelope"] = {"input": str(tmp_path / "envelope.csv")}
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    assert json.loads((out / "manifest.json").read_text())["failure"].startswith(failure)
+
+
+@pytest.mark.parametrize("scenario", ["ground-state", "gn-check"])
+def test_solver_failure_on_a_box_that_holds_q_exits_1(tmp_path, monkeypatch, scenario):
+    import mcnls.ground_state
+    from mcnls.ground_state import PetviashviliError
+
+    def failing(grid):
+        raise PetviashviliError("no convergence in 500 iterations", 1e-3)
+
+    monkeypatch.setattr(mcnls.ground_state, "solve_petviashvili", failing)
+    out = tmp_path / "out"
+    assert run_scenario(_write_config(tmp_path, _grid_scenario_config(scenario)(out))) == 1
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure.startswith("PetviashviliError: no convergence in 500 iterations")
 
 
 def test_weight_check_on_a_deep_envelope_is_config_error(tmp_path):

@@ -249,6 +249,15 @@ def test_envelope_from_series_interpolates_crossings():
         envelope_from_series([0.0, 1.0], [1.0, 2.0], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("n_est", [[1.0, 1.0, 0.0], [1.0, np.inf, 1.0], [1.0, 1.0, np.nan],
+                                   [1.0, 1.0, -2.0]], ids=["zero", "inf", "nan", "negative"])
+def test_envelope_from_series_requires_finite_positive_estimates(n_est):
+    # only the first estimate was checked: these raised OverflowError or
+    # "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match="frequency-scale estimates must be positive"):
+        envelope_from_series([0.0, 1.0, 2.0], [0.0, 0.5, 2.5], n_est)
+
+
 def test_envelope_from_concentrating_trajectory():
     # a focusing 1D Gaussian above the ground-state mass crosses several
     # space-time units between samples as it concentrates

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -465,14 +465,25 @@ def test_dt_l1_moment_is_exact_on_the_spline(weights, M):
     assert rep.dt_l1 / R ** 3 == pytest.approx(oracle, rel=1e-12)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, database=None)
 @given(M=st.sampled_from([4.0, 8.0, 16.0]), R=st.floats(0.5, 64.0), segs=st.lists(
     st.tuples(st.floats(1e-3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=8))
+@example(M=4.0, R=0.5, segs=[(28.0, 2.2250738585072014e-308)])
+@example(M=4.0, R=1.0, segs=[(5.0, 2.2250738585e-313)])
+@example(M=4.0, R=1.0, segs=[(10.0, 5e-324)])
 def test_dt_l1_verdict_depends_on_M_alone(weights, M, R, segs):
-    # value and threshold both scale with the worst |N'| / N^3 and with R^3
+    # value and threshold both scale with the worst |N'| / N^3 and with R^3; a
+    # subnormal rate keeps only some digits of their ratio, and a rate that
+    # underflows to 0 none, so both are rejected
     assume(any(slope != 0.0 for _, slope in segs))
+    w = weights(2, M, R)
+    vals, slopes = np.array(segs).T
+    if np.max(np.abs(slopes) / vals ** 3) < np.finfo(float).tiny:
+        with pytest.raises(ValueError, match="double precision cannot certify it"):
+            weight_conditions_check(w, segs)
+        return
     ref = weight_conditions_check(weights(2, M, M / 2.0), [(1.0, 1.0)])
-    rep = weight_conditions_check(weights(2, M, R), segs)
+    rep = weight_conditions_check(w, segs)
     assert rep.dt_l1 / rep.dt_l1_bound == pytest.approx(ref.dt_l1 / ref.dt_l1_bound, rel=1e-12)
     assert rep.dt_l1_ok == ref.dt_l1_ok
 
@@ -867,9 +878,12 @@ def test_weight_conditions_check_rejects_an_overflowing_envelope_slope(weights):
     ([(1.0, 0.0), (1e-110, 1.0)], "envelope segment 1 has |N'|/N^3 = inf"),
     ([(1e-102, 1.0)], "envelope segment 0 has |N'|/N^3 = 1.0000000000000003e+306, "
                       "so potential_dt_l1 reads inf against inf"),
-], ids=["rate-underflow", "value-overflow"])
+    ([(1.0, 0.0), (5.0, 2.2250738585e-313)], "envelope segment 1 has |N'|/N^3 = 1.780059086e-315"),
+    ([(1.0, 0.0), (10.0, 5e-324)], "envelope segment 1 has |N'|/N^3 = 0.0, "),
+], ids=["rate-underflow", "value-overflow", "rate-subnormal", "rate-zero"])
 def test_weight_conditions_check_rejects_a_rate_it_cannot_certify(weights, segments, message):
-    # N^3 underflows to 0 (rate inf), or rate R^3 I overflows past a finite rate
+    # N^3 underflows to 0 (rate inf), rate R^3 I overflows past a finite rate, or
+    # the rate is subnormal or underflows to 0, where the verdict's ratio loses digits
     with pytest.raises(ValueError, match=re.escape(message)):
         weight_conditions_check(weights(2, 8.0, 4.0), segments)
 
