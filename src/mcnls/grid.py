@@ -13,9 +13,11 @@ half spectrum of real samples zero-padded to the 2n grid `padded_rfft`
 (the padding rows are not transformed), per-grid symbols cached
 read-only (|k|^2, Nyquist-zeroed derivative wavenumbers, the 2/3 dealias
 mask, |x|^2, the boundary annulus), the real-multiplier product `_times`
-and `apply_multiplier`, and the 2n-grid zero-padding `pad_spectrum` /
-`truncate_spectrum`.  The run outputs' file formats are here too: the
-MCNLS1 field snapshot and the run tables' CSV (`write_csv`).
+and `apply_multiplier`, the n <-> 2n resampling of the trigonometric
+interpolant `resample`, and `_mass_fraction`, the share of a density in
+an index region (the boundary annulus, a central box, a spectral tail).
+The run outputs' file formats are here too: the MCNLS1 field snapshot
+and the run tables' CSV (`write_csv`).
 """
 
 from __future__ import annotations
@@ -310,21 +312,28 @@ def half_spectrum_weight(n: int) -> np.ndarray:
     return weight
 
 
-def _n_grid_modes(n: int, d: int) -> tuple:
-    """Positions of an n-grid's FFT-ordered modes inside its 2n-grid spectrum."""
-    return np.ix_(*(np.r_[0:n // 2, -(n // 2):0],) * d)
+def resample(vals: np.ndarray, m: int) -> np.ndarray:
+    """Samples at m = 2n or m = n/2 points per axis of the same box of the
+    trigonometric interpolant of the n-grid samples `vals`.
 
-
-def pad_spectrum(spec: np.ndarray) -> np.ndarray:
-    """Embed FFT-ordered modes of an n-grid into a zero-padded 2n-grid."""
-    big = np.zeros((2 * spec.shape[0],) * spec.ndim, dtype=np.complex128)
-    big[_n_grid_modes(spec.shape[0], spec.ndim)] = spec
-    return big
-
-
-def truncate_spectrum(spec_big: np.ndarray) -> np.ndarray:
-    """Keep the n-grid modes of a 2n-grid spectrum (inverse of pad_spectrum)."""
-    return spec_big[_n_grid_modes(spec_big.shape[0] // 2, spec_big.ndim)]
+    The smaller grid's FFT-ordered modes sit inside the larger grid's
+    spectrum.  Refining inverts the zero-padded spectrum and then multiplies
+    by 2^d; coarsening keeps the m-grid modes, divides by 2^d and then
+    inverts.
+    """
+    n, d = vals.shape[0], vals.ndim
+    if m not in (2 * n, n // 2):
+        raise ValueError(f"resample goes from n = {n} to 2n or n/2 points per axis, not {m}")
+    fwd, inv = transforms(d)
+    spec = fwd(vals, out=np.empty(vals.shape, dtype=np.complex128))
+    k = min(n, m) // 2
+    modes = np.ix_(*(np.r_[0:k, -k:0],) * d)
+    if m < n:
+        small = spec[modes] / (2 ** d)
+        return inv(small, out=small)
+    big = np.zeros((m,) * d, dtype=np.complex128)
+    big[modes] = spec
+    return inv(big, out=big) * (2 ** d)
 
 
 def spectral_derivative(f: Field, axis: int) -> Field:
@@ -344,10 +353,15 @@ def boundary_mass_fraction(f: Field) -> float:
 
 def density_boundary_fraction(grid: GridSpec, dens: np.ndarray) -> float:
     """boundary_mass_fraction from a precomputed density |u|^2."""
+    return _mass_fraction(dens, outer_annulus(grid))
+
+
+def _mass_fraction(dens: np.ndarray, where) -> float:
+    """Share of the total of a density (|u|^2 or |fftn u|^2) in dens[where]; 0 for a zero density."""
     total = dens.sum()
     if total == 0.0:
         return 0.0
-    return float(dens[outer_annulus(grid)].sum() / total)
+    return float(dens[where].sum() / total)
 
 
 BOUNDARY_ANNULUS = 0.05  # the boundary is max_j |x_j| >= 0.95 L

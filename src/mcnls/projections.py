@@ -9,15 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import (
-    Field,
-    apply_multiplier,
-    k2_symbol,
-    lp_norm,
-    pad_spectrum,
-    transforms,
-    truncate_spectrum,
-)
+from .grid import Field, apply_multiplier, k2_symbol, lp_norm, resample
 
 
 def _bump_raw(r: np.ndarray) -> np.ndarray:
@@ -87,14 +79,10 @@ def nonlinearity(f: Field, mu: int) -> Field:
     truncated back, which bounds the aliasing error of the quintic (d=1) /
     cubic (d=2) product.
     """
-    g, d = f.grid, f.grid.d
-    power = 4 // d  # 4 for d=1, 2 for d=2; always an integer here
-    fwd, inv = transforms(d)
-    big = pad_spectrum(fwd(f.values, out=np.empty_like(f.values)))
-    ubig = inv(big, out=big) * (2 ** d)
-    fbig = mu * np.abs(ubig) ** power * ubig
-    small = truncate_spectrum(fwd(fbig, out=fbig)) / (2 ** d)
-    return Field(g, inv(small, out=small))
+    g = f.grid
+    power = 4 // g.d  # 4 for d=1, 2 for d=2; always an integer here
+    ubig = resample(f.values, 2 * g.n)
+    return Field(g, resample(mu * np.abs(ubig) ** power * ubig, g.n))
 
 
 def commutator_error(f: Field, N: float, mu: int) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, GridSpec, apply_multiplier, k2_symbol, pad_spectrum, r2_mesh, transforms
+from .grid import Field, GridSpec, _mass_fraction, apply_multiplier, k2_symbol, r2_mesh, resample
 from .ground_state import GroundState
 from .observables import _mass, _spectrum, mass
 
@@ -40,27 +40,6 @@ def _zoom_out_once(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _zoom_in_once(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Samples of f(x/2) on the same grid via spectral upsampling (exact)."""
-    n, d = grid.n, grid.d
-    fwd, inv = transforms(d)
-    big = pad_spectrum(fwd(vals, out=np.empty_like(vals)))
-    fine = inv(big, out=big) * (2 ** d)
-    return fine[(slice(n // 2, n // 2 + n),) * d]
-
-
-def _central_half_mass_deficit(vals: np.ndarray, grid: GridSpec) -> float:
-    """Mass fraction outside |x_i| < L/2 (lost or wrapped by a zoom step)."""
-    dens = np.abs(vals) ** 2
-    total = dens.sum()
-    if total == 0:
-        return 0.0
-    n = grid.n
-    inner = slice(n // 4, 3 * n // 4)
-    core = dens[inner] if grid.d == 1 else dens[inner, inner]
-    return float(1.0 - core.sum() / total)
-
-
 def rescale(f: Field, lam: float) -> Field:
     """lambda^{d/2} f(lambda x); mass preserving, dyadic lambda only.
 
@@ -73,26 +52,30 @@ def rescale(f: Field, lam: float) -> Field:
         raise ValueError("scale factor must be positive")
     k = _dyadic_log(lam)
     g = f.grid
-    vals = f.values
+    n, d, vals = g.n, g.d, f.values
     if k > 0:
-        spec = np.abs(_spectrum(f)) ** 2
-        kabs = np.sqrt(k2_symbol(g))
-        kcut = np.pi * g.n / (2.0 * g.L) / lam
-        tail = spec[kabs > kcut].sum() / spec.sum()
+        kcut = np.pi * n / (2.0 * g.L) / lam
+        tail = _mass_fraction(np.abs(_spectrum(f)) ** 2, np.sqrt(k2_symbol(g)) > kcut)
         if tail > 1e-10:
             raise ValueError(
                 f"rescale by {lam} would alias: fraction {tail:.2e} of the "
                 f"spectrum lies beyond the shrunken Nyquist range"
             )
+    # a zoom step loses or wraps the mass outside the central half box |x_j| < L/2
+    outside = np.ones(g.shape, dtype=bool)
+    outside[(slice(n // 4, 3 * n // 4),) * d] = False
     for _ in range(abs(k)):
-        deficit = _central_half_mass_deficit(vals, g)
+        deficit = _mass_fraction(np.abs(vals) ** 2, outside)
         if deficit > 1e-10:
             raise ValueError(
                 f"rescale by {lam} needs the field inside the central half "
                 f"box; mass fraction {deficit:.2e} lies outside"
             )
-        vals = _zoom_out_once(vals, g) if k > 0 else _zoom_in_once(vals, g)
-    return Field(g, lam ** (g.d / 2.0) * vals)
+        if k > 0:
+            vals = _zoom_out_once(vals, g)
+        else:  # f(x/2): the central n samples of the interpolant on the 2n grid
+            vals = resample(vals, 2 * n)[(slice(n // 2, n // 2 + n),) * d]
+    return Field(g, lam ** (d / 2.0) * vals)
 
 
 def _as_lattice_xi(grid: GridSpec, xi0) -> np.ndarray:

@@ -23,6 +23,29 @@ def smooth_random_field(grid, rng, nmodes=6, kmax_idx=5, width_frac=0.12,
     return Field(grid, vals)
 
 
+def bump_pair(d):
+    """Two fixed complex fields on the d-dim n = 256, L = 16 box: a wide one, band-limited
+    within a quarter of the Nyquist range, and a narrow one inside the central quarter box."""
+    g = make_grid(d, 256, 16.0)
+    xm = g.x_mesh()
+
+    def bump(a, c, k):
+        r2 = sum((x - ci) ** 2 for x, ci in zip(xm, c))
+        return np.exp(-a * r2 + 1j * sum(ki * x for ki, x in zip(k, xm)))
+
+    c, k = [0.3, -0.2][:d], [0.5, -0.25][:d]
+    wide = 0.8 * bump(0.5, c, k) + 0.3j * bump(0.7, [-0.5, 0.4][:d], [0.0, 0.0][:d])
+    narrow = 1.1 * bump(2.0, c, k) - 0.2 * bump(3.0, [0.4, 0.1][:d], [1.0, 0.5][:d])
+    return Field(g, wide), Field(g, narrow)
+
+
+def digest(a):
+    """First 16 hex digits of the SHA-256 of an array's bytes."""
+    import hashlib
+
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
 @pytest.fixture(scope="session")
 def grid512():
     return make_grid(1, 512, 16.0)

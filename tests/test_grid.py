@@ -350,26 +350,65 @@ def test_transforms_entry_point_is_bit_equal_to_nd_forms(shape):
     assert np.array_equal(fwd(x.real, out=out), np.fft.fftn(x.real))
 
 
+def _n_grid_modes(n, d):
+    """Positions of an n-grid's FFT-ordered modes inside its 2n-grid spectrum."""
+    return np.ix_(*(np.r_[0:n // 2, -(n // 2):0],) * d)
+
+
+def _pad_spectrum(spec):
+    """The zero padding to the 2n grid that `resample` replaced, kept as its reference."""
+    big = np.zeros((2 * spec.shape[0],) * spec.ndim, dtype=np.complex128)
+    big[_n_grid_modes(spec.shape[0], spec.ndim)] = spec
+    return big
+
+
+def _truncate_spectrum(spec_big):
+    """The truncation to the n grid that `resample` replaced, kept as its reference."""
+    return spec_big[_n_grid_modes(spec_big.shape[0] // 2, spec_big.ndim)]
+
+
 @pytest.mark.parametrize("d, n", [(1, 256), (2, 64)])
-def test_padded_grid_transforms_match_allocating_forms(d, n):
-    # the dealiased nonlinearity and the zoom-in of rescale transform on the
-    # 2n grid through grid.transforms; both stay bit-equal to numpy's
-    # allocating n-d transforms
-    from mcnls.grid import pad_spectrum, truncate_spectrum
+def test_resample_is_bit_equal_to_padding_and_truncation(d, n):
+    # both ways, against the pad/truncate formulas through numpy's allocating
+    # n-d transforms; the dealiased nonlinearity and the zoom-in of rescale
+    # resample the same way
+    from mcnls.grid import resample
     from mcnls.projections import nonlinearity
     from mcnls.symmetries import rescale
 
     g = make_grid(d, n, 16.0)
     f = smooth_random_field(g, np.random.default_rng(14), width_frac=0.06)
+    fine = np.fft.ifftn(_pad_spectrum(np.fft.fftn(f.values))) * (2 ** d)
+    assert np.array_equal(resample(f.values, 2 * n), fine)
     power = 4 // d
-    ubig = np.fft.ifftn(pad_spectrum(np.fft.fftn(f.values))) * (2 ** d)
-    fbig = -1 * np.abs(ubig) ** power * ubig
-    ref = np.fft.ifftn(truncate_spectrum(np.fft.fftn(fbig)) / (2 ** d))
+    fbig = -1 * np.abs(fine) ** power * fine
+    ref = np.fft.ifftn(_truncate_spectrum(np.fft.fftn(fbig)) / (2 ** d))
+    assert np.array_equal(resample(fbig, n), ref)
     assert np.array_equal(nonlinearity(f, -1).values, ref)
 
-    fine = np.fft.ifftn(pad_spectrum(np.fft.fftn(f.values))) * (2 ** d)
     zoomed = 0.5 ** (d / 2.0) * fine[(slice(n // 2, n // 2 + n),) * d]
     assert np.array_equal(rescale(f, 0.5).values, zoomed)
+    # the input is not written to, and a real input resamples as a complex one
+    vals = f.values.real.copy()
+    assert np.array_equal(resample(vals, n // 2), resample(vals + 0j, n // 2))
+    assert np.array_equal(vals, f.values.real)
+
+
+@pytest.mark.parametrize("m", [128, 32, 8, 0])
+def test_resample_goes_to_twice_or_half_the_points_only(m):
+    from mcnls.grid import resample
+
+    with pytest.raises(ValueError, match=f"from n = 32 to 2n or n/2 points per axis, not {m}"):
+        resample(np.ones(32, dtype=complex), m)
+
+
+def test_mass_fraction_is_the_share_in_the_region():
+    from mcnls.grid import _mass_fraction
+
+    dens = np.array([1.0, 2.0, 3.0, 4.0])
+    assert _mass_fraction(dens, slice(1, 3)) == 0.5
+    assert _mass_fraction(dens, dens > 2.5) == 0.7
+    assert _mass_fraction(np.zeros((4, 4)), (slice(1, 3),) * 2) == 0.0
 
 
 @pytest.mark.parametrize("n", [8, 64, 256])

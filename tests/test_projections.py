@@ -14,7 +14,7 @@ from mcnls import (
 from mcnls.grid import k2_symbol
 from mcnls.projections import nonlinearity
 
-from conftest import smooth_random_field
+from conftest import bump_pair, digest, smooth_random_field
 
 
 def test_bump_plateau_support_monotone():
@@ -182,3 +182,26 @@ def test_commutator_decay_with_scale():
             if a < 1e-13:
                 break
             assert b < a * 1.0000001
+
+
+# nonlinearity digests and commutator_error bits (float.hex) at N = 2 of the
+# former pad/truncate code, on numpy 2.4.6 (x86-64)
+_PARENT_BITS = {
+    (1, "wide", -1): ("205c05ddc09dc716", "0x1.361088bf3a103p-4"),
+    (1, "wide", 1): ("64616c57911dde9a", "0x1.361088bf3a103p-4"),
+    (1, "narrow", -1): ("85b92ad43df06da9", "0x1.2172cdb9c0a7bp-3"),
+    (1, "narrow", 1): ("9b3c1394f5bf6799", "0x1.2172cdb9c0a7bp-3"),
+    (2, "wide", -1): ("2c25f2d7f3195075", "0x1.7b55b62aa3e54p-4"),
+    (2, "wide", 1): ("1d1f88ea531cd931", "0x1.7b55b62aa3e54p-4"),
+    (2, "narrow", -1): ("014a2d3154083518", "0x1.3d6664fc52516p-3"),
+    (2, "narrow", 1): ("1abc528c4bc027d3", "0x1.3d6664fc52516p-3"),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_nonlinearity_and_commutator_keep_their_bits(d):
+    for name, f in zip(("wide", "narrow"), bump_pair(d)):
+        for mu in (-1, 1):
+            values, comm = _PARENT_BITS[d, name, mu]
+            assert digest(nonlinearity(f, mu).values) == values
+            assert commutator_error(f, 2.0, mu).hex() == comm

@@ -14,7 +14,7 @@ from mcnls import (
     translate,
 )
 
-from conftest import smooth_random_field
+from conftest import bump_pair, digest, smooth_random_field
 
 
 def test_rescale_identity(grid512):
@@ -215,3 +215,47 @@ def test_translate_needs_one_component_per_axis(shift):
 def test_translate_takes_a_bare_number_in_1d(grid512):
     f = smooth_random_field(grid512, np.random.default_rng(2))
     assert np.array_equal(translate(f, 2.5).values, translate(f, [2.5]).values)
+
+
+# rescale digests of the former pad-and-slice zoom, on numpy 2.4.6 (x86-64):
+# the narrow field zooms in, the wide one out
+_RESCALE_BITS = {
+    (1, 0.25): "6e438129b37c6340", (1, 0.5): "e944eda10b2eaf27", (1, 1.0): "021bad9c877b8667",
+    (1, 2.0): "e11b6ec5ac2e32da", (1, 4.0): "293611fb585486af",
+    (2, 0.25): "d1872f5e42dd166e", (2, 0.5): "b7d0abfb085813ed", (2, 1.0): "45a50bd897f76291",
+    (2, 2.0): "152afe925cbdc6d0", (2, 4.0): "083ded2c639e58ea",
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("lam", [0.25, 0.5, 1.0, 2.0, 4.0])
+def test_rescale_keeps_its_bits(d, lam):
+    wide, narrow = bump_pair(d)
+    assert digest(rescale(narrow if lam < 1 else wide, lam).values) == _RESCALE_BITS[d, lam]
+
+
+@pytest.mark.parametrize("d, lam, message", [
+    (1, 0.25, "mass fraction 9.80e-08 lies outside"),
+    (1, 4.0, "fraction 8.43e-06 of the spectrum lies beyond the shrunken Nyquist range"),
+    (2, 0.25, "mass fraction 1.30e-07 lies outside"),
+    (2, 4.0, "fraction 1.60e-04 of the spectrum lies beyond the shrunken Nyquist range"),
+    (1, 3.0, "scale factor 3.0 is not a power of two; only dyadic factors are exactly "
+             "representable on the grid"),
+])
+def test_rescale_keeps_its_rejection_messages(d, lam, message):
+    # the wide field leaves the central half box after one zoom in; the narrow
+    # one has too much spectrum for two zooms out
+    wide, narrow = bump_pair(d)
+    prefix = {0.25: "rescale by 0.25 needs the field inside the central half box; ",
+              4.0: "rescale by 4.0 would alias: "}.get(lam, "")
+    with pytest.raises(ValueError) as exc:
+        rescale(wide if lam < 1 else narrow, lam)
+    assert str(exc.value) == prefix + message
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_rescale_of_a_zero_field_is_zero(d):
+    # no mass lies anywhere, so neither guard rejects it
+    g = bump_pair(d)[0].grid
+    for lam in (0.25, 0.5, 2.0, 4.0):
+        assert not rescale(Field(g, np.zeros(g.shape)), lam).values.any()
