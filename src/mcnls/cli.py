@@ -37,6 +37,7 @@ from .evolution import EvolutionConfig, _Observed, evolve
 from .grid import (
     BOUNDARY_MASS_WARN,
     Field,
+    _snapshot_grid,
     boundary_mass_fraction,
     make_grid,
     r2_mesh,
@@ -203,11 +204,18 @@ def _held(f: Field, what: str) -> Field:
 
 
 def _initial_field(cfg: dict, grid) -> Field:
-    f = _valid(_initial_from, cfg["initial"], grid)
-    if f.grid != grid:
-        raise ConfigError(f"initial.path holds a snapshot on {f.grid}, not on the "
+    return _held(_valid(_initial_from, cfg["initial"], grid), "initial data")
+
+
+def _snapshot_on(grid, path) -> Field:
+    """The snapshot at path; one on another grid is rejected from its header,
+    before its payload is read."""
+    with open(path, "rb") as fh:
+        held = _snapshot_grid(fh)
+    if held != grid:
+        raise ConfigError(f"initial.path holds a snapshot on {held}, not on the "
                           f"config grid {grid}")
-    return _held(f, "initial data")
+    return read_snapshot(path)
 
 
 def _initial_from(init: dict, grid) -> Field:
@@ -222,11 +230,10 @@ def _initial_from(init: dict, grid) -> Field:
         return Field(grid, init["amplitude"] * np.exp(-r2 / (2.0 * init["width"] ** 2))
                      * np.exp(1j * phase))
     if kind in ("soliton", "boosted-soliton"):
-        from .ground_state import closed_form_1d, solve_petviashvili
+        from .ground_state import closed_form_1d
         from .symmetries import galilean_boost
 
-        q = closed_form_1d(grid) if grid.d == 1 else solve_petviashvili(grid)
-        f = q.field
+        f = (closed_form_1d(grid) if grid.d == 1 else _ground_state(grid)).field
         if kind == "boosted-soliton":
             f = galilean_boost(f, _vector(init["xi0"], "xi0", grid.d), 0.0)
         return f
@@ -237,7 +244,7 @@ def _initial_from(init: dict, grid) -> Field:
         if grid.d != 1:
             raise ConfigError("the pseudoconformal sample is exposed for d = 1")
         return pseudoconformal_sample(init["t0"], grid, closed_form_1d(grid))
-    return _read_input(read_snapshot, init["path"], "initial.path")
+    return _read_input(lambda path: _snapshot_on(grid, path), init["path"], "initial.path")
 
 
 class Checks(dict):

@@ -135,7 +135,8 @@ def smooth_once(e: PiecewiseEnvelope) -> PiecewiseEnvelope:
 def smooth(e: PiecewiseEnvelope, m: int) -> PiecewiseEnvelope:
     """m smoothing passes on the exponent array, then one validated envelope
     (`e` itself when m = 0).  A pass lowers each run entered by a rise and
-    left by a fall; breakpoints are unchanged."""
+    left by a fall; breakpoints are unchanged.  A pass that lowers nothing
+    is a fixed point, so the passes stop there."""
     if m < 0:
         raise ValueError("pass count must be nonnegative")
     if m == 0:
@@ -143,7 +144,10 @@ def smooth(e: PiecewiseEnvelope, m: int) -> PiecewiseEnvelope:
     exp = np.array(e.exponents)
     for _ in range(m):
         runs = _runs(exp)
-        exp -= np.repeat((runs[:, 2] > 0) & (runs[:, 3] < 0), runs[:, 1] - runs[:, 0] + 1)
+        lowered = (runs[:, 2] > 0) & (runs[:, 3] < 0)
+        if not lowered.any():
+            break
+        exp -= np.repeat(lowered, runs[:, 1] - runs[:, 0] + 1)
     return PiecewiseEnvelope(e.times, tuple(exp.tolist()), e.j0)
 
 
@@ -301,6 +305,9 @@ def envelope_from_series(times, scat_accum, n_est, j0: float = 2.0) -> Piecewise
     t = np.asarray(times, dtype=float)
     acc = np.asarray(scat_accum, dtype=float)
     n = np.asarray(n_est, dtype=float)
+    if not len(t) == len(acc) == len(n):
+        raise ValueError(f"times, scat_accum and n_est must have one length, "
+                         f"got {len(t)}, {len(acc)} and {len(n)}")
     if not np.all((n > 0.0) & (n < np.inf)):
         raise ValueError("frequency-scale estimates must be positive")
     if acc[0] >= 1.0:

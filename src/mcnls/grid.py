@@ -379,24 +379,31 @@ def write_snapshot(f: Field, path) -> None:
         fh.write(payload)
 
 
+def _snapshot_grid(fh) -> GridSpec:
+    """The grid in the header of the MCNLS1 snapshot open in fh, read before any
+    payload byte; the file size is checked against it."""
+    head = fh.read(_SNAPSHOT_HEADER.size)
+    if len(head) < _SNAPSHOT_HEADER.size:
+        raise ValueError("snapshot header truncated")
+    magic, version, d, n, L = _SNAPSHOT_HEADER.unpack(head)
+    if magic != SNAPSHOT_MAGIC:
+        raise ValueError(f"bad snapshot magic {magic!r}")
+    if version != SNAPSHOT_VERSION:
+        raise ValueError(f"unsupported snapshot version {version}")
+    grid = make_grid(d, n, L)
+    expected = 16 * grid.npoints
+    payload = os.fstat(fh.fileno()).st_size - _SNAPSHOT_HEADER.size
+    if payload != expected:
+        raise ValueError(f"snapshot payload is {payload} bytes, header implies {expected}")
+    return grid
+
+
 def read_snapshot(path) -> Field:
     """Read an MCNLS1 snapshot; the file size is checked against the header first."""
     with open(path, "rb") as fh:
-        head = fh.read(_SNAPSHOT_HEADER.size)
-        if len(head) < _SNAPSHOT_HEADER.size:
-            raise ValueError("snapshot header truncated")
-        magic, version, d, n, L = _SNAPSHOT_HEADER.unpack(head)
-        if magic != SNAPSHOT_MAGIC:
-            raise ValueError(f"bad snapshot magic {magic!r}")
-        if version != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {version}")
-        grid = make_grid(d, n, L)
-        expected = 16 * grid.npoints
-        payload = os.fstat(fh.fileno()).st_size - _SNAPSHOT_HEADER.size
-        if payload != expected:
-            raise ValueError(f"snapshot payload is {payload} bytes, header implies {expected}")
+        grid = _snapshot_grid(fh)
         # one view of the interleaved payload: re + 1j*im would turn -0.0 into +0.0
-        vals = np.frombuffer(fh.read(expected), dtype="<c16")
+        vals = np.frombuffer(fh.read(16 * grid.npoints), dtype="<c16")
     return Field(grid, vals.reshape(grid.shape))
 
 

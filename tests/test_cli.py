@@ -158,6 +158,22 @@ def test_smooth_envelope_scenario_bundled(tmp_path):
     assert (out / "envelope_smoothed.csv").exists()
 
 
+def test_smooth_envelope_stops_passing_at_the_fixed_point(tmp_path):
+    # the sawtooth's exponents stop changing after one pass; the parent ran all
+    # 10^9 passes (about 8 h at 30 us each)
+    import time
+
+    outputs = {}
+    for m in (401, 10 ** 9):
+        cfg = _envelope_config(tmp_path / str(m))
+        cfg["envelope"]["m"] = m
+        start = time.monotonic()
+        assert run_scenario(_write_config(tmp_path, cfg)) == 0
+        assert time.monotonic() - start < 2.0
+        outputs[m] = (tmp_path / str(m) / "envelope_smoothed.csv").read_bytes()
+    assert outputs[10 ** 9] == outputs[401]
+
+
 def test_weight_check_scenario(tmp_path):
     out = tmp_path / "out"
     cfg = {"scenario": "weight-check", "grid": {"d": 1},
@@ -416,11 +432,22 @@ def _with(base, **sections):
     (_grid_scenario_config("gn-check"), "grid", {"L": 1e-150}, "grid.L = 1e-150"),
     (_grid_scenario_config("ground-state"), "grid", {"d": 2, "n": 32, "L": 1e-20}, "grid.L = 1e-20"),
     (_grid_scenario_config("gn-check"), "grid", {"d": 2, "n": 32, "L": 1e-20}, "grid.L = 1e-20"),
+    # 2D soliton data come from the same solver under the same box rule
+    (_with(_sim_config, initial={"kind": "soliton"}), "grid",
+     {"d": 2, "n": 32, "L": 1e-20}, "grid.L = 1e-20"),
+    (_with(_sim_config, initial={"kind": "boosted-soliton", "xi0": [0.0, 0.0]}), "grid",
+     {"d": 2, "n": 32, "L": 1e-20}, "grid.L = 1e-20"),
+    (_with(_morawetz_config, initial={"kind": "soliton"}), "grid",
+     {"d": 2, "n": 32, "L": 1e-20}, "grid.L = 1e-20"),
+    (_with(_morawetz_config, initial={"kind": "boosted-soliton", "xi0": [0.0, 0.0]}), "grid",
+     {"d": 2, "n": 32, "L": 1e-20}, "grid.L = 1e-20"),
 ], ids=["dt-string", "amplitude-true", "L-true", "seed", "envelope-list", "input-number",
         "weight-check-m-string", "n-2**40", "2d-n-2048", "snapshot-grid",
         "morawetz-snapshot-grid", "ground-state-box-too-small", "gn-check-box-too-small",
         "ground-state-collapse", "gn-check-collapse", "ground-state-2d-collapse",
-        "gn-check-2d-collapse"])
+        "gn-check-2d-collapse", "simulate-soliton-2d-collapse",
+        "simulate-boosted-soliton-2d-collapse", "morawetz-soliton-2d-collapse",
+        "morawetz-boosted-soliton-2d-collapse"])
 def test_bad_config_names_its_key(tmp_path, base, section, changes, named):
     out = tmp_path / "out"
     cfg = base(out)
@@ -439,6 +466,33 @@ def test_bad_output_dir_writes_manifest_to_default(tmp_path, monkeypatch):
     assert run_scenario(_write_config(tmp_path, cfg)) == 2
     failure = json.loads((tmp_path / "mcnls-out" / "manifest.json").read_text())["failure"]
     assert failure.startswith("config error: output.dir")
+
+
+def test_snapshot_on_another_grid_is_rejected_before_its_payload_is_read(tmp_path):
+    # a 1024^2 snapshot holds 16 MiB of payload; the parent read and copied it
+    # (traced peak 32 MiB) before comparing grids
+    import struct
+    import tracemalloc
+
+    path = tmp_path / "big.mcnls"
+    with open(path, "wb") as fh:
+        fh.write(b"MCNLS1" + struct.pack("<BBId", 1, 2, 1024, 16.0))
+        fh.truncate(fh.tell() + 16 * 1024 ** 2)  # zeros, without writing them
+    out = tmp_path / "out"
+    cfg = _sim_config(out, grid={"d": 2, "n": 64, "L": 16.0},
+                      initial={"kind": "snapshot", "path": str(path)})
+    config = _write_config(tmp_path, cfg)
+    assert run_scenario(config) == 2
+    tracemalloc.start()
+    try:
+        code = run_scenario(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 2 ** 20
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure == (f"config error: initial.path holds a snapshot on {make_grid(2, 1024, 16.0)}, "
+                       f"not on the config grid {make_grid(2, 64, 16.0)}")
 
 
 def test_snapshot_on_the_config_grid_runs(tmp_path):

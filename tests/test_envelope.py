@@ -99,6 +99,18 @@ def test_smooth_idempotent_without_interior_peaks():
     assert smooth_once(e).exponents == e.exponents
 
 
+def test_smooth_stops_at_its_fixed_point():
+    # the parent ran every one of the 10^9 passes, about 30 us each
+    from importlib.resources import files
+
+    from mcnls.envelope import parse_envelope_csv
+
+    saw = parse_envelope_csv(files("mcnls").joinpath("data/sawtooth.csv").read_text())
+    rng = np.random.default_rng(31)
+    for e in [saw] + [random_envelope(rng, 200) for _ in range(10)]:
+        assert smooth(e, 10 ** 9) == smooth(e, len(e.exponents))
+
+
 def test_boundary_peaks_never_flattened():
     e = _walk([0, -1, 0, -1, 0])
     e5 = smooth(e, 5)
@@ -247,6 +259,14 @@ def test_envelope_from_series_interpolates_crossings():
     assert e.times == (0.0, 1.25, 1.75)
     with pytest.raises(ValueError):
         envelope_from_series([0.0, 1.0], [1.0, 2.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("scat_accum, n_est", [([0.0, 0.5, 2.5], [1.0]), ([0.0, 0.5], [1.0, 1.0, 1.0])],
+                         ids=["short-n_est", "short-scat_accum"])
+def test_envelope_from_series_requires_one_length(scat_accum, n_est):
+    # both raised IndexError
+    with pytest.raises(ValueError, match=rf"one length, got 3, {len(scat_accum)} and {len(n_est)}$"):
+        envelope_from_series([0.0, 1.0, 2.0], scat_accum, n_est)
 
 
 @pytest.mark.parametrize("n_est", [[1.0, 1.0, 0.0], [1.0, np.inf, 1.0], [1.0, 1.0, np.nan],

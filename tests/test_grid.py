@@ -329,6 +329,19 @@ def test_complex_transforms_only_through_grid_entry_point():
     assert offenders == {}
 
 
+def test_transform_pair_is_named_by_grid_observables_and_evolution_only():
+    # projections and symmetries resample through grid.resample
+    import mcnls
+
+    users = set()
+    for path in sorted(Path(mcnls.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Name) and node.id == "transforms"
+                    or isinstance(node, ast.alias) and node.name == "transforms"):
+                users.add(path.name)
+    assert users == {"grid.py", "observables.py", "evolution.py"}
+
+
 def test_transform_guard_catches_direct_calls():
     src = ("import numpy as np\nfrom numpy.fft import ifftn\n"
            "a = np.fft.fftn(x)\nb = np.fft.rfftn(x)\nc = np.fft._pocketfft_umath.fft\n")
