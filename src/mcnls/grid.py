@@ -313,8 +313,8 @@ def half_spectrum_weight(n: int) -> np.ndarray:
 
 
 def resample(vals: np.ndarray, m: int) -> np.ndarray:
-    """Samples at m = 2n or m = n/2 points per axis of the same box of the
-    trigonometric interpolant of the n-grid samples `vals`.
+    """The trigonometric interpolant of the n-grid samples `vals`, sampled at
+    m = 2n or m = n/2 points per axis of the same box.
 
     The smaller grid's FFT-ordered modes sit inside the larger grid's
     spectrum.  Refining inverts the zero-padded spectrum and then multiplies
@@ -333,6 +333,7 @@ def resample(vals: np.ndarray, m: int) -> np.ndarray:
         return inv(small, out=small)
     big = np.zeros((m,) * d, dtype=np.complex128)
     big[modes] = spec
+    del spec  # else it stays alive beside the two 2n-grid arrays
     return inv(big, out=big) * (2 ** d)
 
 
@@ -357,7 +358,8 @@ def density_boundary_fraction(grid: GridSpec, dens: np.ndarray) -> float:
 
 
 def _mass_fraction(dens: np.ndarray, where) -> float:
-    """Share of the total of a density (|u|^2 or |fftn u|^2) in dens[where]; 0 for a zero density."""
+    """Share of the total of a density (|u|^2 or |fftn u|^2) that lies in
+    dens[where]; 0 for a zero density."""
     total = dens.sum()
     if total == 0.0:
         return 0.0

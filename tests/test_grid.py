@@ -407,6 +407,23 @@ def test_resample_is_bit_equal_to_padding_and_truncation(d, n):
     assert np.array_equal(vals, f.values.real)
 
 
+def test_resample_to_2n_keeps_two_fine_grid_arrays_alive():
+    # the n-grid spectrum is dropped once it is embedded (it was 2.25 results)
+    import tracemalloc
+
+    from mcnls.grid import resample
+
+    vals = smooth_random_field(make_grid(2, 256, 16.0), np.random.default_rng(15)).values
+    resample(vals, 512)
+    tracemalloc.start()
+    try:
+        out = resample(vals, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.1 * out.nbytes
+
+
 @pytest.mark.parametrize("m", [128, 32, 8, 0])
 def test_resample_goes_to_twice_or_half_the_points_only(m):
     from mcnls.grid import resample
