@@ -390,7 +390,7 @@ def _scenario_smooth_envelope(cfg, outdir: Path, checks: Checks) -> dict:
         raise ConfigError(f"envelope.m must be at least 1, got {m}")
     em = smooth(e, m)
     write_envelope_csv(em, outdir / "envelope_smoothed.csv")
-    variation_m, hsum0, cert_excess = _certify(e, m)
+    variation_m, hsum0, cert_excess = _certify(e, em, m)
     checks.add("certify_bound", cert_excess, _CERTIFY_SLACK)
     excess = float(np.max(em.heights - e.heights))
     checks.add("pointwise_domination", excess, 1e-15)

@@ -182,11 +182,9 @@ class CertifyResult(NamedTuple):
     bound_ok: bool
 
 
-def _certify(e: PiecewiseEnvelope, m: int) -> tuple:
-    """`certify_ratio`'s two sums and the larger excess of its (a) and (b)."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    em = smooth(e, m)
+def _certify(e: PiecewiseEnvelope, em: PiecewiseEnvelope, m: int) -> tuple:
+    """`certify_ratio`'s two sums and the larger excess of its (a) and (b),
+    from `e` and its smoothing em = smooth(e, m), m >= 1."""
     var_m, hsum0, psum = total_variation(em), smallinterval_height_sum(e), peak_height_sum(em)
     half_cubic = cubic_mass(e) / 2.0
     try:
@@ -208,7 +206,9 @@ def certify_ratio(e: PiecewiseEnvelope, m: int) -> CertifyResult:
     A run cut off by the right end of the window is a truncation artifact
     and is excluded from the sum in (b).  Both hold up to 1e-12.
     """
-    var_m, hsum0, excess = _certify(e, m)
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    var_m, hsum0, excess = _certify(e, smooth(e, m), m)
     return CertifyResult(var_m, hsum0, excess <= _CERTIFY_SLACK)
 
 

@@ -7,14 +7,16 @@ exp(-i mu |u|^{4/d} dt) (|u| is invariant under that sub-flow), so mass
 is conserved to roundoff.  The loop holds the state as a spectrum:
 between observation points the closing half kick of one step and the
 opening half kick of the next merge into one multiplier (FSAL), so a step
-is two in-place FFTs and one phase rotation into preallocated scratch,
-and a diagnostics sample reuses the spectrum the loop already holds.
+is two in-place FFTs and one phase rotation, and a diagnostics sample
+reuses the spectrum the loop already holds.  The phase rotation runs one
+block of rows at a time, each block followed by its forward row
+transform, so its preallocated scratch is one cache-sized block.
 With dealiasing in 2D the transforms are the boxed pair of
 `grid.boxed_transforms`, which skips the FFT lines outside the 2/3 box,
 and on larger grids cos and sin run masked (`where=`) to the points whose
 phase angle is not negligible (exp(i a) = 1 + i a to the last bit for
-|a| < 2^-27); both leave every output bit-equal.  Blowup is detected,
-never resolved.
+|a| < 2^-27); these and the row blocks leave every output bit-equal.
+Blowup is detected, never resolved.
 """
 
 from __future__ import annotations
@@ -41,11 +43,11 @@ from .grid import (
 )
 from .observables import (
     _energy,
+    _estimates_from_spec,
     _kinetic,
     _mass,
     _momentum,
     _potential,
-    _spectral_weight,
     _spectrum,
     _variance,
 )
@@ -71,6 +73,11 @@ NEGLIGIBLE_ANGLE = 2.0 ** -27
 # 0.96x and 0.98x (medians of 8 alternating pairs; numpy 2.4.6, 2-vCPU
 # x86-64 VM).
 COMPACT_MIN_POINTS = 4096
+# The nonlinear stage runs on blocks of whole rows of at most this many
+# points (the whole line in 1D), each followed by its forward row
+# transform, so its scratch fits in cache: 32 rows at 256^2, 64 at 128^2.
+# A power of two, as n is, so the blocks tile the grid.
+BLOCK_POINTS = 8192
 # A sample's N_est leaves less than this fraction of its mass outside the
 # ball around xi_est (the eta of `_estimates_from_spec`).
 ESTIMATE_MASS_FRACTION = 0.05
@@ -163,11 +170,15 @@ def _trajectory(f: Field, cfg: EvolutionConfig):
     The state is held as a spectrum in one work array, and adjacent half
     kicks merge into one multiplier between observation points (FSAL), so a
     step buf <- fwd(phase(inv(kick * src))) costs two in-place FFTs and
-    allocates nothing.  When dealiasing in 2D, every kick but step 1's
-    opening one is masked, so the transforms are the boxed pair of
-    `grid.boxed_transforms`.  The phase exp(i a) is 1 + i a to the last bit
-    where |a| < NEGLIGIBLE_ANGLE; on grids of at least COMPACT_MIN_POINTS
-    points, cos and sin run masked (`where=`) on the other points only.
+    allocates nothing.  The transforms are those of `grid.boxed_transforms`:
+    when dealiasing in 2D, every kick but step 1's opening one is masked,
+    so they skip the lines outside the 2/3 box.  The nonlinear stage runs
+    on blocks of at most BLOCK_POINTS points (whole rows; the whole line in
+    1D), each followed at once by its forward row pass, and the column
+    pass runs after the last block, so the stage's scratch is one block.
+    The phase exp(i a) is 1 + i a to the last bit where
+    |a| < NEGLIGIBLE_ANGLE; on grids of at least COMPACT_MIN_POINTS points,
+    cos and sin run masked (`where=`) on the other points only.
     An observation step closes with the half kick and then the dealias
     mask.  That spectrum equals the one closed by the masked half kick in
     value (half * 1.0 is half); outside the 2/3 box only the sign of its
@@ -187,13 +198,20 @@ def _trajectory(f: Field, cfg: EvolutionConfig):
     w = g.h ** g.d
     nsteps = int(round(cfg.t_end / dt))
     fwd, inv = transforms(g.d)
-    bfwd, binv = boxed_transforms(g, cfg.dealias)
+    rows, cols, binv = boxed_transforms(g, cfg.dealias)
     buf = np.empty(g.shape, dtype=complex)
-    ph = np.empty_like(buf)
-    amp2 = np.empty(g.shape)
-    arg = np.empty(g.shape)
     acc = np.zeros(g.shape)
-    re, im, ph_re, ph_im = buf.real, buf.imag, ph.real, ph.imag
+    # each block's views are built once per run, so a step slices nothing
+    r = g.n if g.d == 1 else min(g.n, max(1, BLOCK_POINTS // g.n))
+    blocks = []
+    for i in range(0, g.n, r):
+        v = buf[i:i + r]
+        blocks.append((v, v.real, v.imag, acc[i:i + r]))
+    shape = (r,) + g.shape[1:]
+    ph = np.empty(shape, dtype=complex)
+    amp2 = np.empty(shape)
+    arg = np.empty(shape)
+    ph_re, ph_im = ph.real, ph.imag
     c = -cfg.mu * dt
     quintic = g.d == 1
     multiply, add, cos, sin = np.multiply, np.add, np.cos, np.sin
@@ -201,7 +219,7 @@ def _trajectory(f: Field, cfg: EvolutionConfig):
     if masked:
         # the phase argument is c x, x = |u|^4 (d = 1) or |u|^2 (d = 2)
         x_min = NEGLIGIBLE_ANGLE / abs(c)
-        big = np.empty(g.shape, dtype=bool)
+        big = np.empty(shape, dtype=bool)
     spec = fwd(f.values, out=np.empty_like(buf))
     scat = 0.0
     yield 0, f.values, spec, scat
@@ -214,32 +232,34 @@ def _trajectory(f: Field, cfg: EvolutionConfig):
         kick, src = full, buf
         step_inv(buf, out=buf)
         step_inv = binv
-        multiply(re, re, out=amp2)
-        multiply(im, im, out=arg)
-        add(amp2, arg, out=amp2)
-        multiply(amp2, amp2, out=arg)
-        if quintic:
-            # phase argument c |u|^4; acc gains |u|^6, computed into amp2
-            multiply(arg, amp2, out=amp2)
-            add(acc, amp2, out=acc)
-            x = arg
-        else:
-            # phase argument c |u|^2; acc gains |u|^4
-            add(acc, arg, out=acc)
-            x = amp2
-        if masked:
-            # exp(i a) is 1 + i a except where big
-            np.greater_equal(x, x_min, out=big)
-            multiply(c, x, out=ph_im)
-            ph_re.fill(1.0)
-            cos(ph_im, out=ph_re, where=big)
-            sin(ph_im, out=ph_im, where=big)
-        else:
-            multiply(c, x, out=arg)
-            cos(arg, out=ph_re)
-            sin(arg, out=ph_im)
-        multiply(buf, ph, out=buf)
-        bfwd(buf, out=buf)
+        for v, re, im, acc_rows in blocks:
+            multiply(re, re, out=amp2)
+            multiply(im, im, out=arg)
+            add(amp2, arg, out=amp2)
+            multiply(amp2, amp2, out=arg)
+            if quintic:
+                # phase argument c |u|^4; acc gains |u|^6, computed into amp2
+                multiply(arg, amp2, out=amp2)
+                add(acc_rows, amp2, out=acc_rows)
+                x = arg
+            else:
+                # phase argument c |u|^2; acc gains |u|^4
+                add(acc_rows, arg, out=acc_rows)
+                x = amp2
+            if masked:
+                # exp(i a) is 1 + i a except where big
+                np.greater_equal(x, x_min, out=big)
+                multiply(c, x, out=ph_im)
+                ph_re.fill(1.0)
+                cos(ph_im, out=ph_re, where=big)
+                sin(ph_im, out=ph_im, where=big)
+            else:
+                multiply(c, x, out=arg)
+                cos(arg, out=ph_re)
+                sin(arg, out=ph_im)
+            multiply(v, ph, out=v)
+            rows(v, out=v)
+        cols(buf)
         if step % stride == 0 or step == nsteps:
             scat += dt * float(w * acc.sum())
             acc.fill(0.0)
@@ -347,61 +367,6 @@ def evolve(f: Field, cfg: EvolutionConfig):
         del s  # else it stays alive while the observer computes the next sample
     series.outcome, series.boundary_breach = run.outcome, run.boundary_breach
     return series, Field(g, run.last)
-
-
-def _weighted_median(coords: np.ndarray, weights: np.ndarray) -> float:
-    total = weights.sum()
-    if total <= 0:
-        return float(coords[len(coords) // 2])
-    c = np.cumsum(weights)
-    idx = int(np.searchsorted(c, 0.5 * total))
-    return float(coords[min(idx, len(coords) - 1)])
-
-
-def _estimates_from_spec(g, dens, sdens, eta, n_start=None):
-    """(N_est, xi_est, x_est) from |u|^2 and |fftn u|^2.
-
-    N_est is the smallest dyadic N in [2^jlo, 2^jhi] whose ball around
-    xi_est leaves less than eta of the spectral mass outside (2^jhi if
-    none does).  The mass outside is nonincreasing in N, so the search
-    starts at the dyadic n_start (the previous sample's N_est; 2^jlo if
-    None) and steps down or up from there.
-    """
-    d = g.d
-    # spatial center: mass-weighted median per axis
-    x_est = np.empty(d)
-    for j in range(d):
-        other = tuple(a for a in range(d) if a != j)
-        marg = dens.sum(axis=other) if other else dens
-        x_est[j] = _weighted_median(g.axis_x, marg)
-    # frequency center: spectral mass-weighted median per axis
-    korder = np.fft.fftshift(g.axis_k)
-    xi_est = np.empty(d)
-    for j in range(d):
-        other = tuple(a for a in range(d) if a != j)
-        marg = sdens.sum(axis=other) if other else sdens
-        xi_est[j] = _weighted_median(korder, np.fft.fftshift(marg))
-    # concentration scale: smallest dyadic N capturing all but eta of the mass
-    sq = [(g.axis_k - c) ** 2 for c in xi_est]
-    dist2 = sq[0] if d == 1 else sq[0][:, None] + sq[1][None, :]
-    smass = _spectral_weight(g) * sdens
-    jlo = int(np.floor(np.log2(g.dk))) - 1
-    jhi = int(np.ceil(np.log2(2.0 * np.pi * g.n / (2.0 * g.L) * (d + 1)))) + 1
-
-    def captured(j):
-        N = 2.0 ** j
-        return float(smass[dist2 > N * N].sum()) < eta
-
-    j = jlo if n_start is None else min(max(int(np.log2(n_start)), jlo), jhi)
-    if captured(j):
-        while j > jlo and captured(j - 1):
-            j -= 1
-    else:
-        while j < jhi:
-            j += 1
-            if captured(j):
-                break
-    return 2.0 ** j, xi_est, x_est
 
 
 def concentration_estimates(f: Field, eta: float):

@@ -8,14 +8,15 @@ sum of |fftn(u)|^2 with weight (2L)^{-d} h^{2d} approximates the
 (2pi)^{-d} integral in k.  All fields carry their grid.
 
 This is the one spectral-operator layer: the complex transform pair
-`transforms`, its pruning to the 2/3 dealias box `boxed_transforms`, the
-half spectrum of real samples zero-padded to the 2n grid `padded_rfft`
-(the padding rows are not transformed), per-grid symbols cached
-read-only (|k|^2, Nyquist-zeroed derivative wavenumbers, the 2/3 dealias
-mask, |x|^2, the boundary annulus), the real-multiplier product `_times`
-and `apply_multiplier`, the n <-> 2n resampling of the trigonometric
-interpolant `resample`, and `_mass_fraction`, the share of a density in
-an index region (the boundary annulus, a central box, a spectral tail).
+`transforms`, its split into row and column passes pruned to the 2/3
+dealias box `boxed_transforms`, the half spectrum of real samples
+zero-padded to the 2n grid `padded_rfft` (the padding rows are not
+transformed), per-grid symbols cached read-only (|k|^2, Nyquist-zeroed
+derivative wavenumbers, the 2/3 dealias mask, |x|^2, the boundary
+annulus), the real-multiplier product `_times` and `apply_multiplier`,
+the n <-> 2n resampling of the trigonometric interpolant `resample`, and
+`_mass_fraction`, the share of a density in an index region (the
+boundary annulus, a central box, a spectral tail).
 The run outputs' file formats are here too: the MCNLS1 field snapshot
 and the run tables' CSV (`write_csv`).
 """
@@ -131,9 +132,10 @@ def transforms(d: int) -> tuple:
     Every complex transform in the package goes through this pair, always
     with `out=` (numpy's allocating transform is about twice as slow on
     2D grids).  In 1D it is `fft`/`ifft`, bit-equal to `fftn`/`ifftn`
-    without their per-call axis handling.  The dealiased 2D Strang loop
-    uses `boxed_transforms`, the same pair with the 1D passes outside the
-    2/3 box skipped.
+    without their per-call axis handling.  The Strang loop uses
+    `boxed_transforms`, the same pair with the forward half split into a
+    row pass and a column pass and, when dealiasing in 2D, the 1D passes
+    outside the 2/3 box skipped.
     """
     if d == 1:
         return np.fft.fft, np.fft.ifft
@@ -142,35 +144,42 @@ def transforms(d: int) -> tuple:
 
 @lru_cache(maxsize=16)
 def boxed_transforms(grid: GridSpec, dealias: bool) -> tuple:
-    """The pair of `transforms` pruned to the 2/3 dealias box, `(fwd, inv)`.
+    """The pair of `transforms` pruned to the 2/3 dealias box, its forward
+    half split into passes: `(rows, cols, inv)`.
 
     A spectrum masked by `dealias_mask` is zero outside two blocks of
     kept indices per axis.  numpy's 2D transforms run the 1D transform
     along axis 1 and then along axis 0, line by line; the boxed pair
     keeps that order and skips the lines whose result is known or unused:
 
-    - `inv` takes a masked spectrum.  It transforms along axis 1 only the
-      kept rows, sets the other rows to 0 (their transform) and then
-      transforms along axis 0 in full.
-    - `fwd` transforms along axis 1 in full and along axis 0 only the
-      kept columns.  The other columns hold the axis-1 pass alone, for a
-      caller that multiplies by the mask (or a masked kick) next.
+    - `rows(x, out)` is the forward transform along the last axis, the
+      whole transform in 1D.  It runs on any block of rows.
+    - `cols(x)` then finishes the forward transform in place along axis 0
+      (nothing in 1D), on the kept columns only when dealiasing.  The
+      other columns hold the axis-1 pass alone, for a caller that
+      multiplies by the mask (or a masked kick) next.
+    - `inv(x, out)` takes a masked spectrum.  It transforms along axis 1
+      only the kept rows, sets the other rows to 0 (their transform) and
+      then transforms along axis 0 in full.
 
     The kept entries are bit-equal to those of `transforms`.  In 1D, or
-    without dealiasing, this is the plain pair.  Cached per grid.
+    without dealiasing, `inv` is the plain inverse and `cols` runs on
+    every column.  Cached per grid.
     """
-    if grid.d == 1 or not dealias:
-        return transforms(grid.d)
+    fft, ifft = np.fft.fft, np.fft.ifft
+    _, inv = transforms(grid.d)
+    if grid.d == 1:
+        return fft, lambda x: x, inv
+    if not dealias:
+        return fft, lambda x: fft(x, axis=0, out=x), inv
     keep, n = _dealias_axis(grid), grid.n
     lo, hi = int(keep[:n // 2].sum()), n - int(keep[n // 2:].sum())
     blocks, dropped = (slice(0, lo), slice(hi, n)), slice(lo, hi)
-    fft, ifft = np.fft.fft, np.fft.ifft
 
-    def fwd(x, out):
-        fft(x, axis=1, out=out)
+    def cols(x):
         for b in blocks:
-            fft(out[:, b], axis=0, out=out[:, b])
-        return out
+            fft(x[:, b], axis=0, out=x[:, b])
+        return x
 
     def inv(x, out):
         for b in blocks:
@@ -178,7 +187,7 @@ def boxed_transforms(grid: GridSpec, dealias: bool) -> tuple:
         out[dropped] = 0.0
         return ifft(out, axis=0, out=out)
 
-    return fwd, inv
+    return fft, cols, inv
 
 
 def padded_rfft(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

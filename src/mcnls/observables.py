@@ -7,7 +7,9 @@ Conventions for i u_t + Delta u = mu |u|^{4/d} u:
     variance  V = integral |x|^2 |u|^2
 
 Each public function wraps a private helper on the grid plus |u|^2 or
-|fftn(u)|^2, so a caller holding those reuses them.
+|fftn(u)|^2, so a caller holding those reuses them; the concentration
+estimates of a diagnostics sample (`_estimates_from_spec`) are such a
+helper too.
 """
 
 from __future__ import annotations
@@ -55,6 +57,65 @@ def _momentum(g, sdens: np.ndarray) -> np.ndarray:
     ak = _derivative_axis(g)
     return np.array([wk * np.sum(ak.reshape((-1,) + (1,) * (g.d - 1 - j)) * sdens)
                      for j in range(g.d)])
+
+
+def _weighted_median(coords: np.ndarray, weights: np.ndarray) -> float:
+    total = weights.sum()
+    if total <= 0:
+        return float(coords[len(coords) // 2])
+    c = np.cumsum(weights)
+    idx = int(np.searchsorted(c, 0.5 * total))
+    return float(coords[min(idx, len(coords) - 1)])
+
+
+def _estimates_from_spec(g, dens, sdens, eta, n_start=None):
+    """(N_est, xi_est, x_est) from |u|^2 and |fftn u|^2.
+
+    N_est is the smallest dyadic N in [2^jlo, 2^jhi] whose ball around
+    xi_est leaves less than eta of the spectral mass outside (2^jhi if
+    none does).  The mass outside is nonincreasing in N, so the search
+    starts at the dyadic n_start (the previous sample's N_est; 2^jlo if
+    None) and steps down or up from there.
+    """
+    d = g.d
+    # spatial center: mass-weighted median per axis
+    x_est = np.empty(d)
+    for j in range(d):
+        other = tuple(a for a in range(d) if a != j)
+        marg = dens.sum(axis=other) if other else dens
+        x_est[j] = _weighted_median(g.axis_x, marg)
+    # frequency center: spectral mass-weighted median per axis
+    korder = np.fft.fftshift(g.axis_k)
+    xi_est = np.empty(d)
+    for j in range(d):
+        other = tuple(a for a in range(d) if a != j)
+        marg = sdens.sum(axis=other) if other else sdens
+        xi_est[j] = _weighted_median(korder, np.fft.fftshift(marg))
+    # concentration scale: smallest dyadic N capturing all but eta of the mass
+    sq = [(g.axis_k - c) ** 2 for c in xi_est]
+    dist2 = sq[0] if d == 1 else sq[0][:, None] + sq[1][None, :]
+    wk = _spectral_weight(g)
+    jlo = int(np.floor(np.log2(g.dk))) - 1
+    jhi = int(np.ceil(np.log2(2.0 * np.pi * g.n / (2.0 * g.L) * (d + 1)))) + 1
+
+    def captured(j):
+        N = 2.0 ** j
+        # the mass outside the ball: scaled in place after the selection,
+        # the same products as selecting from wk * sdens
+        out = sdens[dist2 > N * N]
+        out *= wk
+        return float(out.sum()) < eta
+
+    j = jlo if n_start is None else min(max(int(np.log2(n_start)), jlo), jhi)
+    if captured(j):
+        while j > jlo and captured(j - 1):
+            j -= 1
+    else:
+        while j < jhi:
+            j += 1
+            if captured(j):
+                break
+    return 2.0 ** j, xi_est, x_est
 
 
 def _spectrum(f: Field) -> np.ndarray:

@@ -174,6 +174,19 @@ def test_smooth_envelope_stops_passing_at_the_fixed_point(tmp_path):
     assert outputs[10 ** 9] == outputs[401]
 
 
+def test_smooth_envelope_smooths_once(tmp_path, monkeypatch):
+    # the certificate takes the smoothed envelope the run writes; the parent
+    # smoothed it a second time inside the certificate
+    from mcnls import envelope
+
+    calls = []
+    monkeypatch.setattr(envelope, "smooth",
+                        lambda e, m, smooth=envelope.smooth: (calls.append(m), smooth(e, m))[1])
+    cfg = _envelope_config(tmp_path / "out")
+    assert run_scenario(_write_config(tmp_path, cfg)) == 0
+    assert calls == [3]
+
+
 def test_weight_check_scenario(tmp_path):
     out = tmp_path / "out"
     cfg = {"scenario": "weight-check", "grid": {"d": 1},

@@ -542,6 +542,46 @@ def test_trajectory_bit_equal_to_full_transform_reference(case, dealias, mu, com
         assert scat == scat_ref
 
 
+@pytest.mark.parametrize("case, dealias, mu, masked, block", [
+    ("gaussian-2d-64", True, 1, True, 512),         # 8 blocks of 8 rows
+    ("box-filling-2d-64", True, -1, False, 2048),   # 2 blocks, full phase
+    ("gaussian-2d-64", False, -1, False, 1024),     # 4 blocks, plain pair
+    ("gaussian-2d-128", True, -1, True, 4096),      # 4 blocks of 32 rows
+    ("box-filling-2d-128", False, 1, True, 8192),   # 2 blocks, dense mask
+    ("gaussian-1d-512", True, 1, True, 64),         # the whole line, masked
+    ("box-filling-1d-512", False, -1, False, 64),   # the whole line
+])
+def test_row_blocked_trajectory_bit_equal_to_reference(monkeypatch, case, dealias, mu,
+                                                       masked, block):
+    # the nonlinear stage and the forward row pass run block by block, then
+    # the column pass: every sample stays bit-equal to the full transforms
+    from mcnls import evolution
+
+    kind, d, n = case.rsplit("-", 2)
+    f = (_gaussian if kind == "gaussian" else _box_filling)(int(d[0]), int(n))
+    g = f.grid
+    monkeypatch.setattr(evolution, "BLOCK_POINTS", block)
+    monkeypatch.setattr(evolution, "COMPACT_MIN_POINTS", 0 if masked else g.npoints + 1)
+    boxed, blocks = evolution.boxed_transforms, []
+
+    def counted(grid, dealias):
+        rows, cols, inv = boxed(grid, dealias)
+        return lambda x, out: (blocks.append(x.shape[0]), rows(x, out=out))[1], cols, inv
+
+    monkeypatch.setattr(evolution, "boxed_transforms", counted)
+    cfg = EvolutionConfig(mu=mu, dt=1e-3, t_end=0.023, stride=5, dealias=dealias)
+    got = list(evolution._trajectory(f, cfg))
+    ref = list(_reference_trajectory(f, cfg))
+    per_step = g.n if g.d == 1 else block // g.n
+    assert set(blocks) == {per_step}
+    assert len(blocks) == 23 * (g.n // per_step)
+    assert [s[0] for s in got] == [s[0] for s in ref] == [0, 5, 10, 15, 20, 23]
+    for (_, u, spec, scat), (_, u_ref, spec_ref, scat_ref) in zip(got, ref):
+        assert np.array_equal(u, u_ref)
+        assert np.array_equal(spec, spec_ref)
+        assert scat == scat_ref
+
+
 def test_negligible_phase_angles_give_exact_cos_and_sin():
     # below NEGLIGIBLE_ANGLE libm's cos is 1.0 and its sin the angle itself,
     # which the masked phase relies on to stay bit-equal
@@ -664,13 +704,15 @@ def _traced_peak_in_fields(run, f):
 
 
 def test_evolve_live_set_is_one_sample_and_two_kicks():
-    # in field units (one n^2 complex array): two kicks, the work spectrum and
-    # phase, three real scratch arrays and one sample (u, spec, |u|^2,
-    # |spec|^2) read 10.2 in evolve, the peak being the estimates'
-    # temporaries, and 7.6 for the loop alone when the consumer drops each
-    # sample.  Caching a third kick and holding the previous sample while the
-    # next is built read 12.1 and 9.6; keeping only the observer's previous
-    # densities reads 10.6, only the loop's previous u and spec 8.6.
+    # in field units (one n^2 complex array): two kicks, the work spectrum,
+    # the scat_accum integrand, one block of scratch and one sample (u, spec,
+    # |u|^2, |spec|^2) read 8.7 in evolve, the peak being the estimates'
+    # temporaries, and 6.6 for the loop alone when the consumer drops each
+    # sample (at 128^2 a block is half the grid).  With the full-grid phase
+    # and three real scratch arrays they read 10.2 and 7.6.  Caching a third
+    # kick and holding the previous sample while the next is built read 12.1
+    # and 9.6; keeping only the observer's previous densities reads 10.6,
+    # only the loop's previous u and spec 8.6.
     from mcnls.evolution import _trajectory
 
     f = _gaussian(2, 128)
@@ -682,6 +724,23 @@ def test_evolve_live_set_is_one_sample_and_two_kicks():
 
     assert _traced_peak_in_fields(lambda: evolve(f, cfg), f) < 10.4
     assert _traced_peak_in_fields(loop_alone, f) < 8.0
+
+
+def test_256_squared_step_scratch_is_one_row_block():
+    # at 256^2 a block is an eighth of the grid: evolve reads 7.8 field units
+    # and the loop alone 5.8; with the full-grid phase, |u|^2, phase argument
+    # and cos/sin mask they read 10.1 and 7.6
+    from mcnls.evolution import _trajectory
+
+    f = _gaussian(2, 256)
+    cfg = EvolutionConfig(mu=1, dt=1e-3, t_end=0.02, stride=5, dealias=True)
+
+    def loop_alone():
+        for s in _trajectory(f, cfg):
+            del s
+
+    assert _traced_peak_in_fields(lambda: evolve(f, cfg), f) < 8.6
+    assert _traced_peak_in_fields(loop_alone, f) < 6.5
 
 
 def test_previous_sample_is_released_once_the_next_is_taken():

@@ -447,14 +447,19 @@ def test_boxed_transforms_match_plain_pair_inside_the_box(n):
 
     g = make_grid(2, n, 16.0)
     keep = dealias_mask(g).astype(bool)
-    fwd, inv = boxed_transforms(g, True)
+    rows, cols, inv = boxed_transforms(g, True)
     rng = np.random.default_rng(16)
     x = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     ref = np.fft.fftn(x)
     y = x.copy()
-    assert fwd(y, out=y) is y
+    assert rows(y, out=y) is y
+    assert cols(y) is y
     assert np.array_equal(y[keep], ref[keep])
-    assert np.array_equal(fwd(x, out=np.empty_like(x))[keep], ref[keep])
+    # the row pass runs on any block of rows
+    y, b = np.empty_like(x), n // 4
+    for i in range(0, n, b):
+        rows(x[i:i + b], out=y[i:i + b])
+    assert np.array_equal(cols(y)[keep], ref[keep])
     # the inverse takes a masked spectrum and is bit-equal everywhere
     spec = dealias_mask(g) * x
     ref = np.fft.ifftn(spec)
@@ -466,8 +471,17 @@ def test_boxed_transforms_match_plain_pair_inside_the_box(n):
 def test_boxed_transforms_are_the_plain_pair_in_1d_or_without_dealiasing():
     from mcnls.grid import boxed_transforms, transforms
 
-    assert boxed_transforms(make_grid(1, 512, 16.0), True) == transforms(1)
-    assert boxed_transforms(make_grid(2, 64, 16.0), False) == transforms(2)
+    rows, cols, inv = boxed_transforms(make_grid(1, 512, 16.0), True)
+    assert (rows, inv) == transforms(1)
+    x = np.random.default_rng(16).standard_normal(512) + 0j
+    assert cols(x) is x
+    g = make_grid(2, 64, 16.0)
+    rows, cols, inv = boxed_transforms(g, False)
+    assert inv is transforms(2)[1]
+    x = np.random.default_rng(16).standard_normal(g.shape) + 0j
+    y = rows(x, out=np.empty_like(x))
+    assert cols(y) is y
+    assert np.array_equal(y, np.fft.fftn(x))
 
 
 @pytest.mark.parametrize("d, n", [(1, 256), (2, 64), (2, 128)])
