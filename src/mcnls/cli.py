@@ -398,17 +398,13 @@ def _scenario_smooth_envelope(cfg, outdir: Path, checks: Checks) -> dict:
 
 
 def _scenario_weight_check(cfg, outdir: Path, checks: Checks) -> dict:
-    from .morawetz import build_weights, weight_conditions_check, weight_family_checks
+    from .morawetz import build_weights, weight_family_checks
 
-    d, path = cfg["grid"]["d"], cfg["envelope"]["input"]
-    w = _valid(build_weights, 1 if d is None else d, **cfg["weights"])
+    d = cfg["grid"]["d"]
+    # the unit radius: no profile checked here depends on R
+    w = _valid(build_weights, 1 if d is None else d, R=1.0, **cfg["weights"])
     for name, (value, bound, _) in weight_family_checks(w).items():
         checks.add(f"family_{name}", value, bound)
-    rep = _valid(weight_conditions_check, w,
-                 [(1.0, 0.0)] if path is None else _load_envelope(path))
-    checks.add("potential_sup", rep.sup_a, rep.sup_a_bound)
-    if rep.dt_l1 is not None:
-        checks.add("potential_dt_l1", rep.dt_l1, rep.dt_l1_bound)
     return {"checks": len(checks)}
 
 
@@ -425,8 +421,7 @@ _SCENARIOS = {
     "morawetz": (_scenario_morawetz, (*_TRAJECTORY, "weights.M", "weights.R")),
     "smooth-envelope": (_scenario_smooth_envelope, ("envelope.J0?", "envelope.m", "envelope.input")),
     "gn-check": (_scenario_gn_check, _GRID),
-    "weight-check": (_scenario_weight_check,
-                     ("grid.d?", "weights.M", "weights.R", "envelope.input?")),
+    "weight-check": (_scenario_weight_check, ("grid.d?", "weights.M")),
 }
 SCENARIOS = tuple(_SCENARIOS)
 

@@ -190,10 +190,24 @@ def test_smooth_envelope_smooths_once(tmp_path, monkeypatch):
 def test_weight_check_scenario(tmp_path):
     out = tmp_path / "out"
     cfg = {"scenario": "weight-check", "grid": {"d": 1},
-           "weights": {"M": 8, "R": 4}, "output": {"dir": str(out)}}
+           "weights": {"M": 8}, "output": {"dir": str(out)}}
     assert run_scenario(_write_config(tmp_path, cfg)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert all(v["passed"] for v in manifest["checks"].values())
+
+
+@pytest.mark.parametrize("section, keys, named", [
+    ("weights", {"M": 8, "R": 4}, "does not read weights.R"),
+    ("envelope", {"input": "bundled:sawtooth"}, "does not read a 'envelope' section"),
+], ids=["weights.R", "envelope.input"])
+def test_weight_check_reads_no_radius_and_no_envelope(tmp_path, section, keys, named):
+    # no check it writes depends on R or on an envelope; both ran to exit 0
+    out = tmp_path / "out"
+    cfg = dict(_weight_check_config(out), **{section: keys})
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure == f"config error: the weight-check scenario {named}"
+    assert _only_manifest_written(out)
 
 
 def test_manifest_written_on_failure(tmp_path):
@@ -301,7 +315,7 @@ def _envelope_config(outdir):
 
 def _weight_check_config(outdir):
     return {"scenario": "weight-check", "grid": {"d": 1},
-            "weights": {"M": 8, "R": 4}, "output": {"dir": str(outdir)}}
+            "weights": {"M": 8}, "output": {"dir": str(outdir)}}
 
 
 _GRID_2D = {"d": 2, "n": 64, "L": 8.0}
@@ -604,9 +618,8 @@ def test_each_scenario_loads_only_its_own_modules(tmp_path, base):
     assert loaded == _SCENARIO_LOADS[cfg["scenario"]]
 
 
-def test_2d_weight_check_with_envelope_runs_without_scipy(tmp_path):
-    cfg = dict(_weight_check_config(tmp_path / "out"), grid={"d": 2},
-               envelope={"input": "bundled:sawtooth"})
+def test_2d_weight_check_runs_without_scipy(tmp_path):
+    cfg = dict(_weight_check_config(tmp_path / "out"), grid={"d": 2})
     p = _write_config(tmp_path, cfg)
     code = ("import json, sys; from mcnls.cli import run_scenario; "
             f"code = run_scenario({str(p)!r}); "
@@ -615,7 +628,7 @@ def test_2d_weight_check_with_envelope_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, []]
     checks = json.loads((tmp_path / "out" / "manifest.json").read_text())["checks"]
-    assert checks["potential_dt_l1"]["value"] > 0
+    assert checks["family_phi_monotone"]["passed"]
 
 
 @pytest.mark.parametrize("content", [b'{"scenario": "simulate",', b'{"scenario": "\xff"}'],
@@ -629,13 +642,12 @@ def test_config_that_is_not_json_is_config_error(tmp_path, monkeypatch, content)
     assert failure.startswith("config error:")
 
 
-@pytest.mark.parametrize("base", [_envelope_config, _weight_check_config])
 @pytest.mark.parametrize("rows", ["0,0\n1,x\n", "0,0\n1,1\n"], ids=["N-not-integer", "N-positive"])
-def test_corrupt_envelope_csv_is_config_error(tmp_path, base, rows):
+def test_corrupt_envelope_csv_is_config_error(tmp_path, rows):
     out = tmp_path / "out"
     csv = tmp_path / "envelope.csv"
     csv.write_text("# J0=2.0\nt,N\n" + rows)
-    cfg = base(out)
+    cfg = _envelope_config(out)
     cfg["envelope"] = {"input": str(csv)}
     assert run_scenario(_write_config(tmp_path, cfg)) == 2
     assert json.loads((out / "manifest.json").read_text())["failure"].startswith("config error:")
@@ -653,21 +665,18 @@ def _sawtooth_rows():
 _NAN_ROWS = "\n".join(["0,0", "nan,-1", *_sawtooth_rows()[2:]]) + "\n"
 
 
-@pytest.mark.parametrize("base", [_envelope_config, _with(_weight_check_config, grid={"d": 2})],
-                         ids=["smooth-envelope", "weight-check-2d"])
 @pytest.mark.parametrize("text, rule", [
     ("# J0=2.0\nt,N\n" + _NAN_ROWS, "breakpoint times must be finite"),
     ("# J0=2.0\nt,N\n0,0\n1,-1\ninf,0\n", "breakpoint times must be finite"),
     ("# J0=inf\nt,N\n0,0\n1,-1\n2,0\n", "lattice ratio J0 must be finite"),
 ], ids=["time-nan", "time-inf", "J0-inf"])
-def test_non_finite_envelope_csv_is_config_error(tmp_path, base, text, rule):
+def test_non_finite_envelope_csv_is_config_error(tmp_path, text, rule):
     # these envelopes used to pass validation: smooth-envelope exited 1 on the
-    # NaN row and 0 on J0 = inf, and a 2D weight-check passed potential_dt_l1
-    # at 0.0 because the NaN slope never compared greater than its maximum
+    # NaN row and 0 on J0 = inf
     out = tmp_path / "out"
     csv = tmp_path / "envelope.csv"
     csv.write_text(text)
-    cfg = base(out)
+    cfg = _envelope_config(out)
     cfg["envelope"] = {"input": str(csv)}
     assert run_scenario(_write_config(tmp_path, cfg)) == 2
     assert json.loads((out / "manifest.json").read_text())["failure"] == f"config error: {rule}"
@@ -803,8 +812,7 @@ def _full_config(scenario, kind, outdir):
            "ground-state": {"grid": {"d": 1, "n": 256, "L": 20.0}},
            "gn-check": {"grid": {"d": 1, "n": 256, "L": 20.0}},
            "smooth-envelope": {"envelope": {"J0": 2.0, "m": 3, "input": "bundled:sawtooth"}},
-           "weight-check": {"grid": {"d": 1}, "weights": {"M": 8, "R": 4},
-                            "envelope": {"input": "bundled:sawtooth"}}}[scenario]
+           "weight-check": {"grid": {"d": 1}, "weights": {"M": 8}}}[scenario]
     cfg = json.loads(json.dumps(dict(cfg, scenario=scenario)))
     cfg.setdefault("output", {})["dir"] = str(outdir)
     return cfg
@@ -912,11 +920,10 @@ def test_a_missing_required_key_is_a_config_error(tmp_path, scenario, kind, sect
     (lambda out: _sim_config(out, initial={"kind": "soliton"}),
      {"initial": {"amplitude": 5.0, "k0": [0.3], "t0": -2.0}}),
     (_weight_check_config,
-     {"grid": {"n": 8, "L": 1.0}, "envelope": {"m": 3, "J0": 2.0},
-      "output": {"emit_snapshots": True}}),
+     {"grid": {"n": 8, "L": 1.0}, "weights": {"R": 4.0}, "output": {"emit_snapshots": True}}),
     (_morawetz_config,
      {"initial": {"xi0": [0.3], "path": "initial.mcnls"}, "output": {"emit_snapshots": True}}),
-], ids=["soliton-with-amplitude", "weight-check-with-grid-and-envelope",
+], ids=["soliton-with-amplitude", "weight-check-with-grid-and-R",
         "morawetz-gaussian-with-snapshot-keys"])
 def test_keys_a_run_would_ignore_are_config_errors(tmp_path, base, unread):
     # each of these ran to exit 0 with the keys ignored: the soliton's
@@ -933,10 +940,10 @@ def test_keys_a_run_would_ignore_are_config_errors(tmp_path, base, unread):
     assert _only_manifest_written(out)
 
 
-@pytest.mark.parametrize("section", ["output", "envelope", "grid"])
+@pytest.mark.parametrize("section", ["output", "grid"])
 def test_an_empty_section_is_a_config_error(tmp_path, monkeypatch, section):
-    # weight-check reads grid.d and envelope.input only when given; an
-    # empty section sets nothing and is not taken for an absent one
+    # weight-check reads grid.d only when given; an empty section sets
+    # nothing and is not taken for an absent one
     monkeypatch.chdir(tmp_path)
     cfg = dict(_weight_check_config(tmp_path / "mcnls-out"), **{section: {}})
     assert run_scenario(_write_config(tmp_path, cfg)) == 2
@@ -1120,20 +1127,13 @@ def test_cli_pins_blas_threads_unless_set(tmp_path):
     assert csv[True] == csv[False]
 
 
-def test_weight_check_on_an_overflowing_envelope_slope_is_config_error(tmp_path):
-    # the second node lies 5e-324 after the first, so the slope overflows; the
-    # 2D weight-check used to pass potential_dt_l1 at inf against inf
+def test_smooth_envelope_on_an_overflowing_envelope_slope_runs(tmp_path):
+    # the second node lies 5e-324 after the first, so its slope overflows;
+    # smoothing forms no slope, so the envelope smooths and certifies
     csv = tmp_path / "envelope.csv"
     csv.write_text("# J0=2.0\nt,N\n0,0\n5e-324,-1\n1,-1\n")
-    out = tmp_path / "out"
-    cfg = dict(_weight_check_config(out), grid={"d": 2}, envelope={"input": str(csv)})
-    assert run_scenario(_write_config(tmp_path, cfg)) == 2
-    failure = json.loads((out / "manifest.json").read_text())["failure"]
-    assert failure.startswith("config error: envelope segment 0 has value 0.5 and slope -inf")
-    # smoothing forms no slope: the same envelope smooths and certifies
-    smooth = tmp_path / "smooth"
-    cfg = dict(_envelope_config(smooth), envelope={"m": 1, "input": str(csv)})
-    assert run_scenario(_write_config(tmp_path, cfg, "smooth.json")) == 0
+    cfg = dict(_envelope_config(tmp_path / "out"), envelope={"m": 1, "input": str(csv)})
+    assert run_scenario(_write_config(tmp_path, cfg)) == 0
 
 
 @pytest.mark.parametrize("value, threshold, expected", [
@@ -1149,22 +1149,6 @@ def test_checks_pass_when_value_is_within_threshold(value, threshold, expected):
     assert checks["c"]["threshold"] == threshold
 
 
-@pytest.mark.parametrize("d, R, csv, failure", [
-    (1, 1e308, None, "config error: potential_sup reads inf against inf"),
-    (2, 4, "# J0=1.0000001\nt,N\n0,0\n1e308,-1\n", "config error: envelope segment 0 has "),
-], ids=["sup-overflow", "rate-subnormal"])
-def test_weight_check_beyond_double_precision_is_config_error(tmp_path, d, R, csv, failure):
-    # 2 M R overflowed and potential_sup passed at inf against inf; a subnormal
-    # |N'|/N^3 kept only some digits of potential_dt_l1's value-to-threshold ratio
-    out = tmp_path / "out"
-    cfg = dict(_weight_check_config(out), grid={"d": d}, weights={"M": 8, "R": R})
-    if csv is not None:
-        (tmp_path / "envelope.csv").write_text(csv)
-        cfg["envelope"] = {"input": str(tmp_path / "envelope.csv")}
-    assert run_scenario(_write_config(tmp_path, cfg)) == 2
-    assert json.loads((out / "manifest.json").read_text())["failure"].startswith(failure)
-
-
 @pytest.mark.parametrize("scenario", ["ground-state", "gn-check"])
 def test_solver_failure_on_a_box_that_holds_q_exits_1(tmp_path, monkeypatch, scenario):
     import mcnls.ground_state
@@ -1178,16 +1162,6 @@ def test_solver_failure_on_a_box_that_holds_q_exits_1(tmp_path, monkeypatch, sce
     assert run_scenario(_write_config(tmp_path, _grid_scenario_config(scenario)(out))) == 1
     failure = json.loads((out / "manifest.json").read_text())["failure"]
     assert failure.startswith("PetviashviliError: no convergence in 500 iterations")
-
-
-def test_weight_check_on_a_deep_envelope_is_config_error(tmp_path):
-    # N^3 underflows to 0 from N = 2^-359 on; this used to fail potential_dt_l1 at inf
-    csv = tmp_path / "envelope.csv"
-    csv.write_text("# J0=2\nt,N\n" + "".join(f"{i},{-i}\n" for i in range(401)))
-    cfg = dict(_weight_check_config(tmp_path / "out"), grid={"d": 2}, envelope={"input": str(csv)})
-    assert run_scenario(_write_config(tmp_path, cfg)) == 2
-    failure = json.loads((tmp_path / "out" / "manifest.json").read_text())["failure"]
-    assert failure.startswith("config error: envelope segment 358 has |N'|/N^3 = inf")
 
 
 def test_smooth_envelope_with_a_huge_j0_exits_on_its_certificates(tmp_path):
@@ -1266,8 +1240,7 @@ def test_readme_manifest_checks_are_each_scenarios_checks(tmp_path, scenario, d)
     grid = {"d": 1, "n": 256, "L": 20.0}  # for ground-state and gn-check
     cfg = {"simulate": _sim_config(out), "morawetz": _morawetz_config(out),
            "smooth-envelope": _envelope_config(out),
-           "weight-check": dict(_weight_check_config(out), grid={"d": d},
-                                envelope={"input": "bundled:sawtooth"}),
+           "weight-check": dict(_weight_check_config(out), grid={"d": d}),
            }.get(scenario, {"scenario": scenario, "grid": grid, "output": {"dir": str(out)}})
     assert run_scenario(_write_config(tmp_path, cfg)) == 0
     checks = json.loads((out / "manifest.json").read_text())["checks"]

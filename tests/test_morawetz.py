@@ -874,6 +874,26 @@ def test_weight_conditions_check_rejects_an_overflowing_envelope_slope(weights):
         weight_conditions_check(weights(2, 8.0, 4.0), env)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("M", [4.0, 8.0, 16.0, 32.0, 64.0])
+def test_potential_conditions_follow_from_phi_bounded(weights, d, M):
+    # sup_a / bound = F_total / (2M) <= max phi, and in 2D
+    # dt_l1 / bound = I / ((32/3) M^3) <= max phi / 4, as int_0^{2M} rho^2 phi
+    # <= (8/3) M^3 max phi: neither verdict can fail while phi_bounded passes
+    w = weights(d, M, 4.0)
+    phi_max = weight_family_checks(w)["phi_bounded"][0]
+    rep = weight_conditions_check(w, [(1.0, 1.0)])
+    assert rep.sup_a / rep.sup_a_bound <= phi_max
+    if d == 2:
+        assert 0.0 < rep.dt_l1 / rep.dt_l1_bound <= phi_max / 4.0
+
+
+def test_weight_conditions_check_rejects_a_sup_that_overflows(weights):
+    # 2 M R overflows, and the sup used to pass at inf against inf
+    with pytest.raises(ValueError, match="potential_sup reads inf against inf"):
+        weight_conditions_check(weights(1, 8.0, 1e308), [(1.0, 0.0)])
+
+
 @pytest.mark.parametrize("segments, message", [
     ([(1.0, 0.0), (1e-110, 1.0)], "envelope segment 1 has |N'|/N^3 = inf"),
     ([(1e-102, 1.0)], "envelope segment 0 has |N'|/N^3 = 1.0000000000000003e+306, "
