@@ -268,7 +268,7 @@ def _scenario_simulate(cfg, outdir: Path, checks: Checks) -> dict:
     if emit:
         write_snapshot(final, outdir / "final.mcnls")
     m0 = series.mass[0]
-    drift = max(abs(m - m0) for m in series.mass) / m0
+    drift = max(abs(m - m0) for m in series.mass) / max(m0, 1e-300)
     checks.add("mass_drift", drift, 1e-10)
     if series.outcome == "completed":
         e0 = series.energy[0]

@@ -107,6 +107,8 @@ class EvolutionConfig:
             raise ValueError("dt must be positive and finite")
         if not 0 <= self.t_end < np.inf:
             raise ValueError("t_end must be finite and nonnegative")
+        if not self.t_end / self.dt < np.inf:
+            raise ValueError(f"t_end / dt = {self.t_end!r} / {self.dt!r} overflows: no step count")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
 
@@ -429,12 +431,13 @@ def admissible(p: float, q: float, d: int) -> bool:
 
 
 def strichartz_norm(times, fields, p: float, q: float) -> float:
-    """Trapezoid-in-time L^p_t L^q_x norm of a sampled trajectory."""
+    """Trapezoid-in-time L^p_t L^q_x norm of a sampled trajectory (p = inf: the largest sample)."""
     if p < 1 or q < 1:
         raise ValueError("exponents must be >= 1")
-    t = np.asarray(times, dtype=float)
-    vals = np.array([lp_norm(f, q) ** p for f in fields])
-    return float(np.trapezoid(vals, t) ** (1.0 / p))
+    norms = [lp_norm(f, q) for f in fields]
+    if p == np.inf:
+        return max(norms)
+    return float(np.trapezoid([v ** p for v in norms], np.asarray(times, dtype=float)) ** (1 / p))
 
 
 def variance_blowup_time(f: Field, mu: int):

@@ -92,6 +92,16 @@ def test_simulate_writes_artifacts(tmp_path):
     assert text.splitlines()[0].startswith("t,mass,energy")
 
 
+@pytest.mark.parametrize("amplitude", [0.0, 1e-200], ids=["zero", "underflows"])
+def test_simulate_on_zero_mass_data_runs(tmp_path, amplitude):
+    # mass(0) is 0 (|u|^2 underflows at 1e-200): mass_drift divided by it
+    out = tmp_path / "out"
+    cfg = _sim_config(out, initial={"kind": "gaussian", "amplitude": amplitude})
+    assert run_scenario(_write_config(tmp_path, cfg)) == 0
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    assert checks["mass_drift"]["value"] == checks["energy_drift"]["value"] == 0.0
+
+
 def test_simulate_deterministic_output(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     p1 = _write_config(tmp_path, _sim_config(out1), "a.json")
@@ -468,13 +478,18 @@ def _with(base, **sections):
      {"d": 2, "n": 32, "L": 1e-20}, "grid.L = 1e-20"),
     (_with(_morawetz_config, initial={"kind": "boosted-soliton", "xi0": [0.0, 0.0]}), "grid",
      {"d": 2, "n": 32, "L": 1e-20}, "grid.L = 1e-20"),
+    # t_end / dt overflows, and round(inf) steps ended the run with OverflowError
+    (_sim_config, "evolution", {"dt": 5e-324, "t_end": 1.0}, "t_end / dt = 1.0 / 5e-324"),
+    (_sim_config, "evolution", {"t_end": 1e306}, "t_end / dt = 1e+306 / 0.001"),
+    (_morawetz_config, "evolution", {"t_end": 1e306}, "t_end / dt = 1e+306 / 0.001"),
 ], ids=["dt-string", "amplitude-true", "L-true", "seed", "envelope-list", "input-number",
         "weight-check-m-string", "n-2**40", "2d-n-2048", "snapshot-grid",
         "morawetz-snapshot-grid", "ground-state-box-too-small", "gn-check-box-too-small",
         "ground-state-collapse", "gn-check-collapse", "ground-state-2d-collapse",
         "gn-check-2d-collapse", "simulate-soliton-2d-collapse",
         "simulate-boosted-soliton-2d-collapse", "morawetz-soliton-2d-collapse",
-        "morawetz-boosted-soliton-2d-collapse"])
+        "morawetz-boosted-soliton-2d-collapse", "steps-dt-tiny", "steps-t_end-huge",
+        "morawetz-steps-t_end-huge"])
 def test_bad_config_names_its_key(tmp_path, base, section, changes, named):
     out = tmp_path / "out"
     cfg = base(out)

@@ -34,6 +34,13 @@ def test_config_validation():
         EvolutionConfig(mu=1, dt=1e-3, t_end=1.0, stride=0)
 
 
+@pytest.mark.parametrize("dt, t_end", [(5e-324, 1.0), (1e-3, 1e306)])
+def test_config_rejects_a_step_count_that_overflows(dt, t_end):
+    # evolve took round(inf) steps and raised OverflowError
+    with pytest.raises(ValueError, match=r"t_end / dt = .* overflows"):
+        EvolutionConfig(mu=1, dt=dt, t_end=t_end)
+
+
 def test_plane_wave_dispersion_relation(grid512):
     # A e^{i(k0 x + w t)} with w = -k0^2 - mu |A|^4 is an exact solution
     g = grid512
@@ -211,6 +218,18 @@ def test_strichartz_soliton_growth(q512):
     full = strichartz_norm(times, fields, 6, 6)
     slope = np.log(full / half) / np.log(2.0)
     assert slope == pytest.approx(1.0 / 6.0, rel=0.02)
+
+
+def test_strichartz_norm_at_p_inf_is_the_largest_sampled_norm(grid512):
+    # |a|^inf is inf or 0 and its 1/inf-th power 1.0, whatever the trajectory
+    g = grid512
+    u = Field(g, 3.0 * np.exp(-g.axis_x ** 2 / 2.0))
+    fields = [u]
+    for _ in range(4):
+        fields.append(step_strang(fields[-1], 1e-2, 1))
+    norms = strichartz_norm(np.arange(5) * 1e-2, fields, np.inf, 2)
+    assert norms == pytest.approx(max(np.sqrt(mass(f)) for f in fields), rel=1e-14)
+    assert norms > 3.0
 
 
 def test_concentration_estimates_symmetry(q20):
