@@ -92,16 +92,6 @@ def test_simulate_writes_artifacts(tmp_path):
     assert text.splitlines()[0].startswith("t,mass,energy")
 
 
-@pytest.mark.parametrize("amplitude", [0.0, 1e-200], ids=["zero", "underflows"])
-def test_simulate_on_zero_mass_data_runs(tmp_path, amplitude):
-    # mass(0) is 0 (|u|^2 underflows at 1e-200): mass_drift divided by it
-    out = tmp_path / "out"
-    cfg = _sim_config(out, initial={"kind": "gaussian", "amplitude": amplitude})
-    assert run_scenario(_write_config(tmp_path, cfg)) == 0
-    checks = json.loads((out / "manifest.json").read_text())["checks"]
-    assert checks["mass_drift"]["value"] == checks["energy_drift"]["value"] == 0.0
-
-
 def test_simulate_deterministic_output(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     p1 = _write_config(tmp_path, _sim_config(out1), "a.json")
@@ -300,6 +290,9 @@ _DELETE = object()
     ("grid", "L", 1e300, 2),
     ("grid", "L", 5e-324, 2),
     ("initial", "tol", 1e-10, 2),
+    # data of zero mass (|u|^2 underflows at 1e-200): simulate divided by mass(0)
+    ("initial", "amplitude", 0.0, 0),
+    ("initial", "amplitude", 1e-200, 0),
 ], ids=lambda v: "missing" if v is _DELETE else None)
 def test_evolution_and_grid_config_values(tmp_path, scenario, section, key, value, code):
     out = tmp_path / "out"

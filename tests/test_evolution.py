@@ -32,13 +32,10 @@ def test_config_validation():
         EvolutionConfig(mu=1, dt=1e-3, t_end=-1.0)
     with pytest.raises(ValueError):
         EvolutionConfig(mu=1, dt=1e-3, t_end=1.0, stride=0)
-
-
-@pytest.mark.parametrize("dt, t_end", [(5e-324, 1.0), (1e-3, 1e306)])
-def test_config_rejects_a_step_count_that_overflows(dt, t_end):
     # evolve took round(inf) steps and raised OverflowError
-    with pytest.raises(ValueError, match=r"t_end / dt = .* overflows"):
-        EvolutionConfig(mu=1, dt=dt, t_end=t_end)
+    for dt, t_end in [(5e-324, 1.0), (1e-3, 1e306)]:
+        with pytest.raises(ValueError, match=r"t_end / dt = .* overflows"):
+            EvolutionConfig(mu=1, dt=dt, t_end=t_end)
 
 
 def test_plane_wave_dispersion_relation(grid512):
@@ -227,9 +224,9 @@ def test_strichartz_norm_at_p_inf_is_the_largest_sampled_norm(grid512):
     fields = [u]
     for _ in range(4):
         fields.append(step_strang(fields[-1], 1e-2, 1))
-    norms = strichartz_norm(np.arange(5) * 1e-2, fields, np.inf, 2)
-    assert norms == pytest.approx(max(np.sqrt(mass(f)) for f in fields), rel=1e-14)
-    assert norms > 3.0
+    norm = strichartz_norm(np.arange(5) * 1e-2, fields, np.inf, 2)
+    assert norm == pytest.approx(max(np.sqrt(mass(f)) for f in fields), rel=1e-14)
+    assert norm > 3.0
 
 
 def test_concentration_estimates_symmetry(q20):
