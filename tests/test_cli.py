@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from mcnls import Field, make_grid, read_snapshot, write_snapshot
 from mcnls.cli import (
-    _INITIAL_KINDS, _SCHEMA, SCENARIOS, Checks, _parse, _reads, main, run_scenario,
+    _INITIAL_KINDS, _SCHEMA, MAX_WEIGHTS_M, SCENARIOS, Checks, _parse, _reads, main, run_scenario,
 )
 
 
@@ -44,8 +44,7 @@ def test_version_and_help(capsys):
         main(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for scenario in ("simulate", "ground-state", "morawetz", "smooth-envelope",
-                     "gn-check", "weight-check"):
+    for scenario in SCENARIOS:
         assert scenario in out
 
 
@@ -110,13 +109,15 @@ def test_soliton_simulation_conserves(tmp_path):
     assert manifest["checks"]["mass_drift"]["value"] <= 1e-10
 
 
-def test_gn_check_scenario(tmp_path):
+def test_gn_check_is_an_unknown_scenario(tmp_path):
+    # ground-state certifies Q's extremality and runs the random fields
     out = tmp_path / "out"
     cfg = {"scenario": "gn-check", "grid": {"d": 1, "n": 1024, "L": 20.0},
            "output": {"dir": str(out)}}
-    assert run_scenario(_write_config(tmp_path, cfg)) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["checks"]["extremizer_ratio"]["value"] <= 1e-4
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure.startswith("config error: unknown scenario 'gn-check'")
+    assert _only_manifest_written(out)
 
 
 def test_ground_state_scenario(tmp_path):
@@ -124,10 +125,13 @@ def test_ground_state_scenario(tmp_path):
     cfg = {"scenario": "ground-state", "grid": {"d": 1, "n": 1024, "L": 20.0},
            "output": {"dir": str(out)}}
     assert run_scenario(_write_config(tmp_path, cfg)) == 0
-    sidecar = json.loads((out / "ground_state.json").read_text())
-    assert sidecar["mass_sq"] == pytest.approx(np.sqrt(3) * np.pi / 2, abs=1e-5)
-    assert set(sidecar) == {"mass_sq", "gn_constant", "residual"}
-    assert (out / "ground_state.mcnls").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    detail, checks = manifest["detail"], manifest["checks"]
+    assert detail["mass_sq"] == pytest.approx(np.sqrt(3) * np.pi / 2, abs=1e-5)
+    assert set(detail) == {"mass_sq", "gn_constant", "residual", "gn_ratio", "worst_random_ratio"}
+    assert abs(detail["gn_ratio"] - 1.0) <= 1e-4
+    assert detail["worst_random_ratio"] == checks["random_field_ratio"]["value"] < 1.0
+    assert sorted(p.name for p in out.iterdir()) == ["ground_state.mcnls", "manifest.json"]
 
 
 def test_morawetz_scenario(tmp_path):
@@ -456,12 +460,9 @@ def _with(base, **sections):
     (_on_snapshot(_sim_config), "initial", {}, "initial.path"),
     (_on_snapshot(_morawetz_config), "initial", {}, "initial.path"),
     (_grid_scenario_config("ground-state"), "grid", {"L": 1e-20}, "grid.L = 1e-20"),
-    (_grid_scenario_config("gn-check"), "grid", {"L": 1e-20}, "grid.L = 1e-20"),
     # the solver's iterate collapses to zero before Q exists
     (_grid_scenario_config("ground-state"), "grid", {"L": 1e-150}, "grid.L = 1e-150"),
-    (_grid_scenario_config("gn-check"), "grid", {"L": 1e-150}, "grid.L = 1e-150"),
     (_grid_scenario_config("ground-state"), "grid", {"d": 2, "n": 32, "L": 1e-20}, "grid.L = 1e-20"),
-    (_grid_scenario_config("gn-check"), "grid", {"d": 2, "n": 32, "L": 1e-20}, "grid.L = 1e-20"),
     # 2D soliton data come from the same solver under the same box rule
     (_with(_sim_config, initial={"kind": "soliton"}), "grid",
      {"d": 2, "n": 32, "L": 1e-20}, "grid.L = 1e-20"),
@@ -477,9 +478,8 @@ def _with(base, **sections):
     (_morawetz_config, "evolution", {"t_end": 1e306}, "t_end / dt = 1e+306 / 0.001"),
 ], ids=["dt-string", "amplitude-true", "L-true", "seed", "envelope-list", "input-number",
         "weight-check-m-string", "n-2**40", "2d-n-2048", "snapshot-grid",
-        "morawetz-snapshot-grid", "ground-state-box-too-small", "gn-check-box-too-small",
-        "ground-state-collapse", "gn-check-collapse", "ground-state-2d-collapse",
-        "gn-check-2d-collapse", "simulate-soliton-2d-collapse",
+        "morawetz-snapshot-grid", "ground-state-box-too-small", "ground-state-collapse",
+        "ground-state-2d-collapse", "simulate-soliton-2d-collapse",
         "simulate-boosted-soliton-2d-collapse", "morawetz-soliton-2d-collapse",
         "morawetz-boosted-soliton-2d-collapse", "steps-dt-tiny", "steps-t_end-huge",
         "morawetz-steps-t_end-huge"])
@@ -544,7 +544,7 @@ def test_snapshot_on_the_config_grid_runs(tmp_path):
 
 
 _SMALL_CONFIGS = [_sim_config, _morawetz_config, _envelope_config, _weight_check_config,
-                  _grid_scenario_config("ground-state"), _grid_scenario_config("gn-check")]
+                  _grid_scenario_config("ground-state")]
 _KEYS = [(section, key) for section, keys in _SCHEMA.items() for key in keys]
 _TEXT, _BOOL, _NULL = st.text(max_size=4), st.booleans(), st.none()
 _OBJECT = st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
@@ -594,8 +594,8 @@ def test_every_small_config_runs_without_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     codes, loaded = json.loads(proc.stdout)
-    # every runner ran to its checks (the n = 64 ground states fail theirs, exit 1)
-    assert len(codes) == 6 and 2 not in codes
+    # every runner ran to its checks (the n = 64 ground state fails its own, exit 1)
+    assert len(codes) == len(SCENARIOS) and 2 not in codes
     assert loaded == []
 
 
@@ -605,8 +605,7 @@ _OPTIONAL_MODULES = ("mcnls.morawetz", "mcnls.envelope", "mcnls.projections", "n
 _SCENARIO_LOADS = {"simulate": [], "morawetz": ["mcnls.morawetz", "mcnls.piecewise"],
                    "smooth-envelope": ["mcnls.envelope"],
                    "weight-check": ["mcnls.morawetz", "mcnls.piecewise"],
-                   "ground-state": ["mcnls.ground_state", "mcnls.piecewise"],
-                   "gn-check": ["mcnls.ground_state", "mcnls.piecewise"]}
+                   "ground-state": ["mcnls.ground_state", "mcnls.piecewise"]}
 
 
 @pytest.mark.parametrize("base", _SMALL_CONFIGS,
@@ -754,6 +753,12 @@ def test_readme_lists_every_config_key():
         assert named == {s for s in SCENARIOS if key in _reads(s)}, key
 
 
+def test_readme_scenarios_line_is_the_cli_scenarios():
+    line = " ".join(_readme().split("\nScenarios: ", 1)[1].split("\n\n", 1)[0].split())
+    assert re.fullmatch(r"(`[a-z-]+`, )*`[a-z-]+`\.", line), line
+    assert tuple(re.findall(r"`([a-z-]+)`", line)) == SCENARIOS
+
+
 def test_readme_example_config_parses():
     example = _readme().split("```json\n", 1)[1].split("```", 1)[0]
     cfg = _parse(json.loads(example))
@@ -793,7 +798,7 @@ def test_section_the_scenario_does_not_read_is_a_config_error(tmp_path, scenario
 
 def test_every_schema_key_is_read_by_some_scenario_or_kind():
     assert SCENARIOS == ("simulate", "ground-state", "morawetz", "smooth-envelope",
-                         "gn-check", "weight-check")
+                         "weight-check")
     assert set().union(*map(_reads, SCENARIOS)) == {f"{s}.{k}" for s, k in _KEYS}
 
 
@@ -818,7 +823,6 @@ def _full_config(scenario, kind, outdir):
            "morawetz": {"grid": grid, "evolution": evolution, "initial": initial,
                         "weights": {"M": 8, "R": 4}},
            "ground-state": {"grid": {"d": 1, "n": 256, "L": 20.0}},
-           "gn-check": {"grid": {"d": 1, "n": 256, "L": 20.0}},
            "smooth-envelope": {"envelope": {"J0": 2.0, "m": 3, "input": "bundled:sawtooth"}},
            "weight-check": {"grid": {"d": 1}, "weights": {"M": 8}}}[scenario]
     cfg = json.loads(json.dumps(dict(cfg, scenario=scenario)))
@@ -1157,8 +1161,7 @@ def test_checks_pass_when_value_is_within_threshold(value, threshold, expected):
     assert checks["c"]["threshold"] == threshold
 
 
-@pytest.mark.parametrize("scenario", ["ground-state", "gn-check"])
-def test_solver_failure_on_a_box_that_holds_q_exits_1(tmp_path, monkeypatch, scenario):
+def test_solver_failure_on_a_box_that_holds_q_exits_1(tmp_path, monkeypatch):
     import mcnls.ground_state
     from mcnls.ground_state import PetviashviliError
 
@@ -1167,9 +1170,96 @@ def test_solver_failure_on_a_box_that_holds_q_exits_1(tmp_path, monkeypatch, sce
 
     monkeypatch.setattr(mcnls.ground_state, "solve_petviashvili", failing)
     out = tmp_path / "out"
-    assert run_scenario(_write_config(tmp_path, _grid_scenario_config(scenario)(out))) == 1
+    assert run_scenario(_write_config(tmp_path, _grid_scenario_config("ground-state")(out))) == 1
     failure = json.loads((out / "manifest.json").read_text())["failure"]
     assert failure.startswith("PetviashviliError: no convergence in 500 iterations")
+
+
+def _counting(monkeypatch, module, name):
+    """The calls to module.name, counted in a list that the call appends to."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _soliton_2d_config(scenario, outdir):
+    """A 2D boosted-soliton run of scenario: its initial data are a Petviashvili solve."""
+    cfg = dict(_sim_config(outdir) if scenario == "simulate" else _morawetz_config(outdir),
+               grid={"d": 2, "n": 64, "L": 16.0},
+               initial={"kind": "boosted-soliton", "xi0": [0.0, 0.0]})
+    return json.loads(json.dumps(cfg))
+
+
+def _count_solves_and_builds(monkeypatch):
+    import mcnls.ground_state
+    import mcnls.morawetz
+
+    return (_counting(monkeypatch, mcnls.ground_state, "solve_petviashvili"),
+            _counting(monkeypatch, mcnls.morawetz, "build_weights"))
+
+
+@pytest.mark.parametrize("scenario", ["simulate", "morawetz"])
+def test_bad_end_time_exits_before_the_first_solve(tmp_path, monkeypatch, scenario):
+    solves, builds = _count_solves_and_builds(monkeypatch)
+    out = tmp_path / "out"
+    cfg = _soliton_2d_config(scenario, out)
+    cfg["evolution"]["t_end"] = 0.0015
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure.startswith("config error: evolution.t_end 0.0015 is not a whole number")
+    assert solves == [] and builds == []
+
+
+@pytest.mark.parametrize("scenario, M", [("weight-check", 1e12), ("weight-check", MAX_WEIGHTS_M + 1),
+                                         ("morawetz", 1e12)])
+def test_weights_m_past_the_cap_is_config_error(tmp_path, monkeypatch, scenario, M):
+    # a 2D weight-check at M = 1e12 asked for a 2.27 PiB table and exited 1
+    import time
+
+    solves, builds = _count_solves_and_builds(monkeypatch)
+    out = tmp_path / "out"
+    cfg = (dict(_weight_check_config(out), grid={"d": 2}) if scenario == "weight-check"
+           else _soliton_2d_config(scenario, out))
+    cfg["weights"]["M"] = M
+    t0 = time.perf_counter()
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    assert time.perf_counter() - t0 < 1.0
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure == f"config error: weights.M = {float(M)!r} is more than {MAX_WEIGHTS_M}"
+    assert solves == [] and builds == []
+
+
+def test_weights_m_at_the_cap_builds(tmp_path):
+    out = tmp_path / "out"
+    cfg = dict(_weight_check_config(out), grid={"d": 2}, weights={"M": MAX_WEIGHTS_M})
+    assert run_scenario(_write_config(tmp_path, cfg)) == 0
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    assert set(checks) == {"family_phi_bounded", "family_phi_support", "family_phi_monotone"}
+
+
+def test_boundary_warning_states_the_annulus_and_the_mass_fraction(tmp_path, monkeypatch, capsys):
+    import mcnls.cli
+
+    # a defocusing Gaussian that crosses the boundary annulus at group velocity 20
+    out = tmp_path / "out"
+    cfg = _sim_config(out, evolution={"mu": 1, "dt": 1e-3, "t_end": 0.5, "stride": 50},
+                      initial={"kind": "gaussian", "amplitude": 0.1, "width": 1.0,
+                               "center": [8.0], "k0": [10.0]})
+    config = _write_config(tmp_path, cfg)
+    run_scenario(config)
+    assert json.loads((out / "manifest.json").read_text())["detail"]["boundary_breach"]
+    assert ("mcnls: warning: outermost 5% annulus held more than 1e-8 of the mass during the run"
+            in capsys.readouterr().err)
+    monkeypatch.setattr(mcnls.cli, "BOUNDARY_ANNULUS", 0.025)
+    monkeypatch.setattr(mcnls.cli, "BOUNDARY_MASS_WARN", 2.5e-9)
+    run_scenario(config)
+    assert ("mcnls: warning: outermost 2.5% annulus held more than 2.5e-9 of the mass during "
+            "the run" in capsys.readouterr().err)
 
 
 def test_smooth_envelope_with_a_huge_j0_exits_on_its_certificates(tmp_path):
@@ -1240,12 +1330,12 @@ def _readme_checks():
     return names, rows
 
 
-@pytest.mark.parametrize("scenario, d", [("simulate", 1), ("ground-state", 1), ("gn-check", 1),
+@pytest.mark.parametrize("scenario, d", [("simulate", 1), ("ground-state", 1), ("ground-state", 2),
                                          ("morawetz", 1), ("smooth-envelope", None),
                                          ("weight-check", 1), ("weight-check", 2)])
 def test_readme_manifest_checks_are_each_scenarios_checks(tmp_path, scenario, d):
     out = tmp_path / "out"
-    grid = {"d": 1, "n": 256, "L": 20.0}  # for ground-state and gn-check
+    grid = {"d": 1, "n": 256, "L": 20.0} if d == 1 else {"d": 2, "n": 128, "L": 16.0}
     cfg = {"simulate": _sim_config(out), "morawetz": _morawetz_config(out),
            "smooth-envelope": _envelope_config(out),
            "weight-check": dict(_weight_check_config(out), grid={"d": d}),

@@ -107,6 +107,17 @@ def test_gn_ratio_extremizer(q_ref, townes):
     assert gn_ratio(townes.field, townes) == pytest.approx(1.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("solve", ["closed-form-1d", "petviashvili-1d", "petviashvili-2d"])
+def test_gn_ratio_of_q_less_one_is_its_energy_over_half_kinetic(solve, q20, townes):
+    # for Q the mass factor of the ratio is exactly 1, so |ratio - 1| is the
+    # ground-state scenario's zero_energy check, and no second check is needed
+    q = {"closed-form-1d": lambda: q20, "petviashvili-2d": lambda: townes,
+         "petviashvili-1d": lambda: solve_petviashvili(q20.field.grid)}[solve]()
+    assert mass(q.field) == q.mass_sq
+    ratio = gn_ratio(q.field, q)
+    assert abs((ratio - 1.0) - (-energy(q.field, -1) / (0.5 * kinetic(q.field)))) <= 1e-14
+
+
 def test_gn_ratio_gaussian_strictly_below_one(q_ref):
     g = make_grid(1, 512, 16.0)
     f = Field(g, np.exp(-g.axis_x ** 2 / 2))
