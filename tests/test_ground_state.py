@@ -111,8 +111,10 @@ def test_gn_ratio_extremizer(q_ref, townes):
 def test_gn_ratio_of_q_less_one_is_its_energy_over_half_kinetic(solve, q20, townes):
     # for Q the mass factor of the ratio is exactly 1, so |ratio - 1| is the
     # ground-state scenario's zero_energy check, and no second check is needed
-    q = {"closed-form-1d": lambda: q20, "petviashvili-2d": lambda: townes,
-         "petviashvili-1d": lambda: solve_petviashvili(q20.field.grid)}[solve]()
+    if solve == "petviashvili-1d":
+        q = solve_petviashvili(q20.field.grid)
+    else:
+        q = q20 if solve == "closed-form-1d" else townes
     assert mass(q.field) == q.mass_sq
     ratio = gn_ratio(q.field, q)
     assert abs((ratio - 1.0) - (-energy(q.field, -1) / (0.5 * kinetic(q.field)))) <= 1e-14
