@@ -1215,8 +1215,32 @@ def test_bad_end_time_exits_before_the_first_solve(tmp_path, monkeypatch, scenar
     assert solves == [] and builds == []
 
 
+@pytest.mark.parametrize("scenario", ["simulate", "morawetz"])
+@pytest.mark.parametrize("key, value", [
+    ("mu", 0), ("dt", 0.0), ("dt", -1e-3), ("t_end", -1.0), ("stride", 0), ("stride", 2.5),
+    ("dt", _DELETE),
+    # t_end / dt overflows: no step count
+    ("t_end", 1e300),
+], ids=lambda v: "missing" if v is _DELETE else None)
+def test_bad_evolution_value_exits_before_the_first_solve(tmp_path, monkeypatch, scenario,
+                                                          key, value):
+    solves, builds = _count_solves_and_builds(monkeypatch)
+    out = tmp_path / "out"
+    cfg = _soliton_2d_config(scenario, out)
+    if value is _DELETE:
+        del cfg["evolution"][key]
+    else:
+        cfg["evolution"][key] = value
+    if value == 1e300:
+        cfg["evolution"]["dt"] = 1e-300
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure.startswith("config error:") and key in failure
+    assert solves == [] and builds == []
+
+
 @pytest.mark.parametrize("scenario, M", [("weight-check", 1e12), ("weight-check", MAX_WEIGHTS_M + 1),
-                                         ("morawetz", 1e12)])
+                                         ("morawetz", 1e12), ("morawetz", MAX_WEIGHTS_M + 1)])
 def test_weights_m_past_the_cap_is_config_error(tmp_path, monkeypatch, scenario, M):
     # a 2D weight-check at M = 1e12 asked for a 2.27 PiB table and exited 1
     import time
@@ -1240,6 +1264,42 @@ def test_weights_m_at_the_cap_builds(tmp_path):
     assert run_scenario(_write_config(tmp_path, cfg)) == 0
     checks = json.loads((out / "manifest.json").read_text())["checks"]
     assert set(checks) == {"family_phi_bounded", "family_phi_support", "family_phi_monotone"}
+
+
+def test_morawetz_at_the_weights_m_cap_runs(tmp_path, monkeypatch):
+    import mcnls.morawetz
+
+    builds = _counting(monkeypatch, mcnls.morawetz, "build_weights")
+    out = tmp_path / "out"
+    cfg = _morawetz_config(out)
+    cfg["weights"]["M"] = MAX_WEIGHTS_M
+    assert run_scenario(_write_config(tmp_path, cfg)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failure"] is None and manifest["checks"]["action_kernel_bound"]["passed"]
+    assert builds == [(1,)]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_ground_state_random_field_ratio_fails_when_a_field_beats_q(tmp_path, monkeypatch, d):
+    # the check ground-state took over from gn-check: a random field whose GN
+    # ratio exceeds Q's fails it, and only it
+    import mcnls.ground_state
+
+    real = mcnls.ground_state.gn_ratio
+
+    def inflated(f, q):
+        return real(f, q) if f is q.field else 1.5
+
+    monkeypatch.setattr(mcnls.ground_state, "gn_ratio", inflated)
+    out = tmp_path / "out"
+    grid = {"d": 1, "n": 256, "L": 20.0} if d == 1 else {"d": 2, "n": 128, "L": 16.0}
+    cfg = {"scenario": "ground-state", "grid": grid, "output": {"dir": str(out)}}
+    assert run_scenario(_write_config(tmp_path, cfg)) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    failed = {name for name, check in manifest["checks"].items() if not check["passed"]}
+    assert failed == {"random_field_ratio"}
+    assert manifest["detail"]["worst_random_ratio"] == 1.5
+    assert abs(manifest["detail"]["gn_ratio"] - 1.0) <= 1e-4
 
 
 def test_boundary_warning_states_the_annulus_and_the_mass_fraction(tmp_path, monkeypatch, capsys):
