@@ -59,7 +59,7 @@ _SCHEMA = {
     "initial": {"kind": str, "amplitude": 1.0, "width": 1.0, "center": list, "k0": list,
                 "xi0": list, "t0": -1.0, "path": str},
     "weights": {"M": float, "R": float},
-    "envelope": {"J0": float, "m": 1, "input": str},
+    "envelope": {"m": 1, "input": str},
     "output": {"dir": "mcnls-out", "emit_snapshots": False},
 }
 # The initial.<key>s each initial.kind reads ("?" as in `_SCENARIOS`).
@@ -354,6 +354,9 @@ def _scenario_morawetz(cfg, outdir: Path, checks: Checks) -> dict:
         samples.append((s.step * econf.dt, rep))
         p1 = sum(wq * np.sum(np.abs(pj)) for pj in p)
         bound = 2.0 * w.M * w.R * p1 * wq * np.sum(s.dens)
+        if not np.isfinite(bound):
+            raise ConfigError(f"weights.R = {w.R!r} makes the action kernel bound "
+                              f"2 M R ||p||_1 ||rho||_1 read {float(bound)!r}")
         worst = np.maximum(worst, abs(rep.action) / bound if rep.action else 0.0)
         del s, p  # else they stay alive while the observer computes the next sample
     cols = ("action", "flux", "coercive", "tail", "curvature", "envelope_drift")
@@ -366,12 +369,10 @@ def _scenario_morawetz(cfg, outdir: Path, checks: Checks) -> dict:
 
 def _load_envelope(path: str):
     """The envelope named by envelope.input; a corrupt file is a config error."""
-    from .envelope import parse_envelope_csv, read_envelope_csv
+    from .envelope import read_envelope_csv, sawtooth_envelope
 
     if path == "bundled:sawtooth":
-        from importlib.resources import files
-
-        return parse_envelope_csv(files("mcnls").joinpath("data/sawtooth.csv").read_text())
+        return sawtooth_envelope(200)
     return _valid(_read_input, read_envelope_csv, path, "envelope.input")
 
 
@@ -380,8 +381,6 @@ def _scenario_smooth_envelope(cfg, outdir: Path, checks: Checks) -> dict:
 
     env = cfg["envelope"]
     e = _load_envelope(env["input"])
-    if env["J0"] is not None and abs(env["J0"] - e.j0) > 1e-12:
-        raise ConfigError("envelope.J0 conflicts with the input file header")
     m = env["m"]
     if m < 1:  # the certificate needs a pass
         raise ConfigError(f"envelope.m must be at least 1, got {m}")
@@ -416,7 +415,7 @@ _SCENARIOS = {
     "simulate": (_scenario_simulate, (*_TRAJECTORY, "output.emit_snapshots")),
     "ground-state": (_scenario_ground_state, _GRID),
     "morawetz": (_scenario_morawetz, (*_TRAJECTORY, "weights.M", "weights.R")),
-    "smooth-envelope": (_scenario_smooth_envelope, ("envelope.J0?", "envelope.m", "envelope.input")),
+    "smooth-envelope": (_scenario_smooth_envelope, ("envelope.m", "envelope.input")),
     "weight-check": (_scenario_weight_check, ("grid.d?", "weights.M")),
 }
 SCENARIOS = tuple(_SCENARIOS)

@@ -280,6 +280,8 @@ def parse_envelope_csv(text: str) -> PiecewiseEnvelope:
         if line.startswith("#"):
             key, _, val = line.lstrip("# ").partition("=")
             if key.strip() == "J0":
+                if j0 is not None:
+                    raise ValueError(f"envelope CSV has a second '# J0=' header line: {line!r}")
                 j0 = float(val)
             continue
         if line.lower().startswith("t,"):

@@ -11,9 +11,10 @@ This is the one spectral-operator layer: the complex transform pair
 `transforms`, its split into row and column passes pruned to the 2/3
 dealias box `boxed_transforms`, the half spectrum of real samples
 zero-padded to the 2n grid `padded_rfft` (the padding rows are not
-transformed), per-grid symbols cached read-only (|k|^2, Nyquist-zeroed
-derivative wavenumbers, the 2/3 dealias mask, |x|^2, the boundary
-annulus), the real-multiplier product `_times` and `apply_multiplier`,
+transformed), per-grid symbols cached read-only (|k|^2, the 2/3 dealias
+mask, |x|^2, the boundary annulus, and the Nyquist-zeroed derivative
+wavenumbers, one axis vector that broadcasts along each axis j), the
+real-multiplier product `_times` and `apply_multiplier`,
 the n <-> 2n resampling of the trigonometric interpolant `resample`, and
 `_mass_fraction`, the share of a density in an index region (the
 boundary annulus, a central box, a spectral tail).
@@ -233,17 +234,18 @@ def k2_symbol(grid: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def derivative_wavenumbers(grid: GridSpec) -> tuple:
-    """Per-axis k_j, unpaired Nyquist mode zeroed (d/dx_j is i k_j); cached read-only."""
-    return tuple(_read_only(k) for k in grid._mesh(_derivative_axis(grid)))
-
-
-@lru_cache(maxsize=16)
 def _derivative_axis(grid: GridSpec) -> np.ndarray:
-    """The wavenumbers of `derivative_wavenumbers` along one axis; cached read-only."""
+    """Wavenumbers along one axis, unpaired Nyquist mode zeroed; cached read-only."""
     ak = grid.axis_k
     ak[grid.n // 2] = 0.0
     return _read_only(ak)
+
+
+def _derivative_k(grid: GridSpec, j: int) -> np.ndarray:
+    """k_j (d/dx_j is i k_j): `_derivative_axis` shaped to broadcast along axis j."""
+    shape = [1] * grid.d
+    shape[j] = grid.n  # an axis past the grid's is an IndexError, as on a tuple
+    return _derivative_axis(grid).reshape(shape)
 
 
 def _dealias_axis(grid: GridSpec) -> np.ndarray:
@@ -348,8 +350,7 @@ def resample(vals: np.ndarray, m: int) -> np.ndarray:
 
 def spectral_derivative(f: Field, axis: int) -> Field:
     """Spectral partial derivative; the odd Nyquist mode is zeroed."""
-    k = derivative_wavenumbers(f.grid)[axis]
-    return Field(f.grid, apply_multiplier(f.values, 1j * k))
+    return Field(f.grid, apply_multiplier(f.values, 1j * _derivative_k(f.grid, axis)))
 
 
 def laplacian(f: Field) -> Field:

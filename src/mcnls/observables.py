@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, _derivative_axis, derivative_wavenumbers, k2_symbol, r2_mesh, transforms
+from .grid import Field, _derivative_k, k2_symbol, r2_mesh, transforms
 
 
 def quad_weight(f: Field) -> float:
@@ -51,12 +51,10 @@ def _variance(g, dens: np.ndarray) -> float:
 
 
 def _momentum(g, sdens: np.ndarray) -> np.ndarray:
-    # Parseval: Im sum conj(u) ifftn(i k_j uhat) = sum k_j |uhat|^2 / n^d;
-    # k_j broadcasts along axis j, bit-equal to the mesh of derivative_wavenumbers
+    # Parseval: Im sum conj(u) ifftn(i k_j uhat) = sum k_j |uhat|^2 / n^d,
+    # with the per-axis k_j broadcast along axis j
     wk = _spectral_weight(g)
-    ak = _derivative_axis(g)
-    return np.array([wk * np.sum(ak.reshape((-1,) + (1,) * (g.d - 1 - j)) * sdens)
-                     for j in range(g.d)])
+    return np.array([wk * np.sum(_derivative_k(g, j) * sdens) for j in range(g.d)])
 
 
 def _weighted_median(coords: np.ndarray, weights: np.ndarray) -> float:
@@ -145,10 +143,9 @@ def _gradient(g, spec: np.ndarray) -> list:
     """d_j u, one array per axis, from the raw spectrum: one inverse transform each."""
     _, inv = transforms(g.d)
     out = []
-    for k in derivative_wavenumbers(g):
-        # named operands: numpy reuses an unnamed temporary in place with the
-        # operands swapped, and the complex product is not bitwise commutative
-        mult = 1j * k
+    for j in range(g.d):
+        # named operands: the complex product is not bitwise commutative
+        mult = 1j * _derivative_k(g, j)
         du = mult * spec
         out.append(inv(du, out=du))
     return out

@@ -154,12 +154,53 @@ def test_morawetz_scenario(tmp_path):
 def test_smooth_envelope_scenario_bundled(tmp_path):
     out = tmp_path / "out"
     cfg = {"scenario": "smooth-envelope",
-           "envelope": {"J0": 2.0, "m": 3, "input": "bundled:sawtooth"},
+           "envelope": {"m": 3, "input": "bundled:sawtooth"},
            "output": {"dir": str(out)}}
     assert run_scenario(_write_config(tmp_path, cfg)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["checks"]["certify_bound"]["passed"]
     assert (out / "envelope_smoothed.csv").exists()
+
+
+def test_envelope_j0_is_an_unknown_config_key(tmp_path):
+    # the input file's header is the one source of J0
+    out = tmp_path / "out"
+    cfg = _envelope_config(out)
+    cfg["envelope"]["J0"] = 2.0
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failure"] == "config error: unknown config key: envelope.J0"
+    assert not (out / "envelope_smoothed.csv").exists()
+
+
+def test_envelope_csv_with_a_second_j0_line_is_config_error(tmp_path):
+    # two header lines are an error, not the last one silently winning
+    out = tmp_path / "out"
+    csv = tmp_path / "envelope.csv"
+    csv.write_text("# J0=2.0\n# J0=3.0\nt,N\n0,0\n1,-1\n2,0\n")
+    cfg = _envelope_config(out)
+    cfg["envelope"]["input"] = str(csv)
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure == "config error: envelope CSV has a second '# J0=' header line: '# J0=3.0'"
+    assert not (out / "envelope_smoothed.csv").exists()
+
+
+def test_morawetz_action_kernel_bound_that_overflows_is_config_error(tmp_path):
+    # at R = 1e308 the bound 2 M R ||p||_1 ||rho||_1 is inf, and |A| / inf reads
+    # 0.0 whatever the action; at R = 1e150 the bound is finite and checked
+    out = tmp_path / "out"
+    cfg = _morawetz_config(out)
+    cfg["weights"]["R"] = 1e150
+    assert run_scenario(_write_config(tmp_path, cfg)) == 0
+    check = json.loads((out / "manifest.json").read_text())["checks"]["action_kernel_bound"]
+    assert check["value"] == pytest.approx(1.7745908264212366e-153, rel=1e-12)
+    cfg["weights"]["R"] = 1e308
+    (out / "morawetz.csv").unlink()
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failure"].startswith("config error: weights.R = 1e+308 ")
+    assert manifest["checks"] == {} and not (out / "morawetz.csv").exists()
 
 
 def test_smooth_envelope_stops_passing_at_the_fixed_point(tmp_path):
@@ -316,7 +357,7 @@ def test_evolution_and_grid_config_values(tmp_path, scenario, section, key, valu
 
 def _envelope_config(outdir):
     return {"scenario": "smooth-envelope",
-            "envelope": {"J0": 2.0, "m": 3, "input": "bundled:sawtooth"},
+            "envelope": {"m": 3, "input": "bundled:sawtooth"},
             "output": {"dir": str(outdir)}}
 
 
@@ -353,7 +394,7 @@ def _on_snapshot(base):
     (_sim_config, "evolution", {"dealias": "no"}),
     (_morawetz_config, "evolution", {"dealias": 0}),
     (_sim_config, "output", {"emit_snapshots": "no"}),
-    (_envelope_config, "envelope", {"J0": "x"}),
+    (_envelope_config, "envelope", {"m": "x"}),
     (_morawetz_config, "initial", {"center": [15.5]}),
     (_on_snapshot(_sim_config), "initial", {}),
     (_on_snapshot(_morawetz_config), "initial", {}),
@@ -361,7 +402,7 @@ def _on_snapshot(base):
 ], ids=["amplitude-string", "width-list", "k0-length", "xi0-length", "xi0-off-lattice",
         "center-length", "m-fractional", "m-negative", "grid-d-missing", "grid-d-fractional",
         "center-at-boundary", "dealias-string", "dealias-integer", "emit-snapshots-string",
-        "J0-string", "morawetz-center-at-boundary", "snapshot-grid-mismatch",
+        "m-string", "morawetz-center-at-boundary", "snapshot-grid-mismatch",
         "morawetz-snapshot-grid-mismatch", "grid-2d-too-many-points"])
 def test_initial_envelope_and_weight_check_config_values(tmp_path, base, section, changes):
     out = tmp_path / "out"
@@ -664,9 +705,13 @@ def test_corrupt_envelope_csv_is_config_error(tmp_path, rows):
 
 
 def _sawtooth_rows():
-    from importlib.resources import files
+    """The breakpoint rows of `bundled:sawtooth` as its CSV holds them."""
+    from mcnls.envelope import sawtooth_envelope, write_envelope_csv
 
-    return files("mcnls").joinpath("data/sawtooth.csv").read_text().splitlines()[2:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sawtooth.csv"
+        write_envelope_csv(sawtooth_envelope(200), path)
+        return path.read_text().splitlines()[2:]
 
 
 _NAN_ROWS = "\n".join(["0,0", "nan,-1", *_sawtooth_rows()[2:]]) + "\n"
@@ -823,7 +868,7 @@ def _full_config(scenario, kind, outdir):
            "morawetz": {"grid": grid, "evolution": evolution, "initial": initial,
                         "weights": {"M": 8, "R": 4}},
            "ground-state": {"grid": {"d": 1, "n": 256, "L": 20.0}},
-           "smooth-envelope": {"envelope": {"J0": 2.0, "m": 3, "input": "bundled:sawtooth"}},
+           "smooth-envelope": {"envelope": {"m": 3, "input": "bundled:sawtooth"}},
            "weight-check": {"grid": {"d": 1}, "weights": {"M": 8}}}[scenario]
     cfg = json.loads(json.dumps(dict(cfg, scenario=scenario)))
     cfg.setdefault("output", {})["dir"] = str(outdir)
@@ -1022,7 +1067,7 @@ _PLAUSIBLE = {
     "initial.xi0": st.lists(st.sampled_from([0.0, np.pi / 16]), min_size=1, max_size=2),
     "initial.t0": st.floats(-2.0, -0.5), "initial.path": _WORD,
     "weights.M": st.sampled_from([4, 8]), "weights.R": st.sampled_from([2, 4]),
-    "envelope.J0": st.just(2.0), "envelope.m": st.integers(0, 3),
+    "envelope.m": st.integers(0, 3),
     "envelope.input": st.just("bundled:sawtooth"), "output.dir": st.just("out"),
     "output.emit_snapshots": st.booleans(),
 }

@@ -101,11 +101,7 @@ def test_smooth_idempotent_without_interior_peaks():
 
 def test_smooth_stops_at_its_fixed_point():
     # the parent ran every one of the 10^9 passes, about 30 us each
-    from importlib.resources import files
-
-    from mcnls.envelope import parse_envelope_csv
-
-    saw = parse_envelope_csv(files("mcnls").joinpath("data/sawtooth.csv").read_text())
+    saw = sawtooth_envelope(200)  # bundled:sawtooth
     rng = np.random.default_rng(31)
     for e in [saw] + [random_envelope(rng, 200) for _ in range(10)]:
         assert smooth(e, 10 ** 9) == smooth(e, len(e.exponents))
@@ -238,6 +234,19 @@ def test_envelope_csv_requires_j0(tmp_path):
     p.write_text("t,N\n0.0,0\n1.0,-1\n")
     with pytest.raises(ValueError):
         read_envelope_csv(p)
+
+
+@pytest.mark.parametrize("text", [
+    "# J0=2.0\n# J0=3.0\nt,N\n0,0\n1,-1\n2,0\n",
+    "# J0=2.0\n#J0 = 2.0\nt,N\n0,0\n1,-1\n2,0\n",
+    "# J0=2.0\nt,N\n0,0\n1,-1\n2,0\n# J0=3.0\n",
+], ids=["conflicting", "restated", "after-the-rows"])
+def test_envelope_csv_rejects_a_second_j0_line(text):
+    # the header is the one source of J0, so a second line is an error, not an override
+    from mcnls.envelope import parse_envelope_csv
+
+    with pytest.raises(ValueError, match="second '# J0=' header line"):
+        parse_envelope_csv(text)
 
 
 def test_envelope_from_series():
@@ -449,15 +458,10 @@ def _certify_direct(e, m):
 
 
 def test_certify_ratio_equals_the_direct_bound_on_seeded_suites():
-    from importlib.resources import files
-
-    from mcnls.envelope import parse_envelope_csv
-
     rng = np.random.default_rng(4)
     suite = [random_envelope(rng, 120) for _ in range(100)]
     suite += [random_envelope(rng, 120, j0=3.0, min_exponent=-20) for _ in range(100)]
-    suite += [parse_envelope_csv(files("mcnls").joinpath("data/sawtooth.csv").read_text()),
-              sawtooth_envelope(50, j0=3.0)]
+    suite += [sawtooth_envelope(200), sawtooth_envelope(50, j0=3.0)]
     for e in suite:
         for m in range(1, 7):
             assert tuple(certify_ratio(e, m)) == _certify_direct(e, m)

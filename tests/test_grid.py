@@ -189,13 +189,7 @@ def test_snapshot_rejects_bad_magic(tmp_path):
 
 
 def test_cached_symbols_read_only_and_shared():
-    from mcnls.grid import (
-        dealias_mask,
-        derivative_wavenumbers,
-        k2_symbol,
-        outer_annulus,
-        r2_mesh,
-    )
+    from mcnls.grid import _derivative_axis, dealias_mask, k2_symbol, outer_annulus, r2_mesh
 
     for d in (1, 2):
         g = make_grid(d, 32, 8.0)
@@ -205,17 +199,16 @@ def test_cached_symbols_read_only_and_shared():
             "dealias": dealias_mask,
             "r2": r2_mesh,
             "annulus": outer_annulus,
-            **{f"k_{j}": (lambda grid, j=j: derivative_wavenumbers(grid)[j]) for j in range(d)},
+            "k": _derivative_axis,
         }
         for name, build in symbols.items():
             arr = build(g)
             assert build(same) is arr, name
-            assert arr.shape == g.shape, name
+            assert arr.shape == (g.shape if name != "k" else (g.n,)), name
             with pytest.raises(ValueError):
-                arr[(0,) * d] = 1
+                arr[(0,) * arr.ndim] = 1
         # the unpaired Nyquist mode (index n/2) is the only zeroed nonzero wavenumber
-        k0 = derivative_wavenumbers(g)[0]
-        line = k0 if d == 1 else k0[:, 0]
+        line = _derivative_axis(g)
         assert line[16] == 0.0
         np.testing.assert_array_equal(np.delete(line, 16), np.delete(g.axis_k, 16))
     assert k2_symbol(make_grid(1, 32, 8.0)) is not k2_symbol(make_grid(1, 32, 4.0))
@@ -262,18 +255,70 @@ def test_in_place_fft_matches_allocating_fft(shape):
         assert np.array_equal(y, ref)
 
 
+def _derivative_mesh(g):
+    """Per-axis k_j on the full grid, unpaired Nyquist mode zeroed: the reference
+    that the derivatives' broadcast axis vector must match."""
+    ak = g.axis_k
+    ak[g.n // 2] = 0.0
+    return g._mesh(ak)
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (1, 128), (2, 64), (2, 128)])
+def test_derivatives_are_bit_equal_to_the_mesh_formula(d, n):
+    # _gradient and spectral_derivative broadcast the wavenumber axis; the
+    # products are those of the full k_j mesh, element by element
+    from mcnls.grid import spectral_derivative
+    from mcnls.observables import _gradient
+
+    g = make_grid(d, n, 16.0)
+    rng = np.random.default_rng(16)
+    u = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    spec = np.fft.fftn(u)
+    du = _gradient(g, spec)
+    for j, k in enumerate(_derivative_mesh(g)):
+        mult = 1j * k
+        ref = np.fft.ifftn(mult * spec)
+        assert np.array_equal(du[j].view(np.int64), ref.view(np.int64))
+        ref = np.fft.ifftn(mult * np.fft.fftn(u))
+        assert np.array_equal(spectral_derivative(Field(g, u), j).values.view(np.int64),
+                              ref.view(np.int64))
+    # axes index as they did into the tuple of meshes
+    last = spectral_derivative(Field(g, u), d - 1).values
+    assert np.array_equal(spectral_derivative(Field(g, u), -1).values, last)
+    with pytest.raises(IndexError):
+        spectral_derivative(Field(g, u), d)
+
+
+def test_gradient_keeps_no_wavenumber_mesh_alive():
+    # a full k_j mesh per axis would keep one more array alive (1.56 results)
+    import tracemalloc
+
+    from mcnls.observables import _gradient
+
+    g = make_grid(2, 256, 16.0)
+    spec = np.fft.fftn(smooth_random_field(g, np.random.default_rng(17)).values)
+    _gradient(g, spec)
+    tracemalloc.start()
+    try:
+        du = _gradient(g, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * sum(a.nbytes for a in du)
+
+
 @pytest.mark.parametrize("shape", [(512,), (64, 64), (256, 256)])
 def test_preallocated_transforms_match_allocating_transforms(shape):
     # apply_multiplier and momentum_density transform into preallocated
     # arrays; the results stay bit-equal to the allocating form
     from mcnls.observables import momentum_density
-    from mcnls.grid import apply_multiplier, derivative_wavenumbers, k2_symbol
+    from mcnls.grid import apply_multiplier, k2_symbol
 
     g = make_grid(len(shape), shape[0], 16.0)
     rng = np.random.default_rng(12)
     real = rng.standard_normal(shape)
     cplx = real + 1j * rng.standard_normal(shape)
-    mults = [-k2_symbol(g)] + [1j * k for k in derivative_wavenumbers(g)]
+    mults = [-k2_symbol(g)] + [1j * k for k in _derivative_mesh(g)]
     for v in (real, cplx):
         for mult in mults:
             ref = np.fft.ifftn(mult * np.fft.fftn(v))
@@ -285,7 +330,7 @@ def test_preallocated_transforms_match_allocating_transforms(shape):
 
     f = Field(g, cplx)
     spec = np.fft.fftn(cplx)
-    for pj, k in zip(momentum_density(f), derivative_wavenumbers(g)):
+    for pj, k in zip(momentum_density(f), _derivative_mesh(g)):
         mult = 1j * k
         du = np.fft.ifftn(mult * spec)
         assert np.array_equal(pj, np.imag(np.conj(cplx) * du))

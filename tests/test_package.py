@@ -76,3 +76,14 @@ def test_bare_import_loads_no_submodule():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_ships_python_modules_only():
+    # generated data (bundled:sawtooth is sawtooth_envelope(200)) is built by
+    # the code, so no second copy of it can drift from its definition
+    from pathlib import Path
+
+    root = Path(mcnls.__file__).parent
+    shipped = [p.relative_to(root) for p in root.rglob("*") if "__pycache__" not in p.parts]
+    assert shipped and [p for p in shipped if p.suffix != ".py" or len(p.parts) > 1] == []
+    assert "package-data" not in (Path(__file__).parents[1] / "pyproject.toml").read_text()
