@@ -1,5 +1,5 @@
 """Strang split-step evolution of i u_t + Delta u = mu |u|^{4/d} u
-with per-run diagnostics.
+with per-run diagnostics, which one loop, `_Observed`, records.
 
 The kinetic half step is the exact spectral multiplier exp(-i|k|^2 dt/2);
 the nonlinear step is the exact pointwise phase rotation
@@ -16,7 +16,8 @@ With dealiasing in 2D the transforms are the boxed pair of
 and on larger grids cos and sin run masked (`where=`) to the points whose
 phase angle is not negligible (exp(i a) = 1 + i a to the last bit for
 |a| < 2^-27); these and the row blocks leave every output bit-equal.
-Blowup is detected, never resolved.
+`_Observed` appends each sample's row to a `DiagnosticsSeries` before the
+sample reaches its consumer.  Blowup is detected, never resolved.
 """
 
 from __future__ import annotations
@@ -140,11 +141,13 @@ class DiagnosticsSeries:
         header = ["t", "mass", "energy", "variance", "kinetic", "potential",
                   *("momentum" + a for a in axes), "scat_accum", "N_est",
                   *("xi" + a for a in axes), *("x" + a for a in axes), "flags"]
-        scalars = zip(self.t, self.mass, self.energy, self.variance, self.kinetic, self.potential)
-        samples = zip(scalars, self.momentum, self.scat_accum, self.N_est, self.xi_est,
-                      self.x_est, self.flags)
-        write_csv(path, header,
-                  ([*sc, *p, c, n, *xi, *x, fl] for sc, p, c, n, xi, x, fl in samples))
+        rows = zip(*self._columns())
+        write_csv(path, header, ([*sc, *p, c, n, *xi, *x, fl] for *sc, p, c, n, xi, x, fl in rows))
+
+    def _columns(self) -> tuple:
+        """The per-sample lists in CSV order, a vector observable as one list."""
+        return (self.t, self.mass, self.energy, self.variance, self.kinetic, self.potential,
+                self.momentum, self.scat_accum, self.N_est, self.xi_est, self.x_est, self.flags)
 
 
 @lru_cache(maxsize=16)
@@ -278,20 +281,18 @@ class _Sample(NamedTuple):
     step: int
     u: np.ndarray        # samples
     spec: np.ndarray     # their raw forward transform
-    scat: float          # scat_accum so far
     dens: np.ndarray     # |u|^2
     sdens: np.ndarray    # |spec|^2
-    kinetic: float
-    flags: str           # "|"-joined: "boundary", "blowup"
 
 
 class _Observed:
-    """A trajectory's `_Sample`s with the run's outcome handling.
+    """The one loop that records a trajectory: each sample's row goes into
+    `series`, which holds the run's outcome and breach, before it is yielded.
 
     Raises ValueError for initial data with too much mass at the box
     boundary.  Stops after a sample flagged "blowup" with outcome
     "blowup-suspected", or before a non-finite one with "nan-abort".
-    `last` holds the samples of the last yielded field.  |spec|^2 and |u|^2
+    `last` holds the samples of the last recorded field.  |spec|^2 and |u|^2
     are squared in place (after the amplitude maximum is read), and the
     iterator drops its references to a sample once the consumer resumes
     it, so a consumer that drops the sample before taking the next one
@@ -302,15 +303,17 @@ class _Observed:
         if boundary_mass_fraction(f) > BOUNDARY_MASS_WARN:
             raise ValueError("initial data places too much mass at the box boundary")
         self.f, self.cfg, self.last = f, cfg, f.values
-        self.outcome, self.boundary_breach = "completed", False
+        self.series = DiagnosticsSeries(d=f.grid.d)
 
     def __iter__(self):
-        g = self.f.grid
-        grad0 = None
-        for step, u, spec, scat in _trajectory(self.f, self.cfg):
+        g, cfg, series = self.f.grid, self.cfg, self.series
+        grad0 = n_est = None
+        for step, u, spec, scat in _trajectory(self.f, cfg):
             if not np.all(np.isfinite(u.view(np.float64))):
-                self.outcome = "nan-abort"
+                series.outcome = "nan-abort"
                 return
+            # before the diagnostics, so the previous u is not alive beside their temporaries
+            self.last = u
             # squared in place: bit-equal to np.abs(.) ** 2, one array fewer
             sdens = np.abs(spec)
             np.square(sdens, out=sdens)
@@ -323,15 +326,21 @@ class _Observed:
             fl = []
             if density_boundary_fraction(g, dens) > BOUNDARY_MASS_WARN:
                 fl.append("boundary")
-                self.boundary_breach = True
+                series.boundary_breach = True
             if blow:
                 fl.append("blowup")
-            self.last = u
-            yield _Sample(step, u, spec, scat, dens, sdens, kin, "|".join(fl))
+            m, pot = _mass(g, dens), _potential(g, dens)
+            n_est, xi_est, x_est = _estimates_from_spec(g, dens, sdens,
+                                                        ESTIMATE_MASS_FRACTION * m, n_est)
+            row = (step * cfg.dt, m, _energy(g.d, kin, pot, cfg.mu), _variance(g, dens), kin, pot,
+                   _momentum(g, sdens), scat, n_est, xi_est, x_est, "|".join(fl))
+            for col, v in zip(series._columns(), row):
+                col.append(v)
+            yield _Sample(step, u, spec, dens, sdens)
             # the consumer holds the sample from here; `last` keeps u for a nan-abort
             del u, spec, dens, sdens
             if blow:
-                self.outcome = "blowup-suspected"
+                series.outcome = "blowup-suspected"
                 return
 
 
@@ -343,32 +352,12 @@ def evolve(f: Field, cfg: EvolutionConfig):
     "blowup-suspected" when the gradient energy grows by
     GRADIENT_GROWTH_FACTOR or the amplitude reaches AMPLITUDE_LIMIT, and
     with "nan-abort" (returning the last recorded state) if samples stop
-    being finite (see `_Observed`).
+    being finite (see `_Observed`, whose series this is).
     """
-    g = f.grid
-    series = DiagnosticsSeries(d=g.d)
     run = _Observed(f, cfg)
-    n_est = None
     for s in run:
-        m = _mass(g, s.dens)
-        n_est, xi_est, x_est = _estimates_from_spec(g, s.dens, s.sdens,
-                                                    ESTIMATE_MASS_FRACTION * m, n_est)
-        pot = _potential(g, s.dens)
-        series.t.append(s.step * cfg.dt)
-        series.mass.append(m)
-        series.energy.append(_energy(g.d, s.kinetic, pot, cfg.mu))
-        series.variance.append(_variance(g, s.dens))
-        series.kinetic.append(s.kinetic)
-        series.potential.append(pot)
-        series.momentum.append(_momentum(g, s.sdens))
-        series.scat_accum.append(s.scat)
-        series.N_est.append(n_est)
-        series.xi_est.append(xi_est)
-        series.x_est.append(x_est)
-        series.flags.append(s.flags)
-        del s  # else it stays alive while the observer computes the next sample
-    series.outcome, series.boundary_breach = run.outcome, run.boundary_breach
-    return series, Field(g, run.last)
+        del s
+    return run.series, Field(f.grid, run.last)
 
 
 def concentration_estimates(f: Field, eta: float):

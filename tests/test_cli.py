@@ -475,7 +475,55 @@ def test_morawetz_shares_simulate_blowup_abort(tmp_path):
         assert manifest["outcome"] == "blowup-suspected"
         assert manifest["detail"]["boundary_breach"] is False
         last_t[scenario] = float((out / csv).read_text().splitlines()[-1].split(",")[0])
+        # t_final is the time reached, the last row's t, short of t_end
+        assert manifest["detail"]["t_final"] == last_t[scenario]
     assert last_t["morawetz"] == last_t["simulate"] < 0.5
+    assert manifest["detail"]["energy_drift"] is None  # the run did not complete
+
+
+@pytest.mark.parametrize("grid, initial", [
+    ({"d": 1, "n": 256, "L": 16.0},
+     {"kind": "gaussian", "amplitude": 1.0, "width": 1.5, "k0": [0.589048622548086]}),
+    (dict(_GRID_2D), {"kind": "gaussian", "amplitude": 0.5, "width": 0.8, "k0": [2.0, -1.5]}),
+], ids=["1d", "2d-dealiased"])
+def test_morawetz_records_the_trajectory_simulate_records(tmp_path, grid, initial):
+    # one loop records both runs (dealiased: evolution.dealias defaults to
+    # true): the same diagnostics.csv, and morawetz reports the drifts that
+    # simulate gates
+    manifests = {}
+    for scenario in ("simulate", "morawetz"):
+        cfg = dict(_morawetz_config(tmp_path / scenario), scenario=scenario, grid=grid,
+                   initial=initial)
+        if scenario == "simulate":
+            del cfg["weights"]
+        assert run_scenario(_write_config(tmp_path, cfg, f"{scenario}.json")) == 0
+        manifests[scenario] = json.loads((tmp_path / scenario / "manifest.json").read_text())
+    assert (tmp_path / "morawetz" / "diagnostics.csv").read_bytes() == \
+        (tmp_path / "simulate" / "diagnostics.csv").read_bytes()
+    sim, mor = manifests["simulate"], manifests["morawetz"]
+    for name in ("mass_drift", "energy_drift"):
+        assert mor["detail"][name] == sim["checks"][name]["value"]
+        assert name not in sim["detail"] and name not in mor["checks"]
+    for name in ("samples", "t_final", "dealias_loss"):
+        assert mor["detail"][name] == sim["detail"][name] is not None
+    assert sim["detail"]["t_final"] == pytest.approx(cfg["evolution"]["t_end"], rel=1e-12)
+
+
+def test_dealias_loss_is_the_initial_spectral_mass_outside_the_box(tmp_path):
+    from mcnls.grid import _mass_fraction, dealias_mask
+    from mcnls.observables import _spectrum
+
+    out = tmp_path / "out"
+    cfg = _sim_config(out, grid=dict(_GRID_2D))
+    cfg["initial"].update(width=0.8, k0=[2.0, -1.5])
+    cfg["output"]["emit_snapshots"] = True
+    assert run_scenario(_write_config(tmp_path, cfg)) == 0
+    f0 = read_snapshot(out / "initial.mcnls")
+    loss = _mass_fraction(np.abs(_spectrum(f0)) ** 2, dealias_mask(f0.grid) == 0)
+    assert json.loads((out / "manifest.json").read_text())["detail"]["dealias_loss"] == loss > 1e-14
+    cfg["evolution"]["dealias"] = False
+    assert run_scenario(_write_config(tmp_path, cfg)) == 0
+    assert json.loads((out / "manifest.json").read_text())["detail"]["dealias_loss"] is None
 
 
 def _grid_scenario_config(scenario):

@@ -667,8 +667,10 @@ def test_concentrating_2d_boxed_trajectory_stays_exact_and_finite():
     ref = [u for _, u, _, _ in _reference_trajectory(f, cfg)]
     run = _Observed(f, cfg)
     got = [s.u for s in run]
-    assert len(got) == len(ref) == 9 and run.outcome == series.outcome
+    assert len(got) == len(ref) == 9 and run.series.outcome == series.outcome
     assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    # a consumer that keeps every sample records the series evolve returns
+    assert run.series.mass == series.mass and run.series.flags == series.flags
 
 
 def test_trajectory_propagates_an_overflowing_phase_on_the_boxed_path():
@@ -774,10 +776,13 @@ def test_previous_sample_is_released_once_the_next_is_taken():
     next(traj)
     assert all(r() is None for r in refs)
 
-    run = iter(_Observed(f, cfg))
-    next(run)
-    s = next(run)
+    run = _Observed(f, cfg)
+    samples = iter(run)
+    next(samples)
+    s = next(samples)
+    # the sample's row is in the series before the sample is yielded
+    assert run.series.t == [0.0, cfg.dt]
     refs = [weakref.ref(a) for a in (s.u, s.spec, s.dens, s.sdens)]
     del s
-    next(run)
-    assert all(r() is None for r in refs)
+    next(samples)
+    assert all(r() is None for r in refs) and len(run.series.t) == 3
