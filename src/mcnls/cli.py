@@ -216,10 +216,6 @@ def _held(f: Field, what: str) -> Field:
     return f
 
 
-def _initial_field(cfg: dict, grid) -> Field:
-    return _held(_valid(_initial_from, cfg["initial"], grid), "initial data")
-
-
 def _snapshot_on(grid, path) -> Field:
     """The snapshot at path; one on another grid is rejected from its header,
     before its payload is read."""
@@ -269,22 +265,29 @@ class Checks(dict):
         self[name] = {"passed": value <= threshold, "value": value, "threshold": threshold}
 
 
-def _observe(f0: Field, econf: EvolutionConfig, outdir: Path, each=lambda s: None) -> tuple:
-    """(series, final field, detail) of one `_Observed` run of f0 that calls each(sample)
-    per sample and writes diagnostics.csv.  detail adds t_final, dealias_loss (the initial
-    spectral mass fraction outside the 2/3 box, None without dealiasing), mass_drift and
-    energy_drift (README, "Manifest checks"; None unless the run completed)."""
-    run, loss = _Observed(f0, econf), None
+def _run_from(cfg: dict, grid, econf: EvolutionConfig) -> _Observed:
+    """The recorded run of the config's initial data: `_Observed` admits them once,
+    so data with too much mass at the box boundary are a config error here."""
+    return _valid(_Observed, _valid(_initial_from, cfg["initial"], grid), econf)
+
+
+def _observe(run: _Observed, outdir: Path, each=lambda s: None) -> tuple:
+    """(series, detail) of run, calling each(sample) per sample and writing
+    diagnostics.csv; run.last then holds the final field's samples.  detail adds
+    t_final, dealias_loss (the initial spectral mass fraction outside the 2/3 box,
+    None without dealiasing), mass_drift and energy_drift (README, "Manifest
+    checks"; None unless the run completed)."""
+    loss = None
     for s in run:
-        if s.step == 0 and econf.dealias:
-            loss = _mass_fraction(s.sdens, dealias_mask(f0.grid) == 0)
+        if s.step == 0 and run.cfg.dealias:
+            loss = _mass_fraction(s.sdens, dealias_mask(run.f.grid) == 0)
         each(s)
         del s  # else it stays alive while the observer computes the next sample
     series = run.series
     series.to_csv(outdir / "diagnostics.csv")
     m0, e0 = series.mass[0], series.energy[0]
     scale = max(abs(e0), 0.5 * series.kinetic[0], 1e-300)
-    return series, Field(f0.grid, run.last), {
+    return series, {
         "outcome": series.outcome, "boundary_breach": series.boundary_breach,
         "samples": len(series.t), "t_final": series.t[-1], "dealias_loss": loss,
         "mass_drift": max(abs(m - m0) for m in series.mass) / max(m0, 1e-300),
@@ -295,13 +298,13 @@ def _observe(f0: Field, econf: EvolutionConfig, outdir: Path, each=lambda s: Non
 def _scenario_simulate(cfg, outdir: Path, checks: Checks) -> dict:
     grid = _grid_from(cfg)
     econf = _evolution_from(cfg)
-    f0 = _initial_field(cfg, grid)
+    run = _run_from(cfg, grid, econf)
     emit = cfg["output"]["emit_snapshots"]
     if emit:
-        write_snapshot(f0, outdir / "initial.mcnls")
-    _, final, detail = _observe(f0, econf, outdir)
+        write_snapshot(run.f, outdir / "initial.mcnls")
+    _, detail = _observe(run, outdir)
     if emit:
-        write_snapshot(final, outdir / "final.mcnls")
+        write_snapshot(Field(grid, run.last), outdir / "final.mcnls")
     # simulate gates its drifts: each moves from the detail to the checks
     checks.add("mass_drift", detail.pop("mass_drift"), 1e-10)
     edrift = detail.pop("energy_drift")
@@ -361,7 +364,7 @@ def _scenario_morawetz(cfg, outdir: Path, checks: Checks) -> dict:
     grid = _grid_from(cfg)
     econf = _evolution_from(cfg)
     weights = _weights_from(cfg)
-    f0 = _initial_field(cfg, grid)
+    run = _run_from(cfg, grid, econf)
     w = _valid(build_weights, grid.d, **weights)
     reps, ratios = [], []  # per sample: its MorawetzReport, |A| / (2 M R ||p||_1 ||rho||_1)
     wq = grid.h ** grid.d
@@ -376,7 +379,7 @@ def _scenario_morawetz(cfg, outdir: Path, checks: Checks) -> dict:
                               f"2 M R ||p||_1 ||rho||_1 read {float(bound)!r}")
         ratios.append(abs(rep.action) / bound if rep.action else 0.0)
 
-    series, _, detail = _observe(f0, econf, outdir, pair)  # its drifts are reported, not gated
+    series, detail = _observe(run, outdir, pair)  # its drifts are reported, not gated
     cols = ("action", "flux", "coercive", "tail", "curvature", "envelope_drift")
     write_csv(outdir / "morawetz.csv", ("t", *cols),
               ([t, *(getattr(rep, c) for c in cols)] for t, rep in zip(series.t, reps)))
@@ -454,8 +457,13 @@ def run_scenario(config_path) -> int:
         out_cfg = raw.get("output") if isinstance(raw, dict) else None
         if isinstance(out_cfg, dict) and isinstance(out_cfg.get("dir"), str):
             outdir = Path(out_cfg["dir"])
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            bad, outdir = outdir, Path("mcnls-out")
+            raise ConfigError(f"output.dir {str(bad)!r} cannot be created: "
+                              f"{getattr(exc, 'strerror', None) or exc}") from exc
         cfg = _parse(raw)
-        outdir.mkdir(parents=True, exist_ok=True)
         detail = _SCENARIOS[cfg["scenario"]][0](cfg, outdir, checks)
         manifest["detail"] = detail
         if detail.get("boundary_breach"):

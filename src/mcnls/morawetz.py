@@ -410,20 +410,10 @@ def _drift_kernels(grid, Ntilde: float, w: WeightFamily) -> tuple:
     return _spectra(grid, ((phis * zj, (j,)) for j, zj in enumerate(z)))
 
 
-def _action(kern: _Kernels, p_hat: list, rho_hat: np.ndarray,
-            out: Optional[np.ndarray] = None) -> float:
-    return sum(_pair_odd(ph, a, rho_hat, out) for ph, a in zip(p_hat, kern.action))
-
-
 def interaction_action(f: Field, Ntilde: float, w: WeightFamily) -> float:
-    """M(t) = int int psi(|x-y| N/R) (x-y)_j N p_j(x) rho(y) dx dy (Fourier pairing)."""
-    if not Ntilde > 0:
-        raise ValueError("Ntilde must be positive")
-    g = f.grid
-    p_hat = [padded_rfft(pj) for pj in momentum_density(f)]
-    rho_hat = padded_rfft(np.abs(f.values) ** 2)
-    kern = _pairing_kernels(g, float(Ntilde), w)
-    return quad_weight(f) ** 2 * _action(kern, p_hat, rho_hat)
+    """M(t) = int int psi(|x-y| N/R) (x-y)_j N p_j(x) rho(y) dx dy (Fourier pairing):
+    the action of `interaction_flux`, which does not depend on mu or Ntilde'."""
+    return interaction_flux(f, Ntilde, 0.0, 1, w).action
 
 
 def interaction_action_direct(f: Field, Ntilde: float, w: WeightFamily) -> float:
@@ -516,7 +506,7 @@ def _flux_terms(g, u: np.ndarray, spec: np.ndarray, Ntilde: float, Ntilde_prime:
     for (j, k), K_jk in kern.K:
         both = 1.0 if j == k else 2.0
         t_mom += both * -2.0 * w2 * _pair(p_hat[j], K_jk, p_hat[k], prod)
-    action = w2 * _action(kern, p_hat, rho_hat, prod)
+    action = w2 * sum(_pair_odd(ph, a, rho_hat, prod) for ph, a in zip(p_hat, kern.action))
     t_env = 0.0
     if Ntilde_prime != 0.0:
         drift = _drift_kernels(g, float(Ntilde), w)

@@ -76,19 +76,14 @@ def _estimates_from_spec(g, dens, sdens, eta, n_start=None):
     None) and steps down or up from there.
     """
     d = g.d
-    # spatial center: mass-weighted median per axis
-    x_est = np.empty(d)
-    for j in range(d):
-        other = tuple(a for a in range(d) if a != j)
-        marg = dens.sum(axis=other) if other else dens
-        x_est[j] = _weighted_median(g.axis_x, marg)
-    # frequency center: spectral mass-weighted median per axis
+    # spatial and frequency centers: the (spectral) mass-weighted median per axis
     korder = np.fft.fftshift(g.axis_k)
-    xi_est = np.empty(d)
+    x_est, xi_est = np.empty(d), np.empty(d)
     for j in range(d):
         other = tuple(a for a in range(d) if a != j)
-        marg = sdens.sum(axis=other) if other else sdens
-        xi_est[j] = _weighted_median(korder, np.fft.fftshift(marg))
+        # in 1D other is () and the sum returns the array unsummed
+        x_est[j] = _weighted_median(g.axis_x, dens.sum(axis=other))
+        xi_est[j] = _weighted_median(korder, np.fft.fftshift(sdens.sum(axis=other)))
     # concentration scale: smallest dyadic N capturing all but eta of the mass
     sq = [(g.axis_k - c) ** 2 for c in xi_est]
     dist2 = sq[0] if d == 1 else sq[0][:, None] + sq[1][None, :]

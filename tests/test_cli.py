@@ -417,6 +417,54 @@ def test_initial_envelope_and_weight_check_config_values(tmp_path, base, section
     assert manifest["failure"].startswith("config error:")
 
 
+@pytest.mark.parametrize("base", [_sim_config, _morawetz_config], ids=["simulate", "morawetz"])
+def test_a_trajectory_run_checks_its_initial_boundary_mass_once(tmp_path, monkeypatch, base):
+    import mcnls.cli
+    import mcnls.evolution
+
+    calls, measure = [], mcnls.evolution.boundary_mass_fraction
+
+    def counted(f):
+        calls.append(f)
+        return measure(f)
+
+    for module in (mcnls.cli, mcnls.evolution):
+        monkeypatch.setattr(module, "boundary_mass_fraction", counted)
+    assert run_scenario(_write_config(tmp_path, base(tmp_path / "out"))) == 0
+    assert len(calls) == 1
+
+
+def test_morawetz_data_at_the_boundary_build_no_weights_and_no_ground_state(tmp_path,
+                                                                           monkeypatch):
+    import mcnls.ground_state
+    import mcnls.morawetz
+
+    def never(*args, **kwargs):
+        raise AssertionError("built for data the run rejects")
+
+    monkeypatch.setattr(mcnls.morawetz, "build_weights", never)
+    monkeypatch.setattr(mcnls.ground_state, "solve_petviashvili", never)
+    out = tmp_path / "out"
+    cfg = _morawetz_config(out)
+    cfg["initial"]["center"] = [15.5]
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failure"] == ("config error: initial data places too much mass "
+                                   "at the box boundary")
+
+
+@pytest.mark.parametrize("path", ["afile", "afile/sub", "a\x00b"],
+                         ids=["file", "under-file", "nul"])
+def test_an_output_dir_that_cannot_be_made_is_a_config_error(tmp_path, monkeypatch, path):
+    # README: a bad config exits 2 and still writes its manifest, to mcnls-out if need be
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    cfg = _sim_config(path)
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    failure = json.loads((tmp_path / "mcnls-out" / "manifest.json").read_text())["failure"]
+    assert failure.startswith(f"config error: output.dir {path!r} cannot be created")
+
+
 def test_2d_initial_center_needs_two_entries(tmp_path):
     out = tmp_path / "out"
     cfg = _sim_config(out, grid=dict(_GRID_2D))
@@ -1487,20 +1535,39 @@ def _readme_checks():
                                          ("morawetz", 1), ("smooth-envelope", None),
                                          ("weight-check", 1), ("weight-check", 2)])
 def test_readme_manifest_checks_are_each_scenarios_checks(tmp_path, scenario, d):
-    out = tmp_path / "out"
-    grid = {"d": 1, "n": 256, "L": 20.0} if d == 1 else {"d": 2, "n": 128, "L": 16.0}
-    cfg = {"simulate": _sim_config(out), "morawetz": _morawetz_config(out),
-           "smooth-envelope": _envelope_config(out),
-           "weight-check": dict(_weight_check_config(out), grid={"d": d}),
-           }.get(scenario, {"scenario": scenario, "grid": grid, "output": {"dir": str(out)}})
-    assert run_scenario(_write_config(tmp_path, cfg)) == 0
-    checks = json.loads((out / "manifest.json").read_text())["checks"]
     names, rows = _readme_checks()
-    assert set(checks) == names[scenario][None] | names[scenario].get(d, set())
-    for name, check in checks.items():
-        assert (check["value"] is None) == rows[name][2].startswith("none"), name
-        if rows[name][4] == "value <= threshold":
-            assert check["passed"] == (check["value"] <= check["threshold"]), name
+    grid = {"d": 1, "n": 256, "L": 20.0} if d == 1 else {"d": 2, "n": 128, "L": 16.0}
+    # simulate's energy budget scales with dt, so it is read at two steps
+    for dt in (1e-4, 1e-3) if scenario == "simulate" else (None,):
+        out = tmp_path / f"out-{dt}"
+        cfg = {"simulate": _sim_config(out), "morawetz": _morawetz_config(out),
+               "smooth-envelope": _envelope_config(out),
+               "weight-check": dict(_weight_check_config(out), grid={"d": d}),
+               }.get(scenario, {"scenario": scenario, "grid": grid, "output": {"dir": str(out)}})
+        if dt is not None:
+            cfg["evolution"]["dt"] = dt
+        assert run_scenario(_write_config(tmp_path, cfg)) == 0
+        checks = json.loads((out / "manifest.json").read_text())["checks"]
+        assert set(checks) == names[scenario][None] | names[scenario].get(d, set())
+        M = cfg.get("weights", {}).get("M")
+        for name, check in checks.items():
+            assert (check["value"] is None) == rows[name][2].startswith("none"), name
+            if rows[name][4] == "value <= threshold":
+                assert check["passed"] == (check["value"] <= check["threshold"]), name
+            assert check["threshold"] == _readme_threshold(rows[name][3], dt, M), name
+
+
+def _readme_threshold(cell: str, dt, M) -> float:
+    """A README threshold cell at step dt and weights.M: a number, `1 + x`,
+    `1/M + x` or `max(a, b (dt/c)^2)`."""
+    cell = cell.strip("`")
+    m = re.fullmatch(r"max\((\S+), (\S+) \(dt/(\S+)\)\^2\)", cell)
+    if m:
+        return max(float(m[1]), float(m[2]) * (dt / float(m[3])) ** 2)
+    m = re.fullmatch(r"(1|1/M) \+ (\S+)", cell)
+    if m:
+        return (1.0 if m[1] == "1" else 1.0 / M) + float(m[2])
+    return float(cell)
 
 
 def _snapshot_bytes(d, n, L):

@@ -786,3 +786,24 @@ def test_previous_sample_is_released_once_the_next_is_taken():
     del s
     next(samples)
     assert all(r() is None for r in refs) and len(run.series.t) == 3
+
+
+@pytest.mark.parametrize("width, N", [(1.2, 2.0), (0.6, 4.0)])
+def test_estimates_of_a_boosted_gaussian_are_its_closed_form(width, N):
+    # on this box |fft u|^2 is exp(-w^2 (k - k0)^2) up to e^-88, so the mass fraction
+    # outside a ball around k0 is a lattice sum of that formula
+    g = make_grid(1, 512, 16.0)
+    k0 = 4.0 * np.pi / g.L
+    x = g.axis_x
+    f = Field(g, np.exp(-x ** 2 / (2.0 * width ** 2)) * np.exp(1j * k0 * x))
+    series, _ = evolve(f, EvolutionConfig(mu=1, dt=1e-3, t_end=0.0))
+    c = np.exp(-(width * (g.axis_k - k0)) ** 2)
+
+    def outside(r):
+        return c[np.abs(g.axis_k - k0) > r].sum() / c.sum()
+
+    # the smallest dyadic N leaving less than 0.05 of the mass outside; a ball
+    # narrower than dk holds the centre alone, so the search may start anywhere below
+    expected = 2.0 ** next(j for j in range(-10, 10) if outside(2.0 ** j) < 0.05)
+    assert series.N_est == [expected] == [N]
+    assert series.xi_est[0][0] == k0 and series.x_est[0][0] == 0.0
