@@ -64,7 +64,8 @@ _SCHEMA = {
     "envelope": {"m": 1, "input": str},
     "output": {"dir": "mcnls-out", "emit_snapshots": False},
 }
-# The initial.<key>s each initial.kind reads ("?" as in `_SCENARIOS`).
+# The initial.<key>s each initial.kind reads.  A trailing "?" marks a key that may
+# be omitted although `_SCHEMA` gives it no default; `_parse` then sets it to None.
 _INITIAL_KINDS = {"gaussian": ("amplitude", "width", "center?", "k0?"), "soliton": (),
                   "boosted-soliton": ("xi0",), "pseudoconformal": ("t0",), "snapshot": ("path",)}
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
@@ -359,7 +360,7 @@ def _scenario_ground_state(cfg, outdir: Path, checks: Checks) -> dict:
 
 
 def _scenario_morawetz(cfg, outdir: Path, checks: Checks) -> dict:
-    from .morawetz import _flux_terms, build_weights
+    from .morawetz import _flux_terms, build_weights, weight_family_checks
 
     grid = _grid_from(cfg)
     econf = _evolution_from(cfg)
@@ -384,6 +385,8 @@ def _scenario_morawetz(cfg, outdir: Path, checks: Checks) -> dict:
     write_csv(outdir / "morawetz.csv", ("t", *cols),
               ([t, *(getattr(rep, c) for c in cols)] for t, rep in zip(series.t, reps)))
     checks.add("action_kernel_bound", np.max(ratios), 1.0 + 1e-9)  # a NaN ratio stays NaN
+    for name, (value, bound, _) in weight_family_checks(w).items():
+        checks.add(f"family_{name}", value, bound)
     if detail["outcome"] == "completed":
         detail["outcome"] = "ok"
     return detail
@@ -415,30 +418,17 @@ def _scenario_smooth_envelope(cfg, outdir: Path, checks: Checks) -> dict:
     return {"variation_m": variation_m, "smallinterval_height_sum": hsum0, "passes": m}
 
 
-def _scenario_weight_check(cfg, outdir: Path, checks: Checks) -> dict:
-    from .morawetz import build_weights, weight_family_checks
-
-    d = cfg["grid"]["d"]
-    # the unit radius: no profile checked here depends on R
-    w = _valid(build_weights, 1 if d is None else d, R=1.0, **_weights_from(cfg))
-    for name, (value, bound, _) in weight_family_checks(w).items():
-        checks.add(f"family_{name}", value, bound)
-    return {"checks": len(checks)}
-
-
 _GRID = ("grid.d", "grid.n", "grid.L")
 _TRAJECTORY = (*_GRID, "evolution.mu", "evolution.dt", "evolution.t_end", "evolution.stride",
                "evolution.dealias", "initial.kind")
 # Each scenario's runner and the section.keys it reads besides output.dir, which
 # every run reads; with initial.kind it reads that kind's keys (`_INITIAL_KINDS`).
-# A trailing "?" marks a key that may be omitted although `_SCHEMA` gives it no
-# default; `_parse` then sets it to None.  Any other key is a config error.
+# Any other key is a config error.
 _SCENARIOS = {
     "simulate": (_scenario_simulate, (*_TRAJECTORY, "output.emit_snapshots")),
     "ground-state": (_scenario_ground_state, _GRID),
     "morawetz": (_scenario_morawetz, (*_TRAJECTORY, "weights.M", "weights.R")),
     "smooth-envelope": (_scenario_smooth_envelope, ("envelope.m", "envelope.input")),
-    "weight-check": (_scenario_weight_check, ("grid.d?", "weights.M")),
 }
 SCENARIOS = tuple(_SCENARIOS)
 
@@ -456,13 +446,14 @@ def run_scenario(config_path) -> int:
         # the manifest of a config that fails to parse still goes to a usable output.dir
         out_cfg = raw.get("output") if isinstance(raw, dict) else None
         if isinstance(out_cfg, dict) and isinstance(out_cfg.get("dir"), str):
-            outdir = Path(out_cfg["dir"])
+            outdir = out_cfg["dir"]
         try:
-            outdir.mkdir(parents=True, exist_ok=True)
+            os.makedirs(outdir, exist_ok=True)  # rejects "", which Path reads as "."
         except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             bad, outdir = outdir, Path("mcnls-out")
             raise ConfigError(f"output.dir {str(bad)!r} cannot be created: "
                               f"{getattr(exc, 'strerror', None) or exc}") from exc
+        outdir = Path(outdir)
         cfg = _parse(raw)
         detail = _SCENARIOS[cfg["scenario"]][0](cfg, outdir, checks)
         manifest["detail"] = detail

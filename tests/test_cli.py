@@ -120,6 +120,18 @@ def test_gn_check_is_an_unknown_scenario(tmp_path):
     assert _only_manifest_written(out)
 
 
+def test_weight_check_is_an_unknown_scenario(tmp_path):
+    # morawetz checks the weight family it pairs with
+    out = tmp_path / "out"
+    cfg = {"scenario": "weight-check", "grid": {"d": 1}, "weights": {"M": 8},
+           "output": {"dir": str(out)}}
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure == ("config error: unknown scenario 'weight-check'; choose one of "
+                       "simulate, ground-state, morawetz, smooth-envelope")
+    assert _only_manifest_written(out)
+
+
 def test_ground_state_scenario(tmp_path):
     out = tmp_path / "out"
     cfg = {"scenario": "ground-state", "grid": {"d": 1, "n": 1024, "L": 20.0},
@@ -232,27 +244,55 @@ def test_smooth_envelope_smooths_once(tmp_path, monkeypatch):
     assert calls == [3]
 
 
-def test_weight_check_scenario(tmp_path):
+def _family_config(outdir, d, R):
+    """A morawetz run that pairs no step: it checks the weight family at M = 8."""
+    return {"scenario": "morawetz", "grid": {"d": d, "n": 16, "L": 8.0},
+            "evolution": {"mu": 1, "dt": 1e-3, "t_end": 0.0},
+            "initial": {"kind": "gaussian"}, "weights": {"M": 8, "R": R},
+            "output": {"dir": str(outdir)}}
+
+
+# the family checks at M = 8, as the weight-check scenario wrote them:
+# {name: (value, threshold)}
+_FAMILY_AT_M8 = {
+    1: {"phi_bounded": (0.9166666666666666, 1.0 + 1e-10), "dphi_bound": (0.0625, 0.125 + 1e-10),
+        "d2phi_bound": (0.125, 0.125 + 1e-10), "phi_support": (3.469446951953614e-17, 1e-10)},
+    2: {"phi_bounded": (0.8411458333333334, 1.0 + 1e-10),
+        "phi_monotone": (2.2970449913475887e-13, 1e-10),
+        "phi_support": (6.617444900424222e-24, 1e-10)},
+}
+
+
+@pytest.mark.parametrize("R", [3.0, 40.0])
+@pytest.mark.parametrize("d", [1, 2])
+def test_morawetz_checks_the_weight_family_it_pairs_with(tmp_path, d, R):
     out = tmp_path / "out"
-    cfg = {"scenario": "weight-check", "grid": {"d": 1},
-           "weights": {"M": 8}, "output": {"dir": str(out)}}
-    assert run_scenario(_write_config(tmp_path, cfg)) == 0
+    assert run_scenario(_write_config(tmp_path, _family_config(out, d, R))) == 0
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    assert {name: check for name, check in checks.items() if name.startswith("family_")} == {
+        f"family_{name}": {"passed": True, "value": value, "threshold": threshold}
+        for name, (value, threshold) in _FAMILY_AT_M8[d].items()}
+
+
+def test_morawetz_fails_a_family_whose_support_does_not_end_at_2m(tmp_path, monkeypatch):
+    # phi(0.999 r) is still nonzero at r = 2M, where the support must end
+    from dataclasses import replace
+
+    import mcnls.morawetz
+
+    real = mcnls.morawetz.build_weights
+
+    def stretched(*args, **kwargs):
+        w = real(*args, **kwargs)
+        return replace(w, phi=lambda r: w.phi(0.999 * r),
+                       dphi=lambda r: 0.999 * w.dphi(0.999 * r))
+
+    monkeypatch.setattr(mcnls.morawetz, "build_weights", stretched)
+    out = tmp_path / "out"
+    assert run_scenario(_write_config(tmp_path, _morawetz_config(out))) == 1
     manifest = json.loads((out / "manifest.json").read_text())
-    assert all(v["passed"] for v in manifest["checks"].values())
-
-
-@pytest.mark.parametrize("section, keys, named", [
-    ("weights", {"M": 8, "R": 4}, "does not read weights.R"),
-    ("envelope", {"input": "bundled:sawtooth"}, "does not read a 'envelope' section"),
-], ids=["weights.R", "envelope.input"])
-def test_weight_check_reads_no_radius_and_no_envelope(tmp_path, section, keys, named):
-    # no check it writes depends on R or on an envelope; both ran to exit 0
-    out = tmp_path / "out"
-    cfg = dict(_weight_check_config(out), **{section: keys})
-    assert run_scenario(_write_config(tmp_path, cfg)) == 2
-    failure = json.loads((out / "manifest.json").read_text())["failure"]
-    assert failure == f"config error: the weight-check scenario {named}"
-    assert _only_manifest_written(out)
+    assert not manifest["checks"]["family_phi_support"]["passed"]
+    assert "family_phi_support" in manifest["failure"]
 
 
 def test_manifest_written_on_failure(tmp_path):
@@ -361,11 +401,6 @@ def _envelope_config(outdir):
             "output": {"dir": str(outdir)}}
 
 
-def _weight_check_config(outdir):
-    return {"scenario": "weight-check", "grid": {"d": 1},
-            "weights": {"M": 8}, "output": {"dir": str(outdir)}}
-
-
 _GRID_2D = {"d": 2, "n": 64, "L": 8.0}
 
 
@@ -388,8 +423,8 @@ def _on_snapshot(base):
     (_morawetz_config, "initial", {"center": [0.0, 1.0]}),
     (_envelope_config, "envelope", {"m": 2.7}),
     (_envelope_config, "envelope", {"m": -1}),
-    (_weight_check_config, "grid", {"d": _DELETE}),
-    (_weight_check_config, "grid", {"d": 1.5}),
+    (_morawetz_config, "grid", {"d": _DELETE}),
+    (_morawetz_config, "grid", {"d": 1.5}),
     (_sim_config, "initial", {"center": [15.5]}),
     (_sim_config, "evolution", {"dealias": "no"}),
     (_morawetz_config, "evolution", {"dealias": 0}),
@@ -434,6 +469,22 @@ def test_a_trajectory_run_checks_its_initial_boundary_mass_once(tmp_path, monkey
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("base", [_sim_config, _morawetz_config], ids=["simulate", "morawetz"])
+def test_initial_data_whose_mass_overflows_is_a_config_error(tmp_path, monkeypatch, base):
+    # |u|^2 is inf at the centre and finite in the annulus, so the boundary
+    # fraction read 0; simulate then failed mass_drift with a NaN value
+    import mcnls.morawetz
+
+    builds = _counting(monkeypatch, mcnls.morawetz, "build_weights")
+    out = tmp_path / "out"
+    cfg = base(out)
+    cfg["initial"]["amplitude"] = 1e160
+    assert run_scenario(_write_config(tmp_path, cfg)) == 2
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure == "config error: initial data's mass is not finite"
+    assert builds == [] and _only_manifest_written(out)
+
+
 def test_morawetz_data_at_the_boundary_build_no_weights_and_no_ground_state(tmp_path,
                                                                            monkeypatch):
     import mcnls.ground_state
@@ -453,8 +504,8 @@ def test_morawetz_data_at_the_boundary_build_no_weights_and_no_ground_state(tmp_
                                    "at the box boundary")
 
 
-@pytest.mark.parametrize("path", ["afile", "afile/sub", "a\x00b"],
-                         ids=["file", "under-file", "nul"])
+@pytest.mark.parametrize("path", ["afile", "afile/sub", "a\x00b", ""],
+                         ids=["file", "under-file", "nul", "empty"])
 def test_an_output_dir_that_cannot_be_made_is_a_config_error(tmp_path, monkeypatch, path):
     # README: a bad config exits 2 and still writes its manifest, to mcnls-out if need be
     monkeypatch.chdir(tmp_path)
@@ -463,6 +514,8 @@ def test_an_output_dir_that_cannot_be_made_is_a_config_error(tmp_path, monkeypat
     assert run_scenario(_write_config(tmp_path, cfg)) == 2
     failure = json.loads((tmp_path / "mcnls-out" / "manifest.json").read_text())["failure"]
     assert failure.startswith(f"config error: output.dir {path!r} cannot be created")
+    # "" was read as the working directory, and the run wrote its tables there
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.json", "mcnls-out"]
 
 
 def test_2d_initial_center_needs_two_entries(tmp_path):
@@ -591,7 +644,7 @@ def _with(base, **sections):
     (_sim_config, "initial", {"seed": 5}, "initial.seed"),
     (_with(_envelope_config, envelope=[1]), "envelope", {}, "envelope"),
     (_envelope_config, "envelope", {"input": 3}, "envelope.input"),
-    (_with(_weight_check_config, envelope={"m": "x"}), "envelope", {}, "envelope.m"),
+    (_with(_morawetz_config, envelope={"m": "x"}), "envelope", {}, "envelope.m"),
     (_sim_config, "grid", {"n": 2 ** 40}, "points"),
     (_sim_config, "grid", {"d": 2, "n": 2048}, "points"),
     (_on_snapshot(_sim_config), "initial", {}, "initial.path"),
@@ -614,7 +667,7 @@ def _with(base, **sections):
     (_sim_config, "evolution", {"t_end": 1e306}, "t_end / dt = 1e+306 / 0.001"),
     (_morawetz_config, "evolution", {"t_end": 1e306}, "t_end / dt = 1e+306 / 0.001"),
 ], ids=["dt-string", "amplitude-true", "L-true", "seed", "envelope-list", "input-number",
-        "weight-check-m-string", "n-2**40", "2d-n-2048", "snapshot-grid",
+        "morawetz-m-string", "n-2**40", "2d-n-2048", "snapshot-grid",
         "morawetz-snapshot-grid", "ground-state-box-too-small", "ground-state-collapse",
         "ground-state-2d-collapse", "simulate-soliton-2d-collapse",
         "simulate-boosted-soliton-2d-collapse", "morawetz-soliton-2d-collapse",
@@ -680,7 +733,7 @@ def test_snapshot_on_the_config_grid_runs(tmp_path):
         (tmp_path / "gaussian" / "diagnostics.csv").read_bytes()
 
 
-_SMALL_CONFIGS = [_sim_config, _morawetz_config, _envelope_config, _weight_check_config,
+_SMALL_CONFIGS = [_sim_config, _morawetz_config, _envelope_config,
                   _grid_scenario_config("ground-state")]
 _KEYS = [(section, key) for section, keys in _SCHEMA.items() for key in keys]
 _TEXT, _BOOL, _NULL = st.text(max_size=4), st.booleans(), st.none()
@@ -741,7 +794,6 @@ _OPTIONAL_MODULES = ("mcnls.morawetz", "mcnls.envelope", "mcnls.projections", "n
                      "mcnls.ground_state", "mcnls.symmetries", "mcnls.piecewise")
 _SCENARIO_LOADS = {"simulate": [], "morawetz": ["mcnls.morawetz", "mcnls.piecewise"],
                    "smooth-envelope": ["mcnls.envelope"],
-                   "weight-check": ["mcnls.morawetz", "mcnls.piecewise"],
                    "ground-state": ["mcnls.ground_state", "mcnls.piecewise"]}
 
 
@@ -762,9 +814,8 @@ def test_each_scenario_loads_only_its_own_modules(tmp_path, base):
     assert loaded == _SCENARIO_LOADS[cfg["scenario"]]
 
 
-def test_2d_weight_check_runs_without_scipy(tmp_path):
-    cfg = dict(_weight_check_config(tmp_path / "out"), grid={"d": 2})
-    p = _write_config(tmp_path, cfg)
+def test_2d_morawetz_family_checks_run_without_scipy(tmp_path):
+    p = _write_config(tmp_path, _family_config(tmp_path / "out", 2, 4.0))
     code = ("import json, sys; from mcnls.cli import run_scenario; "
             f"code = run_scenario({str(p)!r}); "
             "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('scipy'))]))")
@@ -938,8 +989,7 @@ def test_section_the_scenario_does_not_read_is_a_config_error(tmp_path, scenario
 
 
 def test_every_schema_key_is_read_by_some_scenario_or_kind():
-    assert SCENARIOS == ("simulate", "ground-state", "morawetz", "smooth-envelope",
-                         "weight-check")
+    assert SCENARIOS == ("simulate", "ground-state", "morawetz", "smooth-envelope")
     assert set().union(*map(_reads, SCENARIOS)) == {f"{s}.{k}" for s, k in _KEYS}
 
 
@@ -964,8 +1014,7 @@ def _full_config(scenario, kind, outdir):
            "morawetz": {"grid": grid, "evolution": evolution, "initial": initial,
                         "weights": {"M": 8, "R": 4}},
            "ground-state": {"grid": {"d": 1, "n": 256, "L": 20.0}},
-           "smooth-envelope": {"envelope": {"m": 3, "input": "bundled:sawtooth"}},
-           "weight-check": {"grid": {"d": 1}, "weights": {"M": 8}}}[scenario]
+           "smooth-envelope": {"envelope": {"m": 3, "input": "bundled:sawtooth"}}}[scenario]
     cfg = json.loads(json.dumps(dict(cfg, scenario=scenario)))
     cfg.setdefault("output", {})["dir"] = str(outdir)
     return cfg
@@ -1072,12 +1121,9 @@ def test_a_missing_required_key_is_a_config_error(tmp_path, scenario, kind, sect
 @pytest.mark.parametrize("base, unread", [
     (lambda out: _sim_config(out, initial={"kind": "soliton"}),
      {"initial": {"amplitude": 5.0, "k0": [0.3], "t0": -2.0}}),
-    (_weight_check_config,
-     {"grid": {"n": 8, "L": 1.0}, "weights": {"R": 4.0}, "output": {"emit_snapshots": True}}),
     (_morawetz_config,
      {"initial": {"xi0": [0.3], "path": "initial.mcnls"}, "output": {"emit_snapshots": True}}),
-], ids=["soliton-with-amplitude", "weight-check-with-grid-and-R",
-        "morawetz-gaussian-with-snapshot-keys"])
+], ids=["soliton-with-amplitude", "morawetz-gaussian-with-snapshot-keys"])
 def test_keys_a_run_would_ignore_are_config_errors(tmp_path, base, unread):
     # each of these ran to exit 0 with the keys ignored: the soliton's
     # diagnostics.csv was byte-identical to that of plain {"kind": "soliton"}
@@ -1093,12 +1139,12 @@ def test_keys_a_run_would_ignore_are_config_errors(tmp_path, base, unread):
     assert _only_manifest_written(out)
 
 
-@pytest.mark.parametrize("section", ["output", "grid"])
+@pytest.mark.parametrize("section", ["output"])
 def test_an_empty_section_is_a_config_error(tmp_path, monkeypatch, section):
-    # weight-check reads grid.d only when given; an empty section sets
-    # nothing and is not taken for an absent one
+    # every output key has a default; an empty section sets nothing and is
+    # not taken for an absent one
     monkeypatch.chdir(tmp_path)
-    cfg = dict(_weight_check_config(tmp_path / "mcnls-out"), **{section: {}})
+    cfg = dict(_morawetz_config(tmp_path / "mcnls-out"), **{section: {}})
     assert run_scenario(_write_config(tmp_path, cfg)) == 2
     failure = json.loads((tmp_path / "mcnls-out" / "manifest.json").read_text())["failure"]
     assert failure == f"config error: config section {section!r} is empty"
@@ -1380,16 +1426,14 @@ def test_bad_evolution_value_exits_before_the_first_solve(tmp_path, monkeypatch,
     assert solves == [] and builds == []
 
 
-@pytest.mark.parametrize("scenario, M", [("weight-check", 1e12), ("weight-check", MAX_WEIGHTS_M + 1),
-                                         ("morawetz", 1e12), ("morawetz", MAX_WEIGHTS_M + 1)])
+@pytest.mark.parametrize("scenario, M", [("morawetz", 1e12), ("morawetz", MAX_WEIGHTS_M + 1)])
 def test_weights_m_past_the_cap_is_config_error(tmp_path, monkeypatch, scenario, M):
-    # a 2D weight-check at M = 1e12 asked for a 2.27 PiB table and exited 1
+    # a 2D run at M = 1e12 asked for a 2.27 PiB table and exited 1
     import time
 
     solves, builds = _count_solves_and_builds(monkeypatch)
     out = tmp_path / "out"
-    cfg = (dict(_weight_check_config(out), grid={"d": 2}) if scenario == "weight-check"
-           else _soliton_2d_config(scenario, out))
+    cfg = _soliton_2d_config(scenario, out)
     cfg["weights"]["M"] = M
     t0 = time.perf_counter()
     assert run_scenario(_write_config(tmp_path, cfg)) == 2
@@ -1401,10 +1445,12 @@ def test_weights_m_past_the_cap_is_config_error(tmp_path, monkeypatch, scenario,
 
 def test_weights_m_at_the_cap_builds(tmp_path):
     out = tmp_path / "out"
-    cfg = dict(_weight_check_config(out), grid={"d": 2}, weights={"M": MAX_WEIGHTS_M})
+    cfg = _family_config(out, 2, 4.0)
+    cfg["grid"]["n"], cfg["weights"]["M"] = 8, MAX_WEIGHTS_M
     assert run_scenario(_write_config(tmp_path, cfg)) == 0
     checks = json.loads((out / "manifest.json").read_text())["checks"]
-    assert set(checks) == {"family_phi_bounded", "family_phi_support", "family_phi_monotone"}
+    assert set(checks) == {"action_kernel_bound", "family_phi_bounded", "family_phi_support",
+                           "family_phi_monotone"}
 
 
 def test_morawetz_at_the_weights_m_cap_runs(tmp_path, monkeypatch):
@@ -1532,17 +1578,15 @@ def _readme_checks():
 
 
 @pytest.mark.parametrize("scenario, d", [("simulate", 1), ("ground-state", 1), ("ground-state", 2),
-                                         ("morawetz", 1), ("smooth-envelope", None),
-                                         ("weight-check", 1), ("weight-check", 2)])
+                                         ("morawetz", 1), ("morawetz", 2), ("smooth-envelope", None)])
 def test_readme_manifest_checks_are_each_scenarios_checks(tmp_path, scenario, d):
     names, rows = _readme_checks()
     grid = {"d": 1, "n": 256, "L": 20.0} if d == 1 else {"d": 2, "n": 128, "L": 16.0}
     # simulate's energy budget scales with dt, so it is read at two steps
     for dt in (1e-4, 1e-3) if scenario == "simulate" else (None,):
         out = tmp_path / f"out-{dt}"
-        cfg = {"simulate": _sim_config(out), "morawetz": _morawetz_config(out),
-               "smooth-envelope": _envelope_config(out),
-               "weight-check": dict(_weight_check_config(out), grid={"d": d}),
+        cfg = {"simulate": _sim_config(out), "smooth-envelope": _envelope_config(out),
+               "morawetz": _morawetz_config(out) if d == 1 else _soliton_2d_config(scenario, out),
                }.get(scenario, {"scenario": scenario, "grid": grid, "output": {"dir": str(out)}})
         if dt is not None:
             cfg["evolution"]["dt"] = dt
