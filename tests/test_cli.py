@@ -244,55 +244,105 @@ def test_smooth_envelope_smooths_once(tmp_path, monkeypatch):
     assert calls == [3]
 
 
-def _family_config(outdir, d, R):
-    """A morawetz run that pairs no step: it checks the weight family at M = 8."""
+def _family_config(outdir, d, R, M=8):
+    """A morawetz run that pairs no step: it checks the weight family at M."""
     return {"scenario": "morawetz", "grid": {"d": d, "n": 16, "L": 8.0},
             "evolution": {"mu": 1, "dt": 1e-3, "t_end": 0.0},
-            "initial": {"kind": "gaussian"}, "weights": {"M": 8, "R": R},
+            "initial": {"kind": "gaussian"}, "weights": {"M": M, "R": R},
             "output": {"dir": str(outdir)}}
 
 
-# the family checks at M = 8, as the weight-check scenario wrote them:
-# {name: (value, threshold)}
-_FAMILY_AT_M8 = {
-    1: {"phi_bounded": (0.9166666666666666, 1.0 + 1e-10), "dphi_bound": (0.0625, 0.125 + 1e-10),
-        "d2phi_bound": (0.125, 0.125 + 1e-10), "phi_support": (3.469446951953614e-17, 1e-10)},
-    2: {"phi_bounded": (0.8411458333333334, 1.0 + 1e-10),
-        "phi_monotone": (2.2970449913475887e-13, 1e-10),
-        "phi_support": (6.617444900424222e-24, 1e-10)},
+# the family checks, as the weight-check scenario wrote them:
+# {(d, M): {name: (value, threshold)}}
+_FAMILY = {
+    (1, 4): {"phi_bounded": (0.8333333333333334, 1.0000000001),
+             "dphi_bound": (0.125, 0.2500000001), "d2phi_bound": (0.25, 0.2500000001),
+             "phi_support": (4.163336342344337e-17, 1e-10)},
+    (1, 8): {"phi_bounded": (0.9166666666666666, 1.0000000001),
+             "dphi_bound": (0.0625, 0.1250000001), "d2phi_bound": (0.125, 0.1250000001),
+             "phi_support": (3.469446951953614e-17, 1e-10)},
+    (1, 256): {"phi_bounded": (0.9973958333333334, 1.0000000001),
+               "dphi_bound": (0.001953125, 0.0039062501),
+               "d2phi_bound": (0.00390625, 0.0039062501),
+               "phi_support": (3.707971429900425e-17, 1e-10)},
+    (2, 4): {"phi_bounded": (0.6979166666666666, 1.0000000001),
+             "phi_monotone": (4.4002084779414646e-13, 1e-10),
+             "phi_support": (1.3234889800848443e-23, 1e-10)},
+    (2, 8): {"phi_bounded": (0.8411458333333334, 1.0000000001),
+             "phi_monotone": (2.2970449913475887e-13, 1e-10),
+             "phi_support": (6.617444900424222e-24, 1e-10)},
+    (2, 256): {"phi_bounded": (0.9947992960611979, 1.0000000001),
+               "phi_monotone": (0.0, 1e-10),
+               "phi_support": (2.5849394142282115e-26, 1e-10)},
 }
 
 
 @pytest.mark.parametrize("R", [3.0, 40.0])
-@pytest.mark.parametrize("d", [1, 2])
-def test_morawetz_checks_the_weight_family_it_pairs_with(tmp_path, d, R):
+@pytest.mark.parametrize("d, M", list(_FAMILY), ids=[f"{d}-M{M}" for d, M in _FAMILY])
+def test_morawetz_checks_the_weight_family_it_pairs_with(tmp_path, d, M, R):
+    # the family depends on d and M only, so R changes none of its entries
     out = tmp_path / "out"
-    assert run_scenario(_write_config(tmp_path, _family_config(out, d, R))) == 0
+    assert run_scenario(_write_config(tmp_path, _family_config(out, d, R, M))) == 0
     checks = json.loads((out / "manifest.json").read_text())["checks"]
     assert {name: check for name, check in checks.items() if name.startswith("family_")} == {
         f"family_{name}": {"passed": True, "value": value, "threshold": threshold}
-        for name, (value, threshold) in _FAMILY_AT_M8[d].items()}
+        for name, (value, threshold) in _FAMILY[d, M].items()}
 
 
-def test_morawetz_fails_a_family_whose_support_does_not_end_at_2m(tmp_path, monkeypatch):
-    # phi(0.999 r) is still nonzero at r = 2M, where the support must end
+def _break_family(monkeypatch, profiles):
+    """Patch build_weights to return its family w with the profiles profiles(w) names."""
     from dataclasses import replace
 
     import mcnls.morawetz
 
     real = mcnls.morawetz.build_weights
 
-    def stretched(*args, **kwargs):
+    def broken(*args, **kwargs):
         w = real(*args, **kwargs)
-        return replace(w, phi=lambda r: w.phi(0.999 * r),
-                       dphi=lambda r: 0.999 * w.dphi(0.999 * r))
+        return replace(w, **profiles(w))
 
-    monkeypatch.setattr(mcnls.morawetz, "build_weights", stretched)
+    monkeypatch.setattr(mcnls.morawetz, "build_weights", broken)
+
+
+def _stretched(w):
+    # phi(0.999 r) is still nonzero at r = 2M, where the support must end
+    return {"phi": lambda r: w.phi(0.999 * r), "dphi": lambda r: 0.999 * w.dphi(0.999 * r)}
+
+
+def test_morawetz_fails_a_family_whose_support_does_not_end_at_2m(tmp_path, monkeypatch):
+    _break_family(monkeypatch, _stretched)
     out = tmp_path / "out"
     assert run_scenario(_write_config(tmp_path, _morawetz_config(out))) == 1
     manifest = json.loads((out / "manifest.json").read_text())
     assert not manifest["checks"]["family_phi_support"]["passed"]
     assert "family_phi_support" in manifest["failure"]
+
+
+_BROKEN_FAMILIES = [
+    (1, "phi_bounded", lambda w: {"phi": lambda r: 1.2 * w.phi(r)}),
+    (1, "dphi_bound", lambda w: {"dphi": lambda r: 3.0 * w.dphi(r)}),
+    (1, "d2phi_bound", lambda w: {"d2phi": lambda r: 2.0 * w.d2phi(r)}),
+    (1, "phi_support", _stretched),
+    (2, "phi_bounded", lambda w: {"phi": lambda r: 1.2 * w.phi(r)}),
+    # a bump that rises from r = 0 and is gone at r = 2M
+    (2, "phi_monotone",
+     lambda w: {"phi": lambda r: w.phi(r) + 1e-3 * r * np.clip(2.0 * w.M - r, 0.0, None)}),
+    (2, "phi_support", _stretched),
+]
+
+
+@pytest.mark.parametrize("d, check, profiles", _BROKEN_FAMILIES,
+                         ids=[f"{d}-{check}" for d, check, _ in _BROKEN_FAMILIES])
+def test_morawetz_fails_each_family_check_a_broken_family_breaks(tmp_path, monkeypatch, d,
+                                                                 check, profiles):
+    # each family check can fail inside a run, and it fails alone
+    _break_family(monkeypatch, profiles)
+    out = tmp_path / "out"
+    assert run_scenario(_write_config(tmp_path, _family_config(out, d, 4.0))) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    failed = [name for name, c in manifest["checks"].items() if not c["passed"]]
+    assert failed == [f"family_{check}"]
+    assert manifest["failure"] == f"checks failed: family_{check}"
 
 
 def test_manifest_written_on_failure(tmp_path):
@@ -469,8 +519,10 @@ def test_a_trajectory_run_checks_its_initial_boundary_mass_once(tmp_path, monkey
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("base", [_sim_config, _morawetz_config], ids=["simulate", "morawetz"])
-def test_initial_data_whose_mass_overflows_is_a_config_error(tmp_path, monkeypatch, base):
+@pytest.mark.parametrize("base, d", [(_sim_config, 1), (_morawetz_config, 1),
+                                     (_sim_config, 2), (_morawetz_config, 2)],
+                         ids=["simulate", "morawetz", "simulate-2d", "morawetz-2d"])
+def test_initial_data_whose_mass_overflows_is_a_config_error(tmp_path, monkeypatch, base, d):
     # |u|^2 is inf at the centre and finite in the annulus, so the boundary
     # fraction read 0; simulate then failed mass_drift with a NaN value
     import mcnls.morawetz
@@ -478,6 +530,9 @@ def test_initial_data_whose_mass_overflows_is_a_config_error(tmp_path, monkeypat
     builds = _counting(monkeypatch, mcnls.morawetz, "build_weights")
     out = tmp_path / "out"
     cfg = base(out)
+    if d == 2:
+        cfg["grid"] = dict(_GRID_2D)
+        cfg["initial"].pop("k0", None)
     cfg["initial"]["amplitude"] = 1e160
     assert run_scenario(_write_config(tmp_path, cfg)) == 2
     failure = json.loads((out / "manifest.json").read_text())["failure"]
@@ -1139,15 +1194,21 @@ def test_keys_a_run_would_ignore_are_config_errors(tmp_path, base, unread):
     assert _only_manifest_written(out)
 
 
-@pytest.mark.parametrize("section", ["output"])
-def test_an_empty_section_is_a_config_error(tmp_path, monkeypatch, section):
+@pytest.mark.parametrize("section, failure", [
+    ("output", "config section 'output' is empty"),
+    ("grid", "the morawetz scenario requires grid.d"),
+    ("evolution", "the morawetz scenario requires evolution.mu"),
+    ("initial", "the morawetz scenario requires initial.kind"),
+    ("weights", "the morawetz scenario requires weights.M"),
+], ids=["output", "grid", "evolution", "initial", "weights"])
+def test_an_empty_section_is_a_config_error(tmp_path, monkeypatch, section, failure):
     # every output key has a default; an empty section sets nothing and is
-    # not taken for an absent one
+    # not taken for an absent one, nor does it stand in for a required key
     monkeypatch.chdir(tmp_path)
     cfg = dict(_morawetz_config(tmp_path / "mcnls-out"), **{section: {}})
     assert run_scenario(_write_config(tmp_path, cfg)) == 2
-    failure = json.loads((tmp_path / "mcnls-out" / "manifest.json").read_text())["failure"]
-    assert failure == f"config error: config section {section!r} is empty"
+    written = json.loads((tmp_path / "mcnls-out" / "manifest.json").read_text())["failure"]
+    assert written == f"config error: {failure}"
 
 
 @pytest.mark.parametrize("xi0, named", [([0.0, 0.0], "initial.xi0 must have 1 entries"),
@@ -1426,14 +1487,20 @@ def test_bad_evolution_value_exits_before_the_first_solve(tmp_path, monkeypatch,
     assert solves == [] and builds == []
 
 
-@pytest.mark.parametrize("scenario, M", [("morawetz", 1e12), ("morawetz", MAX_WEIGHTS_M + 1)])
-def test_weights_m_past_the_cap_is_config_error(tmp_path, monkeypatch, scenario, M):
-    # a 2D run at M = 1e12 asked for a 2.27 PiB table and exited 1
+_PAST_THE_CAP = [(base, M) for base in ("morawetz", "family-2d", "family-1d")
+                 for M in (1e12, MAX_WEIGHTS_M + 1)]
+
+
+@pytest.mark.parametrize("base, M", _PAST_THE_CAP, ids=[f"{base}-{M}" for base, M in _PAST_THE_CAP])
+def test_weights_m_past_the_cap_is_config_error(tmp_path, monkeypatch, base, M):
+    # a 2D run at M = 1e12 asked for a 2.27 PiB table and exited 1; a run
+    # that pairs no step (t_end 0) builds the same table for its family checks
     import time
 
     solves, builds = _count_solves_and_builds(monkeypatch)
     out = tmp_path / "out"
-    cfg = _soliton_2d_config(scenario, out)
+    cfg = (_soliton_2d_config("morawetz", out) if base == "morawetz"
+           else _family_config(out, int(base[-2]), 4.0))
     cfg["weights"]["M"] = M
     t0 = time.perf_counter()
     assert run_scenario(_write_config(tmp_path, cfg)) == 2
